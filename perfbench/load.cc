@@ -27,16 +27,22 @@ constexpr double kForever = std::numeric_limits<double>::infinity();
 /// writes before its reads, so a younger write may finish first.
 constexpr double kMixedPollMs = 0.1;
 
-}  // namespace
-
-double CpuSeconds() {
+double UsageSeconds(int who) {
   rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
+  getrusage(who, &ru);
   auto secs = [](const timeval& tv) {
     return static_cast<double>(tv.tv_sec) +
            static_cast<double>(tv.tv_usec) * 1e-6;
   };
   return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+}  // namespace
+
+double ThreadCpuSeconds() { return UsageSeconds(RUSAGE_THREAD); }
+
+double SystemCpuSeconds() {
+  return UsageSeconds(RUSAGE_SELF) - ThreadCpuSeconds();
 }
 
 namespace {
@@ -137,15 +143,16 @@ class Generator {
       }
     }
     if (completed_ >= next_mark_) {
-      result_.marks.emplace_back(WallMs(), CpuSeconds());
-      next_mark_ += kWindowRequests;
+      result_.marks.emplace_back(WallMs(), SystemCpuSeconds());
+      next_mark_ += window_;
     }
   }
 
-  /// Starts the window marks at `t0_ms`.
-  void StartMarks(double t0_ms) {
-    result_.marks.emplace_back(t0_ms, CpuSeconds());
-    next_mark_ = kWindowRequests;
+  /// Starts marks at `t0_ms`, one every `window` completions.
+  void StartMarks(double t0_ms, uint64_t window) {
+    result_.marks.emplace_back(t0_ms, SystemCpuSeconds());
+    window_ = window;
+    next_mark_ = window;
   }
 
   uint64_t CountDueBefore(double ms) const {
@@ -207,6 +214,7 @@ class Generator {
   std::vector<uint8_t> busy_;  // per block: a request is in flight
   size_t writes_in_flight_ = 0;
   uint64_t completed_ = 0;
+  uint64_t window_ = 0;
   uint64_t next_mark_ = std::numeric_limits<uint64_t>::max();
 };
 
@@ -220,7 +228,7 @@ void RunClosed(Generator& gen, sh::agent::RequestDispatcher& dispatcher,
     sessions.push_back(dispatcher.OpenSession());
   }
   result.t0_ms = WallMs();
-  gen.StartMarks(result.t0_ms);
+  gen.StartMarks(result.t0_ms, kWindowRequests);
   const double end =
       spec.seconds > 0 ? result.t0_ms + spec.seconds * 1000.0 : kForever;
   auto issuing = [&] {
@@ -245,7 +253,7 @@ void RunClosed(Generator& gen, sh::agent::RequestDispatcher& dispatcher,
 void RunOpen(Generator& gen, ArrivalStream& arrivals, const LoadSpec& spec,
              LoadResult& result) {
   result.t0_ms = WallMs();
-  gen.StartMarks(result.t0_ms);
+  gen.StartMarks(result.t0_ms, kOpenWindowRequests);
   const double end = result.t0_ms + spec.seconds * 1000.0;
   for (double due = result.t0_ms + arrivals.NextMs(); due < end;
        due = result.t0_ms + arrivals.NextMs()) {

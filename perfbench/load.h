@@ -44,9 +44,9 @@ struct LoadResult {
   /// Completion time (WallMs) of each entry of read_us / write_us.
   std::vector<double> read_done_ms;
   std::vector<double> write_done_ms;
-  /// (WallMs, process CPU seconds) at the start and after every
-  /// kWindowRequests completions; consecutive marks bound the windows the
-  /// end-to-end figures take their medians over.
+  /// (WallMs, SystemCpuSeconds) at the start and after every
+  /// kWindowRequests (open loop: kOpenWindowRequests) completions;
+  /// consecutive marks bound the windows the end-to-end figures pool.
   std::vector<std::pair<double, double>> marks;
   /// Open loop: requests still outstanding when arrivals stopped that had
   /// been due for more than kBacklogAgeMs (zero unless a queue builds up).
@@ -66,9 +66,18 @@ inline constexpr double kBacklogAgeMs = 100.0;
 /// level (a store capacity of staged records), so every window carries
 /// the same re-order work and windows differ only by host noise.
 inline constexpr uint64_t kWindowRequests = 16384;
+/// The open loop serves about a thousand requests a second, so its
+/// windows are a quarter cycle: enough of them per run to leave out the
+/// disturbed ones. Deamortized re-orders spread the bottom level's work evenly over
+/// its cycle, so quarter cycles still carry equal work.
+inline constexpr uint64_t kOpenWindowRequests = kWindowRequests / 4;
 
-/// Process CPU time (user + system) in seconds.
-double CpuSeconds();
+/// CPU time (user + system) in seconds of the calling thread, and of every
+/// other thread of the process. The generator runs on the calling thread,
+/// so the second is the system's own CPU: dispatcher, shard and server
+/// threads, without the pattern fills and reference checks.
+double ThreadCpuSeconds();
+double SystemCpuSeconds();
 
 /// Drives `dispatcher` from the calling thread with requests drawn from
 /// `stream` (and `arrivals`, open loop), checking every read against

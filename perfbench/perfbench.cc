@@ -3,15 +3,17 @@
 // JSON line of raw metrics; run.py turns that into the benchmark result.
 //
 //   perfbench --workload hot_read --seed 1 --seconds 10 --trace 0
-//             [--setups 5] [--dump spans.tsv]
+//             [--dump spans.tsv]
 //   perfbench --selftest --seed 1
 //
-// --trace 0: `setups` timed set-ups, then the closed-loop vdisk probe and
+// --trace 0: kSetups timed set-ups, then the closed-loop vdisk probe and
 //            one serving phase -> end-to-end metrics.
 // --trace 1: one bare set-up and serving phase (stats()-based per-layer
 //            metrics), then a timed and traced set-up and serving phase
 //            whose spans and device bursts go to --dump for selftime.py.
+//            Each phase serves for half of --seconds.
 
+#include <sched.h>
 #include <sys/prctl.h>
 #include <sys/resource.h>
 
@@ -51,13 +53,10 @@ struct Workload {
   size_t window;
 };
 
-// Why these: see README.md. The replicated workloads are not in
-// BENCHMARK.json: their figures swing between runs (README.md), so they
-// are for manual runs.
+// Why these: see README.md.
 constexpr Workload kWorkloads[] = {
     {"hot_read", 0.0, true, false, false, 0.0, 64},
     {"update_blocking", 0.5, false, false, false, 0.0, 64},
-    {"replicated_closed", 0.1, true, true, false, 0.0, 64},
     {"replicated_open", 0.1, true, true, true, 1200.0, 128},
 };
 constexpr size_t kSessions = 32;
@@ -66,13 +65,14 @@ constexpr double kZipfTheta = 0.9;
 /// capacity of records, so the probe spans one whole re-order cycle of the
 /// bottom level.
 constexpr uint64_t kProbeRequests = 16384;
+/// Timed set-ups per end-to-end run; setup_s is their median.
+constexpr int kSetups = 5;
 
 struct Options {
   std::string workload;
   uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  int setups = 5;
   std::string dump;
   bool selftest = false;
 };
@@ -94,6 +94,22 @@ double PeakRssMiB() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+/// Confines the process, and every thread it starts from now on, to the
+/// last CPU it may run on.
+bool PinToOneCpu() {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return false;
+  int last = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) last = cpu;
+  }
+  if (last < 0) return false;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(last, &one);
+  return sched_setaffinity(0, sizeof(one), &one) == 0;
 }
 
 size_t Payload() {
@@ -140,7 +156,8 @@ struct Phase {
   uint64_t failed = 0;
   bool checker_live = true;
   std::string first_error;
-  double cpu_s = 0.0;  // process CPU over RunLoad
+  double cpu_s = 0.0;      // system CPU over RunLoad (generator excluded)
+  double gen_cpu_s = 0.0;  // the generator thread's CPU over RunLoad
   sh::agent::DispatcherStats dispatch;
   sh::oblivious::ObliviousStats store;
   Counters before;
@@ -231,9 +248,11 @@ Phase Serve(System& sys, ReferenceModel& reference, RequestStream& stream,
                 .sessions = kSessions,
                 .rate_per_s = w.rate_per_s,
                 .seconds = seconds};
-  const double cpu0 = CpuSeconds();
+  const double cpu0 = SystemCpuSeconds();
+  const double gen_cpu0 = ThreadCpuSeconds();
   phase.load = RunLoad(sys, dispatcher, reference, stream, arrivals, spec);
-  phase.cpu_s = CpuSeconds() - cpu0;
+  phase.cpu_s = SystemCpuSeconds() - cpu0;
+  phase.gen_cpu_s = ThreadCpuSeconds() - gen_cpu0;
   dispatcher.Stop();
   if (trace != nullptr) trace->set_enabled(false);
   DrainReorders(sys);
@@ -247,10 +266,12 @@ Phase Serve(System& sys, ReferenceModel& reference, RequestStream& stream,
 /// End-to-end figures of a serving phase. The phase is cut into windows
 /// of equal work (between consecutive generator marks). Interference from
 /// a shared host only ever slows a window down, so the figures pool the
-/// faster half of the windows by throughput: their completions over their
-/// wall time, their CPU per request, and the latency percentiles of their
-/// reads. A change to the system moves every window, and with it that
-/// half. A run too short for one full window counts as one window.
+/// faster half of the windows: their completions over their wall time,
+/// their CPU per request, and the latency percentiles of their reads.
+/// Closed loops rank windows by throughput; the open loop, whose
+/// throughput is the offered rate, by mean read latency. A change to the
+/// system moves every window, and with it that half. A run too short for
+/// one full window counts as one window.
 struct Windowed {
   double read_p50_us = 0.0;
   double read_p99_us = 0.0;
@@ -258,7 +279,8 @@ struct Windowed {
   double cpu_us_per_op = 0.0;
 };
 
-Windowed WindowFigures(const LoadResult& r, double run_cpu_s) {
+Windowed WindowFigures(const LoadResult& r, double run_cpu_s,
+                       bool open_loop) {
   std::vector<std::pair<double, double>> marks = r.marks;
   if (marks.size() < 2) {
     marks = {{r.t0_ms, 0.0}, {r.t1_ms + 1e-9, run_cpu_s}};
@@ -284,9 +306,15 @@ Windowed WindowFigures(const LoadResult& r, double run_cpu_s) {
                  [&](double t) { return in(t, a, b); }));
     windows.push_back(std::move(w));
   }
+  auto mean_read = [](const Window& w) {
+    double sum = 0.0;
+    for (const double us : w.reads) sum += us;
+    return Ratio(sum, static_cast<double>(w.reads.size()));
+  };
   std::sort(windows.begin(), windows.end(),
-            [](const Window& x, const Window& y) {
-              return x.done * y.ms > y.done * x.ms;  // faster first
+            [&](const Window& x, const Window& y) {  // faster first
+              return open_loop ? mean_read(x) < mean_read(y)
+                               : x.done * y.ms > y.done * x.ms;
             });
   windows.resize((windows.size() + 1) / 2);
   Window pooled;
@@ -323,6 +351,7 @@ void StatsMetrics(System& sys, const Phase& p, Metrics& m) {
   add("gen.late_p99_us", Percentile(p.load.late_us, 99));
   add("gen.backlog_end", static_cast<double>(p.load.backlog_end));
   add("gen.conflict_waits", static_cast<double>(p.load.conflict_waits));
+  add("gen.cpu_us_per_op", Ratio(p.gen_cpu_s * 1e6, ops));
   add("read_samples", static_cast<double>(p.load.read_us.size()));
   add("write_samples", static_cast<double>(p.load.write_us.size()));
   add("write_p50_us", Percentile(p.load.write_us, 50));
@@ -526,8 +555,6 @@ bool ParseArgs(int argc, char** argv, Options& o) {
       o.seconds = std::strtod(v, nullptr);
     } else if (a == "--trace") {
       o.trace = std::strcmp(v, "0") != 0;
-    } else if (a == "--setups") {
-      o.setups = std::max(1, std::atoi(v));
     } else if (a == "--dump") {
       o.dump = v;
     } else {
@@ -542,7 +569,7 @@ int Main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, o)) {
     std::fprintf(stderr,
                  "usage: perfbench --workload NAME --seed N --seconds S "
-                 "--trace 0|1 [--setups K] [--dump PATH] | --selftest\n");
+                 "--trace 0|1 [--dump PATH] | --selftest\n");
     return 2;
   }
   // Timed waits of the generator should wake on time, not up to the
@@ -557,6 +584,15 @@ int Main(int argc, char** argv) {
   if (w == nullptr) {
     std::fprintf(stderr, "unknown workload %s\n", o.workload.c_str());
     return 2;
+  }
+  // The replicated stack hands every scan I/O to a shard thread and every
+  // I/O of shard 0's remote mirror to a server thread. On a virtual
+  // machine, waking a thread on an idle virtual CPU costs a varying
+  // hypervisor round trip, which made these figures swing by 2x between
+  // runs. On one CPU a hand-off is a plain context switch.
+  if (w->replicated && !PinToOneCpu()) {
+    std::fprintf(stderr, "cannot pin to one CPU\n");
+    return 1;
   }
   if (o.trace && o.dump.empty()) {
     std::fprintf(stderr, "--trace 1 needs --dump\n");
@@ -578,7 +614,7 @@ int Main(int argc, char** argv) {
     std::vector<double> setup_s;
     std::unique_ptr<System> sys;
     std::unique_ptr<ReferenceModel> reference;
-    for (int i = 0; i < o.setups; ++i) {
+    for (int i = 0; i < kSetups; ++i) {
       sys.reset();  // one system alive at a time
       reference = std::make_unique<ReferenceModel>(ContentSeed(o.seed),
                                                    kBlocks, Payload());
@@ -589,7 +625,7 @@ int Main(int argc, char** argv) {
     RequestStream stream = fresh_stream();
     const Phase p =
         Serve(*sys, *reference, stream, &arrivals, *w, o.seconds, nullptr);
-    const Windowed win = WindowFigures(p.load, p.cpu_s);
+    const Windowed win = WindowFigures(p.load, p.cpu_s, w->open_loop);
     m.emplace_back("ops_per_s", win.ops_per_s);
     m.emplace_back("cpu_us_per_op", win.cpu_us_per_op);
     m.emplace_back("read_p50_us", win.read_p50_us);
@@ -632,9 +668,10 @@ int Main(int argc, char** argv) {
     auto sys = BuildOrDie(config, reference);
     RequestStream stream = fresh_stream();
     const Phase p =
-        Serve(*sys, reference, stream, &arrivals, *w, o.seconds, nullptr);
+        Serve(*sys, reference, stream, &arrivals, *w, o.seconds / 2, nullptr);
     StatsMetrics(*sys, p, m);
-    m.emplace_back("read_p99_us", WindowFigures(p.load, p.cpu_s).read_p99_us);
+    m.emplace_back("read_p99_us",
+                   WindowFigures(p.load, p.cpu_s, w->open_loop).read_p99_us);
     m.emplace_back("space_amp",
                    Ratio(static_cast<double>(sys->provisioned_bytes()),
                          static_cast<double>(kBlocks) * sys->payload()));
@@ -662,7 +699,7 @@ int Main(int argc, char** argv) {
     auto sys = BuildOrDie(config, reference);
     RequestStream stream = fresh_stream();
     const Phase p = Serve(*sys, reference, stream, &traced_arrivals, *w,
-                          o.seconds, &trace);
+                          o.seconds / 2, &trace);
     attempted += p.attempted;
     failed += p.failed;
     correct = correct && p.checker_live;
