@@ -17,21 +17,17 @@ namespace steghide::oblivious {
 /// External merge sort over sealed blocks, the re-order primitive of
 /// §5.1.2 ("we apply the external merge sort algorithm").
 ///
-/// Usage: feed blocks with Add() — each is read from the device, decrypted,
-/// and assigned the caller's 64-bit sort tag (a random tag yields a
-/// uniformly random concealed permutation). The sorter buffers up to
-/// `run_blocks` payloads in memory (the agent's buffer), spilling sorted,
-/// re-encrypted runs to the scratch region. Finish() merges the runs in a
-/// single chunked multi-way pass into the destination region and returns
-/// the caller-supplied labels in final order.
-///
-/// The merge phase is resumable: BeginMerge() prepares it and
-/// MergeStep(budget) advances it by a bounded number of device I/Os, so a
-/// deamortized re-order can interleave merge chunks with serving.
-/// Finish() is the blocking wrapper (BeginMerge + MergeStep to completion
-/// + TakeOrder). After either, Reset() recycles the sorter — including
-/// its in-memory run and seal scratch allocations — for the next
-/// re-order.
+/// Usage: feed payloads with AddInMemory(), each with the caller's 64-bit
+/// sort tag (a random tag yields a uniformly random concealed
+/// permutation). The sorter buffers up to `run_blocks` payloads in memory
+/// (the agent's buffer), spilling sorted, re-encrypted runs to the
+/// scratch region. BeginMerge() then arms a single chunked multi-way pass
+/// into the destination region, MergeStep(budget) advances it by a
+/// bounded number of device I/Os — so a deamortized re-order can
+/// interleave merge chunks with serving, and a blocking one runs it to
+/// completion — and TakeOrder() returns the caller-supplied labels in
+/// final order. Reset() then recycles the sorter — including its
+/// in-memory run and seal scratch allocations — for the next re-order.
 ///
 /// I/O pattern matters more than the sort itself here: run formation and
 /// the merge read/write chunks sequentially, which is why the paper's
@@ -56,22 +52,23 @@ class ExternalMergeSorter {
                       const crypto::CbcCipher* cipher, crypto::HashDrbg* drbg,
                       uint64_t scratch_base, uint64_t run_blocks);
 
-  /// Reads the sealed block at device position `src_block`, attaching
-  /// `tag` (sort key) and `label` (opaque, returned in final order).
-  Status Add(uint64_t src_block, uint64_t tag, uint64_t label);
-
-  /// Adds an item whose payload is already in memory (e.g. the agent's
-  /// buffer contents) — no device read.
+  /// Adds an item whose payload is in memory (a flush-set record, or a
+  /// level record its re-order job has already read and decrypted),
+  /// attaching `tag` (sort key) and `label` (opaque, returned in final
+  /// order). No device read; a full run spills to scratch.
   Status AddInMemory(const Bytes& payload, uint64_t tag, uint64_t label);
   /// Same, from a raw payload_size()-byte pointer (batch-decrypt callers
   /// slice one contiguous plaintext buffer instead of materializing a
   /// Bytes per item).
   Status AddInMemory(const uint8_t* payload, uint64_t tag, uint64_t label);
 
-  /// Merges everything to device positions [dst_base, dst_base + n) in
-  /// ascending tag order and returns the labels in that order. The sorter
-  /// is spent afterwards (Reset() recycles it).
-  Result<std::vector<uint64_t>> Finish(uint64_t dst_base);
+  /// Items the pending run still takes before it spills: a caller that
+  /// reads its inputs in chunks stops each chunk here, so every input read
+  /// precedes the spill it feeds. Zero only after a failed spill, which
+  /// the next add re-drives.
+  uint64_t run_room() const {
+    return pending_.size() < run_blocks_ ? run_blocks_ - pending_.size() : 0;
+  }
 
   // ---- Resumable merge phase ---------------------------------------------
 

@@ -575,6 +575,7 @@ Status ObliviousStore::MultiReadLocked(std::span<const RecordId> ids,
   for (const RecordId id : ids) {
     if (!ContainsLocked(id)) return Status::NotFound("record not cached");
   }
+  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
   const size_t max_k = options_.buffer_blocks;
   for (size_t off = 0; off < ids.size(); off += max_k) {
     const size_t n = std::min(max_k, ids.size() - off);
@@ -597,6 +598,7 @@ Status ObliviousStore::MultiWrite(std::span<const RecordId> ids,
 
 Status ObliviousStore::MultiWriteLocked(std::span<const RecordId> ids,
                                         const uint8_t* payloads) {
+  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
   const size_t max_k = options_.buffer_blocks;
   for (size_t off = 0; off < ids.size(); off += max_k) {
     const size_t n = std::min(max_k, ids.size() - off);
@@ -608,6 +610,7 @@ Status ObliviousStore::MultiWriteLocked(std::span<const RecordId> ids,
 
 Status ObliviousStore::Insert(RecordId id, const uint8_t* payload) {
   std::lock_guard<std::mutex> lock(mu_);
+  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
   STEGHIDE_RETURN_IF_ERROR(RegisterPresent(id));
   BufferStage(id, payload);
   STEGHIDE_RETURN_IF_ERROR(MaybeFlush());
@@ -622,6 +625,7 @@ Status ObliviousStore::MultiInsert(std::span<const RecordId> ids,
 
 Status ObliviousStore::MultiInsertLocked(std::span<const RecordId> ids,
                                          const uint8_t* payloads) {
+  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
   const size_t max_k = options_.buffer_blocks;
   const size_t ps = codec_.payload_size();
   for (size_t off = 0; off < ids.size(); off += max_k) {
@@ -712,45 +716,11 @@ Status ObliviousStore::MaybeFlush() {
 }
 
 Status ObliviousStore::FlushBuffer() {
-  if (!options_.deamortize_reorders) {
-    const double t0 = Clock();
-    cells_.buffer_flushes.Increment();
-    obs::ScopedSpan span(trace_, "store.flush", trace_track_,
-                         {{"records", static_cast<int64_t>(buffer_.size())}});
-
-    Level& level1 = levels_.front();
-    // With a single level (k = 1) the level is also the last one; dedup at
-    // re-order guarantees fit because distinct records never exceed N.
-    // Deferred group flushes can stage up to 2B - 1 records, which still
-    // fits level 1 (capacity 2B) once a dump empties it.
-    if (levels_.size() > 1 &&
-        level1.live_count() + buffer_.size() > level1.capacity) {
-      STEGHIDE_RETURN_IF_ERROR(Dump(0));
-    }
-
-    std::vector<std::pair<RecordId, const Bytes*>> in_memory;
-    in_memory.reserve(buffer_.size());
-    for (const auto& [id, payload] : buffer_) {
-      in_memory.emplace_back(id, &payload);
-    }
-
-    STEGHIDE_RETURN_IF_ERROR(ReorderInto(level1, nullptr, in_memory));
-    buffer_.clear();
-    // The whole flush/dump cascade ran inside this serving operation —
-    // the stall the deamortized path exists to break up.
-    const double dt = Clock() - t0;
-    stats_.sort_ms += dt;
-    stats_.stall_ms += dt;
-    stats_.max_stall_ms = std::max(stats_.max_stall_ms, dt);
-    cells_.stall.Record(dt);
-    return Status::OK();
-  }
-
   if (ChainActiveLocked()) {
-    if (!options_.strict_reorder_schedule &&
+    if (options_.deamortize_reorders && !options_.strict_reorder_schedule &&
         buffer_.size() < DeferLimitRecords()) {
       // Coalesce: let the running chain finish while the buffer keeps
-      // absorbing stagings (bounded by defer_flush_limit). One rebuild
+      // absorbing stagings (bounded by DeferLimitRecords()). One rebuild
       // then absorbs the whole set, and a set that outgrows the upper
       // levels folds them — those records skip per-level rewrites.
       cells_.deferred_flushes.Increment();
@@ -761,89 +731,28 @@ Status ObliviousStore::FlushBuffer() {
     // small — it is what max_stall_ms measures.
     STEGHIDE_RETURN_IF_ERROR(DrainChainLocked());
   }
-  return StartFlushChainLocked();
+  obs::ScopedSpan span(trace_, "store.flush", trace_track_,
+                       {{"records", static_cast<int64_t>(buffer_.size())}});
+  STEGHIDE_RETURN_IF_ERROR(StartFlushChainLocked());
+  // The blocking schedule runs the whole cascade inside this serving op —
+  // the stall the deamortized schedule exists to break up.
+  return options_.deamortize_reorders ? Status::OK() : DrainChainLocked();
 }
 
-Status ObliviousStore::Dump(size_t i) {
-  // Levels are 0-indexed here; the paper's dump(i) merges level i into
-  // level i+1, cascading when the target is itself full.
-  if (i + 1 >= levels_.size()) {
-    return Status::Internal("dump called on the last level");
-  }
-  Level& source = levels_[i];
-  Level& target = levels_[i + 1];
-  if (i + 2 < levels_.size() &&
-      target.live_count() + source.live_count() > target.capacity) {
-    STEGHIDE_RETURN_IF_ERROR(Dump(i + 1));
-  }
-  // For the last level the capacity equals the store's record capacity,
-  // so the merged (deduplicated) content always fits.
-  return ReorderInto(target, &source, {});
-}
-
-Status ObliviousStore::ReorderInto(
-    Level& target, Level* source,
-    const std::vector<std::pair<RecordId, const Bytes*>>& in_memory) {
-  const size_t level_idx = static_cast<size_t>(&target - levels_.data());
-  const double t0 = Clock();
-  obs::ScopedSpan span(trace_, "store.reorder", trace_track_,
-                       {{"level", static_cast<int64_t>(level_idx) + 1}});
-  sorter_->Reset();
-  reorder_added_.clear();
-  reorder_added_.reserve(target.capacity);
-
-  // Priority: in-memory (newest) > source level > target level.
-  for (const auto& [id, payload] : in_memory) {
-    STEGHIDE_RETURN_IF_ERROR(
-        sorter_->AddInMemory(*payload, Drbg().NextUint64(), id));
-    reorder_added_.insert(id);
-  }
-  for (Level* src : {source, &target}) {
-    if (src == nullptr) continue;
-    for (uint64_t slot = 0; slot < src->occupied(); ++slot) {
-      const RecordId id = src->slot_ids[slot];
-      if (src->IsStale(slot)) continue;
-      if (reorder_added_.find(id) != reorder_added_.end()) continue;
-      reorder_added_.insert(id);
-      STEGHIDE_RETURN_IF_ERROR(
-          sorter_->Add(src->base + slot, Drbg().NextUint64(), id));
-    }
-  }
-
-  if (reorder_added_.size() > target.capacity) {
-    return Status::Internal("re-order overflow: level capacity exceeded");
-  }
-
-  STEGHIDE_ASSIGN_OR_RETURN(std::vector<uint64_t> order,
-                            sorter_->Finish(target.base));
-  target.InstallOrder(std::move(order), Drbg().NextUint64());
-  if (source != nullptr) source->Clear(Drbg().NextUint64());
-
-  cells_.reorders.Increment();
-  ++reorder_epoch_;
-  cells_.reorder_reads.Add(sorter_->stats().reads);
-  cells_.reorder_writes.Add(sorter_->stats().writes);
-  STEGHIDE_RETURN_IF_ERROR(ChargeIndexRebuild(target));
-  stats_.reorder_ms[level_idx] += Clock() - t0;
-  return Status::OK();
-}
-
-// ---- Deamortized chain machinery -----------------------------------------
+// ---- Re-order chain machinery --------------------------------------------
 
 Status ObliviousStore::StartFlushChainLocked() {
   assert(!ChainActiveLocked() && flushing_.empty());
   cells_.buffer_flushes.Increment();
-  flushing_ = std::move(buffer_);
-  buffer_.clear();
-  const uint64_t flush_size = flushing_.size();
+  const uint64_t flush_size = buffer_.size();
 
   // Choose the flush target: the first level whose capacity covers the
   // flush set plus every level folded above it (conservative, pre-dedup
   // — the last level always qualifies because distinct records never
-  // exceed N). In the strict schedule the flush set is at most 2B - 1,
-  // so t == 0 and the plan is exactly the blocking recursion; deferral
-  // can grow the set past 2B, which folds level 1 (and, in principle,
-  // deeper levels) into the flush job.
+  // exceed N). Without deferral the flush set is at most 2B - 1, so
+  // t == 0 and the plan is the paper's dump recursion; deferral can grow
+  // the set past 2B, which folds level 1 (and, in principle, deeper
+  // levels) into the flush job.
   size_t t = 0;
   uint64_t folded_live = 0;
   while (t + 1 < levels_.size() &&
@@ -852,8 +761,9 @@ Status ObliviousStore::StartFlushChainLocked() {
     ++t;
   }
 
-  // Mirror the blocking Dump recursion (deepest re-order first) with
-  // live counts frozen at this trigger.
+  // dump(i) merges level i into level i+1, first dumping level i+1 when
+  // the merge would overflow it: plan that recursion (deepest re-order
+  // first) with live counts frozen at this trigger.
   std::vector<size_t> dump_sources;
   bool include_target_live = true;
   if (t + 1 < levels_.size() &&
@@ -875,16 +785,15 @@ Status ObliviousStore::StartFlushChainLocked() {
   projection_.assign(levels_.size(), LevelProjection{});
 
   // Snapshot one job's inputs: ascending live-slot sweeps with the
-  // blocking dedup priority (memory > higher levels > target), tags
-  // drawn per item exactly as the blocking adds would.
+  // dedup priority memory > higher levels > target. Sort tags are drawn
+  // later, as the job feeds each item to the sorter.
   const auto sweep_level = [&](size_t li, ReorderJob::Inputs& inputs) {
     const Level& level = levels_[li];
     for (uint64_t slot = 0; slot < level.occupied(); ++slot) {
       const RecordId id = level.slot_ids[slot];
       if (level.IsStale(slot)) continue;
       if (!reorder_added_.insert(id).second) continue;
-      inputs.device.push_back(
-          {level.base + slot, id, Drbg().NextUint64()});
+      inputs.device.push_back({level.base + slot, id});
     }
   };
   const auto make_job = [&](size_t target_idx, ReorderJob::Inputs inputs,
@@ -896,7 +805,7 @@ Status ObliviousStore::StartFlushChainLocked() {
     }
     ChainStep step;
     step.job = std::make_unique<ReorderJob>(
-        maint_device_, &codec_, &cipher_, sorter_.get(), target_idx,
+        maint_device_, &codec_, &cipher_, &drbg_, sorter_.get(), target_idx,
         levels_[target_idx].alt_base, std::move(inputs));
     step.clears = std::move(clears);
     step.is_flush = is_flush;
@@ -921,10 +830,13 @@ Status ObliviousStore::StartFlushChainLocked() {
   reorder_added_.reserve(levels_[t].capacity);
   ReorderJob::Inputs flush_inputs;
   flush_inputs.memory.reserve(flush_size);
-  for (const auto& [id, payload] : flushing_) {
-    flush_inputs.memory.push_back({id, payload, Drbg().NextUint64()});
+  for (const auto& [id, payload] : buffer_) {
+    flush_inputs.memory.push_back({id, payload});
     reorder_added_.insert(id);
   }
+  // Move the nodes, not the table: buffer_ keeps its buckets, whose
+  // layout orders every later flush set.
+  flushing_.merge(buffer_);
   std::vector<size_t> flush_clears;
   for (size_t li = 0; li < t; ++li) {
     sweep_level(li, flush_inputs);
@@ -983,31 +895,32 @@ Status ObliviousStore::InstallFrontJobLocked() {
 
 Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
   if (!ChainActiveLocked()) return Status::OK();
-  cells_.reorder_steps.Increment();
+  // A blocking drain is the re-order itself, not an incremental slice.
+  if (options_.deamortize_reorders) cells_.reorder_steps.Increment();
   obs::ScopedSpan span(trace_, "store.reorder_step", trace_track_,
                        {{"stall", stall ? 1 : 0}});
   const double t0 = Clock();
   uint64_t used = 0;
   while (ChainActiveLocked()) {
-    ChainStep& front = chain_->steps.front();
-    ReorderJob& job = *front.job;
-    if (job.done()) {
-      STEGHIDE_RETURN_IF_ERROR(InstallFrontJobLocked());
-      continue;
-    }
-    if (used >= budget_blocks) break;
+    ReorderJob& job = *chain_->steps.front().job;
+    if (!job.done() && used >= budget_blocks) break;
+    const size_t level = job.target_level();
     const double jt0 = Clock();
     uint64_t consumed = 0;
-    const Status status = job.Step(budget_blocks - used, &consumed);
+    Status status =
+        job.done() ? Status::OK() : job.Step(budget_blocks - used, &consumed);
+    used += consumed;
     // Account the job's I/O and per-level time as it happens, so stats
     // snapshots mid-chain stay meaningful.
     cells_.reorder_reads.Add(job.reads() - chain_->front_reads_seen);
     cells_.reorder_writes.Add(job.writes() - chain_->front_writes_seen);
     chain_->front_reads_seen = job.reads();
     chain_->front_writes_seen = job.writes();
-    stats_.reorder_ms[job.target_level()] += Clock() - jt0;
+    // A finished job installs in the same slice, so the install and its
+    // index-rebuild charge count toward its level's re-order time.
+    if (status.ok() && job.done()) status = InstallFrontJobLocked();
+    stats_.reorder_ms[level] += Clock() - jt0;
     STEGHIDE_RETURN_IF_ERROR(status);
-    used += consumed;
   }
   span.AddArg("used", static_cast<int64_t>(used));
   const double dt = Clock() - t0;

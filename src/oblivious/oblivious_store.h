@@ -54,13 +54,15 @@ struct ObliviousStoreOptions {
 
   // ---- Deamortized re-orders ----------------------------------------------
 
-  /// Run §5.1.2 re-orders incrementally against double-buffered levels:
-  /// a flush/dump cascade becomes a chain of resumable ReorderJobs that
-  /// build each level's next permutation in its shadow region while
-  /// scans keep probing the old one, with an atomic flip at completion.
-  /// Work is advanced by StepReorder() (the dispatcher's idle pump),
-  /// self-paced serving taxes, and a hard drain backstop, so serving
-  /// never stalls behind a whole rebuild.
+  /// Re-order schedule. Every flush/dump cascade is planned as a chain of
+  /// resumable ReorderJobs; this picks how the chain runs. Off (the
+  /// blocking schedule): the triggering op drains the chain, each job
+  /// rebuilding its level in place. On: the jobs build each level's next
+  /// permutation in its shadow region while scans keep probing the old
+  /// one, with an atomic flip at completion. Work is then advanced by
+  /// StepReorder() (the dispatcher's idle pump), self-paced serving
+  /// taxes, and a hard drain backstop, so serving never stalls behind a
+  /// whole rebuild. Stores with fewer than 3 levels always block.
   bool deamortize_reorders = false;
   /// First device block of the shadow mirror: a second hierarchy-shaped
   /// region (2N - 2B blocks, per-level offsets matching the primary) the
@@ -77,18 +79,6 @@ struct ObliviousStoreOptions {
   /// trace-equivalence tests, which pin per-level touch counts against
   /// the blocking schedule request by request.
   bool strict_reorder_schedule = false;
-  /// Flush-coalescing cap, in records (0 = auto: N/4, floored at B and
-  /// capped at 2048 — see DeferLimitRecords()): while a chain is
-  /// running, flush triggers defer until the agent buffer holds this
-  /// many records, then the chain is drained and one rebuild absorbs
-  /// the whole set. A set larger than a level's capacity folds
-  /// that level into the rebuild and installs directly into the first
-  /// level that fits, so coalesced records *skip* the upper-level
-  /// rewrites entirely — the duty-cycle win that lets the deamortized
-  /// path beat the blocking schedule on total re-order volume, not just
-  /// on stalls. Flush sizes depend only on chain timing, i.e. on the
-  /// observable schedule, never on record contents.
-  uint64_t defer_flush_limit = 0;
 
   // ---- Fault tolerance ----------------------------------------------------
 
@@ -139,7 +129,8 @@ struct ObliviousStats {
   /// pass reads each level's spilled index once instead of once per
   /// request, saving (group size - 1) reads per non-empty level.
   uint64_t probes_saved = 0;
-  /// Incremental re-order bookkeeping (deamortize_reorders).
+  /// Incremental re-order bookkeeping (deamortize_reorders; a blocking
+  /// drain is the re-order itself, not a slice of one).
   uint64_t reorder_steps = 0;      // StepReorder / tax / drain slices
   uint64_t deferred_flushes = 0;   // flush triggers coalesced into a chain
   double retrieve_ms = 0.0;  // virtual time in scans
@@ -199,11 +190,13 @@ struct ObliviousStats {
 /// still read at most once between re-orders, and the per-request trace
 /// stays one touch per non-empty level.
 ///
-/// Deamortized re-orders (options.deamortize_reorders): a flush/dump
-/// cascade is planned as a chain of resumable ReorderJobs over an
-/// immutable snapshot (flush set + live-slot sweeps), executed
-/// deepest-target-first in bounded Step increments against each level's
-/// shadow region, with an atomic base flip per install. While the chain
+/// Re-orders: every flush/dump cascade is planned as a chain of
+/// resumable ReorderJobs over an immutable snapshot (flush set +
+/// live-slot sweeps), executed deepest-target-first. The blocking
+/// schedule drains the chain inside the triggering op, rebuilding each
+/// level in place. The deamortized one (options.deamortize_reorders)
+/// runs it in bounded Step increments against each level's shadow
+/// region, with an atomic base flip per install. While such a chain
 /// runs, scans serve the *old* permutations; records of the snapshotted
 /// flush set are served from agent memory behind a full decoy sweep
 /// (the same per-level touch count the blocking schedule would show for
@@ -307,10 +300,11 @@ class ObliviousStore {
   /// ops; serving also self-paces via an internal tax, so calling this
   /// is an optimization, never a correctness requirement. `more`
   /// (optional) reports whether work remains. No-op (more = false) when
-  /// deamortize_reorders is off or no chain is active.
+  /// no chain is active — under the blocking schedule, always, unless a
+  /// failed drain left one behind.
   Status StepReorder(uint64_t budget_blocks, bool* more = nullptr);
 
-  /// True while an incremental re-order chain has unfinished work.
+  /// True while a re-order chain has unfinished work.
   bool reorder_pending() const {
     std::lock_guard<std::mutex> lock(mu_);
     return ChainActiveLocked();
@@ -322,8 +316,8 @@ class ObliviousStore {
   /// stuck.
   bool deamortized() const { return options_.deamortize_reorders; }
 
-  /// Counts level-permutation installs (blocking re-orders and chain job
-  /// flips alike). Readers use it to reason about epoch consistency:
+  /// Counts level-permutation installs, one per re-order job under
+  /// either schedule. Readers use it to reason about epoch consistency:
   /// everything inside one store critical section observes one epoch.
   uint64_t reorder_epoch() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -466,11 +460,10 @@ class ObliviousStore {
     std::vector<size_t> clears;
     bool is_flush = false;
   };
-  /// An incremental flush/dump cascade: steps execute strictly in order
-  /// (deepest target first, the flush job last), each installing its
-  /// level before the next starts. Planned — snapshots, tags,
-  /// projections and all — at the flush trigger, so the chain replays
-  /// exactly the blocking recursion's re-orders.
+  /// A flush/dump cascade: steps execute strictly in order (deepest
+  /// target first, the flush job last), each installing its level before
+  /// the next starts. Planned — snapshots and projections — at the flush
+  /// trigger; sort tags are drawn as each job feeds its sorter.
   struct ReorderChain {
     std::deque<ChainStep> steps;
     // Last-seen job I/O counters, for incremental stats deltas.
@@ -533,24 +526,25 @@ class ObliviousStore {
   /// hold up to 2B - 1 records — still within level 1's capacity.
   Status MaybeFlush();
 
+  /// Plans the flush cascade as a chain and, under the blocking
+  /// schedule, drains it on the spot. The deamortized schedule may
+  /// instead defer the trigger while an earlier chain still runs.
   Status FlushBuffer();
 
-  /// Dumps level `i` (1-based) into level i+1 (merging + re-shuffle).
-  Status Dump(size_t i);
-
-  /// Rebuilds `target` from its own live records, optional `source` level
-  /// records (which win on duplicates) and optional in-memory records
-  /// (which win over everything). Empties `source`. The blocking path.
-  Status ReorderInto(Level& target, Level* source,
-                     const std::vector<std::pair<RecordId, const Bytes*>>&
-                         in_memory);
+  /// Blocking schedule: finishes a chain whose drain failed inside an
+  /// earlier op. Its jobs rebuild levels in place, so no scan may probe
+  /// the hierarchy before the chain is installed. Called on entry to
+  /// every serving op; a no-op otherwise.
+  Status FinishBlockingChainLocked() {
+    return options_.deamortize_reorders ? Status::OK() : DrainChainLocked();
+  }
 
   /// charge_index_io: sequential index rewrite after re-ordering `level`.
   /// (The per-pass index read is planned inline by PlanScan, so it joins
   /// the level probes in one batched request.)
   Status ChargeIndexRebuild(const Level& level);
 
-  // ---- Deamortized chain machinery (callers hold mu_) ---------------------
+  // ---- Re-order chain machinery (callers hold mu_) ------------------------
 
   bool ChainActiveLocked() const {
     return chain_ != nullptr && !chain_->steps.empty();
@@ -567,16 +561,16 @@ class ObliviousStore {
   /// schedule (coalescing there just rebuilds the bottom level per
   /// flush) and take only the pacing/latency win.
   uint64_t DeferLimitRecords() const {
-    if (options_.defer_flush_limit != 0) return options_.defer_flush_limit;
     constexpr uint64_t kDeferCapRecords = 2048;
     return std::max<uint64_t>(
         options_.buffer_blocks,
         std::min<uint64_t>(kDeferCapRecords, options_.capacity_blocks / 4));
   }
 
-  /// Plans the flush cascade at trigger time (snapshot + tags +
-  /// projections), moving buffer_ into flushing_. Mirrors the blocking
-  /// Dump recursion exactly.
+  /// Plans the flush cascade at trigger time (snapshots + projections),
+  /// moving buffer_'s records into flushing_. The plan is the paper's
+  /// dump(i) recursion, deepest re-order first, over live counts frozen
+  /// at the trigger.
   Status StartFlushChainLocked();
 
   /// Advances the chain by roughly `budget_blocks` I/Os, installing
@@ -584,7 +578,8 @@ class ObliviousStore {
   /// drain backstop) for the stall counters.
   Status StepChainLocked(uint64_t budget_blocks, bool stall);
 
-  /// Runs the chain to completion (hard backstop / strict schedule).
+  /// Runs the chain to completion (blocking schedule, hard backstop,
+  /// strict schedule).
   Status DrainChainLocked();
 
   /// Serving tax: self-paced chain advance spreading the remaining work
@@ -592,9 +587,10 @@ class ObliviousStore {
   /// the `staged` records the finishing op contributed.
   Status PaceChainLocked(uint64_t staged);
 
-  /// Installs the finished front job: flips the level to its shadow
-  /// region, applies tombstones, clears the dumped source, charges the
-  /// index rebuild and retires chain state at the end.
+  /// Installs the finished front job: flips the level to the region the
+  /// job built (in place under the blocking schedule), applies
+  /// tombstones, clears the dumped source, charges the index rebuild and
+  /// retires chain state at the end.
   Status InstallFrontJobLocked();
 
   /// Refreshes the chain-progress gauges (pending steps, remaining
@@ -660,11 +656,11 @@ class ObliviousStore {
   std::vector<uint8_t> ghost_scratch_;
 
   /// Persistent re-order scratch: the external sorter (run buffer + seal
-  /// staging reused across re-orders) and the dedup set.
+  /// staging reused across re-orders) and the planner's dedup set.
   std::unique_ptr<ExternalMergeSorter> sorter_;
   std::unordered_set<RecordId> reorder_added_;
 
-  // ---- Deamortized chain state (guarded by mu_) ---------------------------
+  // ---- Re-order chain state (guarded by mu_) ------------------------------
 
   std::unique_ptr<ReorderChain> chain_;
   /// Flush snapshot being installed by the chain's level-1 job. Records

@@ -7,11 +7,12 @@ namespace steghide::oblivious {
 ReorderJob::ReorderJob(storage::BlockDevice* device,
                        const stegfs::BlockCodec* codec,
                        const crypto::CbcCipher* cipher,
-                       ExternalMergeSorter* sorter, size_t target_level,
-                       uint64_t dst_base, Inputs inputs)
+                       crypto::DrbgStreams* tags, ExternalMergeSorter* sorter,
+                       size_t target_level, uint64_t dst_base, Inputs inputs)
     : device_(device),
       codec_(codec),
       cipher_(cipher),
+      tags_(tags),
       sorter_(sorter),
       target_level_(target_level),
       dst_base_(dst_base),
@@ -19,12 +20,15 @@ ReorderJob::ReorderJob(storage::BlockDevice* device,
   if (record_count() == 0) phase_ = Phase::kDone;
 }
 
+Status ReorderJob::Feed(const uint8_t* payload, RecordId id) {
+  return sorter_->AddInMemory(payload, tags_->ForThread().NextUint64(), id);
+}
+
 Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
-  // The flush set first: it carries the newest copies, and feeding it
-  // before the device sweep reproduces the blocking add order (in-memory
-  // > source > target), so equal tags — impossible anyway with a 64-bit
-  // DRBG — would resolve identically. Memory adds cost no reads, but a
-  // full run spills sequentially through the sorter, which we charge.
+  // The flush set first: it carries the newest copies, so it goes in
+  // ahead of the device sweep (in-memory > source > target). Memory adds
+  // cost no reads, but a full run spills sequentially through the
+  // sorter, which we charge.
   const auto sorter_io = [&] {
     return sorter_->stats().reads + sorter_->stats().writes;
   };
@@ -36,17 +40,19 @@ Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
     // re-spills), so re-adding it would duplicate the record.
     ++next_memory_;
     const uint64_t before = sorter_io();
-    STEGHIDE_RETURN_IF_ERROR(sorter_->AddInMemory(in.payload, in.tag, in.id));
+    STEGHIDE_RETURN_IF_ERROR(Feed(in.payload.data(), in.id));
     used += sorter_io() - before;
   }
 
   while (next_device_ < inputs_.device.size()) {
     if (used >= budget_blocks) return Status::OK();
-    // One vectored chunk of the ascending live-slot sweep.
+    // One vectored chunk of the ascending live-slot sweep, ending at the
+    // next run spill at the latest: every input read then precedes the
+    // spill it feeds, the device order of a per-block sweep.
     const uint64_t left = inputs_.device.size() - next_device_;
     const uint64_t take = std::min<uint64_t>(
-        std::min<uint64_t>(kInputChunkBlocks, left),
-        std::max<uint64_t>(1, budget_blocks - used));
+        {kInputChunkBlocks, left, std::max<uint64_t>(1, budget_blocks - used),
+         std::max<uint64_t>(1, sorter_->run_room())});
     std::vector<uint64_t> ids;
     ids.reserve(take);
     for (uint64_t i = 0; i < take; ++i) {
@@ -68,9 +74,8 @@ Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
       // chunk through a fresh vectored read, never re-adds this item.
       ++next_device_;
       const uint64_t before = sorter_io();
-      STEGHIDE_RETURN_IF_ERROR(sorter_->AddInMemory(
-          payload_scratch_.data() + i * codec_->payload_size(), in.tag,
-          in.id));
+      STEGHIDE_RETURN_IF_ERROR(
+          Feed(payload_scratch_.data() + i * codec_->payload_size(), in.id));
       used += sorter_io() - before;
     }
   }
@@ -82,9 +87,9 @@ Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
 
 Status ReorderJob::Step(uint64_t budget_blocks, uint64_t* consumed) {
   if (!started_ && phase_ != Phase::kDone) {
-    // The sorter is shared by every job of a chain (and the blocking
-    // path); claim it only when this job actually starts — jobs are all
-    // constructed at the flush trigger but run strictly one at a time.
+    // The sorter is shared by every job of a chain; claim it only when
+    // this job actually starts — jobs are all constructed at the flush
+    // trigger but run strictly one at a time.
     sorter_->Reset();
     started_ = true;
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "crypto/cbc.h"
+#include "crypto/drbg_streams.h"
 #include "oblivious/hash_index.h"
 #include "oblivious/merge_sort.h"
 #include "stegfs/block_codec.h"
@@ -13,51 +14,56 @@
 
 namespace steghide::oblivious {
 
-/// One resumable level re-order — the §5.1.2 dump + oblivious-shuffle
-/// rebuilt as a state machine the deamortized path drives in bounded
-/// Step(budget_blocks) increments while serving keeps probing the old
-/// permutation.
+/// One resumable level re-order — the §5.1.2 dump + oblivious shuffle as
+/// a state machine advanced in bounded Step(budget_blocks) increments.
+/// It is the store's only re-order engine: the deamortized schedule
+/// interleaves steps with serving and builds into a level's shadow
+/// region, the blocking schedule drains a whole chain of jobs inside the
+/// op that triggered it and writes in place (dst_base == the level's
+/// base).
 ///
 /// The job owns an immutable *snapshot* of its inputs, taken by the
 /// store when the re-order was triggered: the ascending live-slot sweep
 /// of its input levels (device inputs) plus the flush set (in-memory
-/// inputs), each pre-assigned a random sort tag and already
-/// de-duplicated by the store with the blocking priority (in-memory >
-/// source level > target level). Because the snapshot is fixed, later
-/// serving activity — reads re-buffering records, hidden updates,
-/// removals — cannot change which blocks the job touches: the job issues
-/// exactly the ascending input reads and sequential destination writes
-/// the blocking re-order would, merely interleaved with serving. Both
+/// inputs), already de-duplicated with the priority in-memory > source
+/// level > target level. Because the snapshot is fixed, later serving
+/// activity — reads re-buffering records, hidden updates, removals —
+/// cannot change which blocks the job touches: the job issues exactly
+/// the ascending input reads and sequential destination writes of a
+/// re-order run in one go, merely interleaved with serving. Both
 /// sequences are data-independent, which is why the interleaving leaves
 /// the per-level touch multiset of the schedule unchanged (pinned by
 /// tests/oblivious_incremental_test.cc). Removals that race the job are
 /// reconciled by the store with tombstones at install time.
 ///
+/// Each input's random sort tag is drawn from `tags` as the job feeds it
+/// to the sorter, not at snapshot time: run spills draw their IVs from
+/// the same stream, so feed-time draws keep tags and IVs in the order a
+/// re-order run in one go produces, whatever the step sizes.
+///
 /// Phases:
-///   kBuildRuns — read device-input chunks (vectored), decrypt, feed the
-///                sorter; full runs spill to scratch sequentially.
+///   kBuildRuns — read device-input chunks (vectored, never past the
+///                sorter's next run spill), decrypt, feed the sorter;
+///                full runs spill to scratch sequentially.
 ///   kMerge     — the sorter's chunked multi-way merge into dst_base.
 ///   kDone      — slot order available via TakeOrder(); the store
-///                performs the install flip (level metadata is never
-///                touched from here).
+///                performs the install (level metadata is never touched
+///                from here).
 ///
 /// Thread safety: driven under the store lock; the borrowed sorter is
-/// Reset() at construction and must not be shared until done.
+/// Reset() at the first Step and must not be shared until done.
 class ReorderJob {
  public:
   struct DeviceInput {
     uint64_t block = 0;  // absolute device position of the sealed record
     RecordId id = 0;
-    uint64_t tag = 0;
   };
   struct MemoryInput {
     RecordId id = 0;
     Bytes payload;
-    uint64_t tag = 0;
   };
   struct Inputs {
-    /// Ascending live-slot sweep order (source level then target level,
-    /// exactly the blocking read sequence).
+    /// Ascending live-slot sweep order (source level then target level).
     std::vector<DeviceInput> device;
     /// The flush set (agent buffer snapshot); read cost-free.
     std::vector<MemoryInput> memory;
@@ -65,8 +71,9 @@ class ReorderJob {
   enum class Phase { kBuildRuns, kMerge, kDone };
 
   ReorderJob(storage::BlockDevice* device, const stegfs::BlockCodec* codec,
-             const crypto::CbcCipher* cipher, ExternalMergeSorter* sorter,
-             size_t target_level, uint64_t dst_base, Inputs inputs);
+             const crypto::CbcCipher* cipher, crypto::DrbgStreams* tags,
+             ExternalMergeSorter* sorter, size_t target_level,
+             uint64_t dst_base, Inputs inputs);
 
   ReorderJob(const ReorderJob&) = delete;
   ReorderJob& operator=(const ReorderJob&) = delete;
@@ -103,14 +110,17 @@ class ReorderJob {
   uint64_t writes() const { return started_ ? sorter_->stats().writes : 0; }
 
  private:
-  /// How many device inputs one vectored read covers.
+  /// How many device inputs one vectored read covers at most.
   static constexpr uint64_t kInputChunkBlocks = 48;
 
   Status StepBuildRuns(uint64_t budget_blocks, uint64_t& used);
+  /// Feeds one decrypted input to the sorter under a fresh sort tag.
+  Status Feed(const uint8_t* payload, RecordId id);
 
   storage::BlockDevice* device_;
   const stegfs::BlockCodec* codec_;
   const crypto::CbcCipher* cipher_;
+  crypto::DrbgStreams* tags_;
   ExternalMergeSorter* sorter_;
   size_t target_level_;
   uint64_t dst_base_;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -51,11 +52,17 @@ class MergeSorterTest : public ::testing::Test {
     EXPECT_TRUE(cipher_.SetKey(drbg_.Generate(16)).ok());
   }
 
-  // Seals `payload` at device block `pos`.
-  void PutBlock(uint64_t pos, const Bytes& payload) {
-    Bytes block(4096);
-    ASSERT_TRUE(codec_.Seal(cipher_, drbg_, payload.data(), block.data()).ok());
-    ASSERT_TRUE(dev_.WriteBlock(pos, block.data()).ok());
+  // Runs the whole merge into [dst_base, dst_base + n) and returns the
+  // labels in slot order.
+  static Result<std::vector<uint64_t>> MergeAll(ExternalMergeSorter& sorter,
+                                                uint64_t dst_base) {
+    STEGHIDE_RETURN_IF_ERROR(sorter.BeginMerge(dst_base));
+    bool done = false;
+    while (!done) {
+      STEGHIDE_RETURN_IF_ERROR(
+          sorter.MergeStep(std::numeric_limits<uint64_t>::max(), &done));
+    }
+    return sorter.TakeOrder();
   }
 
   Bytes GetBlock(uint64_t pos) {
@@ -80,7 +87,7 @@ TEST_F(MergeSorterTest, InMemoryFastPath) {
     payloads[i] = p;
     ASSERT_TRUE(sorter.AddInMemory(p, /*tag=*/100 - i, /*label=*/i).ok());
   }
-  auto order = sorter.Finish(/*dst_base=*/0);
+  auto order = MergeAll(sorter, /*dst_base=*/0);
   ASSERT_TRUE(order.ok());
   // Tags were descending, so labels come back reversed.
   EXPECT_EQ(*order, (std::vector<uint64_t>{3, 2, 1, 0}));
@@ -93,22 +100,21 @@ TEST_F(MergeSorterTest, InMemoryFastPath) {
 TEST_F(MergeSorterTest, MultiRunExternalSort) {
   constexpr uint64_t kItems = 40;
   constexpr uint64_t kRun = 8;
-  // Source blocks at positions 0..39; scratch at 64; destination at 128.
+  // Scratch at 64; destination at 128.
   std::map<uint64_t, Bytes> payloads;
   Rng rng = testing::MakeTestRng();
   for (uint64_t i = 0; i < kItems; ++i) {
     Bytes p(codec_.payload_size());
     rng.Fill(p.data(), p.size());
     payloads[i] = p;
-    PutBlock(i, p);
   }
   ExternalMergeSorter sorter(&dev_, &codec_, &cipher_, &drbg_, 64, kRun);
   std::vector<uint64_t> tags(kItems);
   for (uint64_t i = 0; i < kItems; ++i) {
     tags[i] = rng.Next();
-    ASSERT_TRUE(sorter.Add(i, tags[i], i).ok());
+    ASSERT_TRUE(sorter.AddInMemory(payloads[i], tags[i], i).ok());
   }
-  auto order = sorter.Finish(128);
+  auto order = MergeAll(sorter, 128);
   ASSERT_TRUE(order.ok()) << order.status().ToString();
   ASSERT_EQ(order->size(), kItems);
 
