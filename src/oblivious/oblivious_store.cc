@@ -277,14 +277,17 @@ bool ObliviousStore::shadow_spindle_separated() const {
 
 Status ObliviousStore::ChargeIndexRebuild(const Level& level) {
   if (!options_.charge_index_io) return Status::OK();
-  // 16 bytes per entry (hashed key + slot), written sequentially.
+  // 16 bytes per entry (hashed key + slot), written sequentially. The
+  // burst goes to the front of the scratch partition, which holds no
+  // record between re-orders: written over the level, it would clobber
+  // the records just installed in its first slots.
   const uint64_t entry_bytes = 16 * level.live_count();
   const uint64_t blocks =
       (entry_bytes + codec_.block_size() - 1) / codec_.block_size();
   Bytes block(codec_.block_size(), 0);
   for (uint64_t i = 0; i < blocks && i < level.capacity; ++i) {
     STEGHIDE_RETURN_IF_ERROR(
-        maint_device_->WriteBlock(level.base + i, block.data()));
+        maint_device_->WriteBlock(options_.scratch_base + i, block.data()));
     cells_.index_io.Increment();
   }
   return Status::OK();
