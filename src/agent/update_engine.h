@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "stegfs/stegfs_core.h"
-#include "util/histogram.h"
 
 namespace steghide::agent {
 

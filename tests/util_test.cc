@@ -4,7 +4,6 @@
 #include <set>
 
 #include "util/bytes.h"
-#include "util/histogram.h"
 #include "util/random.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -150,54 +149,6 @@ TEST(RngTest, ShufflePermutes) {
   EXPECT_NE(v, orig);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
-}
-
-// ---- Histogram -------------------------------------------------------
-
-TEST(HistogramTest, BasicStats) {
-  Histogram h;
-  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) h.Add(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 5.0);
-  EXPECT_DOUBLE_EQ(h.median(), 3.0);
-  EXPECT_NEAR(h.stddev(), 1.5811, 1e-3);
-}
-
-TEST(HistogramTest, PercentileInterpolates) {
-  Histogram h;
-  h.Add(0.0);
-  h.Add(10.0);
-  EXPECT_DOUBLE_EQ(h.percentile(50), 5.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 10.0);
-}
-
-TEST(HistogramTest, EmptyIsSafe) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(h.percentile(99), 0.0);
-}
-
-TEST(HistogramTest, ClearResets) {
-  Histogram h;
-  h.Add(5.0);
-  h.Clear();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
-}
-
-TEST(CountHistogramTest, CountsAndTotals) {
-  CountHistogram h(4);
-  h.Add(0);
-  h.Add(3);
-  h.Add(3);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(3), 2u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.num_bins(), 4u);
 }
 
 // ---- bytes -----------------------------------------------------------
