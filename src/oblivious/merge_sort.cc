@@ -85,8 +85,8 @@ Status ExternalMergeSorter::SpillRun() {
   // Seal the whole run, then write it with one vectored request — a
   // sequential sweep of the scratch region. State (scratch_used_, runs_,
   // pending_) commits only after the write succeeds, so a failed slice
-  // of a deamortized re-order can be re-driven: the retry re-seals the
-  // same items into the same scratch positions.
+  // of a re-order can be re-driven: the retry re-seals the same items
+  // into the same scratch positions.
   seal_scratch_.resize(pending_.size() * codec_->block_size());
   std::vector<uint64_t> ids;
   ids.reserve(pending_.size());
@@ -133,7 +133,7 @@ Status ExternalMergeSorter::BeginMerge(uint64_t dst_base) {
   // suffices; per-run read chunks and an output write chunk keep the I/O
   // mostly sequential — the property behind Figure 12(b)'s "sorting is
   // cheap in time". The merge arms only after the spill succeeds, so a
-  // failed slice of a deamortized re-order can re-drive BeginMerge.
+  // failed slice of a re-order can re-drive BeginMerge.
   STEGHIDE_RETURN_IF_ERROR(SpillRun());
   merging_ = true;
   dst_base_ = dst_base;

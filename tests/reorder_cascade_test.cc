@@ -2,7 +2,8 @@
 // level-3 cascade (three re-orders triggered by one flush), pins the
 // blocking/deamortized trace equivalence across it, and checks that
 // every live record stays readable at every point of the cascade — in
-// blocking mode, mid-chain, and after the chain drains.
+// blocking mode, mid-chain, after the chain drains, and after a blocking
+// drain that died mid-cascade.
 //
 // Geometry: B = 4, N = 64 → levels of 8, 16, 32, 64 blocks. With pure
 // distinct-id inserts the flush arithmetic is deterministic: flush 7
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "oblivious/oblivious_store.h"
+#include "storage/fault_device.h"
 #include "storage/mem_block_device.h"
 #include "storage/trace_device.h"
 #include "testing/rng.h"
@@ -248,6 +250,81 @@ TEST(ReorderCascadeTest, EveryLiveRecordReadableThroughoutCascades) {
   DrainStore(**store);
   VerifyAll(**store, kCapacity, "final");
   EXPECT_GT((*store)->stats().reorder_steps, 0u);
+}
+
+TEST(ReorderCascadeTest, FailedBlockingDrainIsFinishedByTheNextOp) {
+  // Both schedules run one chain engine, so a blocking flush whose drain
+  // fails leaves a resumable chain behind. Flush 11 (insert #43) dumps
+  // L2 into a live L3, rewriting L3 in place, then L1 into L2, then
+  // rebuilds L1. The device dies halfway through that cascade — inside
+  // L3's rewrite, whose old index still maps ids 0..15 to slots now
+  // partly overwritten. After Revive the next op must finish the
+  // leftover chain before it scans or plans its own flush.
+  const ObliviousStoreOptions opts = CascadeOptions(false, false, 101);
+  constexpr uint64_t kTrigger = 43;
+
+  // Dry run on a healthy device: device ops before and during the
+  // cascade.
+  uint64_t ops_before = 0;
+  uint64_t ops_cascade = 0;
+  {
+    storage::MemBlockDevice mem(DeviceBlocks(false), 4096);
+    storage::FaultInjectionBlockDevice dev(&mem);
+    auto store = ObliviousStore::Create(&dev, opts);
+    ASSERT_TRUE(store.ok());
+    for (uint64_t id = 0; id < kTrigger; ++id) {
+      ASSERT_TRUE((*store)->Insert(id, PayloadFor(**store, id).data()).ok());
+    }
+    ops_before = dev.stats().ops;
+    const uint64_t reorders = (*store)->stats().reorders;
+    ASSERT_TRUE(
+        (*store)->Insert(kTrigger, PayloadFor(**store, kTrigger).data()).ok());
+    ASSERT_EQ((*store)->stats().reorders - reorders, 3u);
+    ops_cascade = dev.stats().ops - ops_before;
+  }
+
+  // The same run, with the device dying halfway through the cascade.
+  storage::FaultPlan plan;
+  storage::FaultSpec death;
+  death.kind = storage::FaultSpec::Kind::kDeath;
+  death.start_after = ops_before + ops_cascade / 2;
+  death.max_fires = 1;
+  plan.faults.push_back(death);
+  storage::MemBlockDevice mem(DeviceBlocks(false), 4096);
+  storage::FaultInjectionBlockDevice dev(&mem, plan);
+  auto store = ObliviousStore::Create(&dev, opts);
+  ASSERT_TRUE(store.ok());
+  for (uint64_t id = 0; id < kTrigger; ++id) {
+    ASSERT_TRUE((*store)->Insert(id, PayloadFor(**store, id).data()).ok());
+  }
+  const ObliviousStats before = (*store)->stats();
+  const Status failed =
+      (*store)->Insert(kTrigger, PayloadFor(**store, kTrigger).data());
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
+  EXPECT_TRUE((*store)->reorder_pending());
+  EXPECT_EQ((*store)->stats().reorders, before.reorders)
+      << "the device should die inside the first job";
+
+  // Power restored. The next op reads four L3 records; re-staging them
+  // fills the buffer, so it flushes too. The three leftover jobs install
+  // first, then its own flush plans against the finished cascade: L1
+  // holds only flush 11's four records, so that flush needs no dump.
+  dev.Revive();
+  const std::vector<RecordId> ids = {0, 1, 2, 3};
+  const size_t ps = (*store)->payload_size();
+  Bytes out(ids.size() * ps);
+  ASSERT_TRUE((*store)->MultiRead(ids, out.data()).ok());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_TRUE(Bytes(out.begin() + i * ps, out.begin() + (i + 1) * ps) ==
+                PayloadFor(**store, ids[i]))
+        << "id " << ids[i];
+  }
+  EXPECT_FALSE((*store)->reorder_pending());
+  const ObliviousStats after = (*store)->stats();
+  EXPECT_EQ(after.buffer_flushes - before.buffer_flushes, 2u);
+  EXPECT_EQ(after.reorders - before.reorders, 4u);
+  EXPECT_EQ(after.reorder_steps, 0u);
+  VerifyAll(**store, kTrigger + 1, "after recovery");
 }
 
 }  // namespace
