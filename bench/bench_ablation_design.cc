@@ -1,5 +1,5 @@
-// E12: ablations over the design choices called out in DESIGN.md and in
-// the paper's future-work section (§5.2 mentions relaxing the security
+// E12: ablations over this reproduction's design choices and over the
+// paper's future-work section (§5.2 mentions relaxing the security
 // requirement to cut cost; §4.1.5 trades space for update throughput).
 //
 //   Relocation/{on,off}     in-place updates (off = StegFS 2003) are ~2x

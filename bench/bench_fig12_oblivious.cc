@@ -2,8 +2,8 @@
 //  (a) per-block access time vs buffer size, against plain StegFS (E7)
 //  (b) split of the access time into retrieving vs sorting overhead (E8)
 //
-// Same N/B scaling as bench_table4 (see DESIGN.md §1). Counters report
-// virtual milliseconds:
+// Same N/B scaling as bench_table4 (README, "Virtual disk clock and N/B
+// scaling"). Counters report virtual milliseconds:
 //   obli_access_ms    mean time per oblivious read
 //   stegfs_access_ms  mean time for one random StegFS block read
 //   slowdown_vs_stegfs  Fig 12(a)'s 5-12x band

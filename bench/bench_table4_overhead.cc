@@ -1,11 +1,11 @@
 // Reproduces Table 4 of the paper: oblivious-storage height and overhead
 // factor as a function of the agent's buffer size (E6).
 //
-// Scale note (DESIGN.md §1): the paper used N = 1 GB with buffers of
-// 8-128 MB. The mechanism depends only on the ratio N/B (height
-// k = log2(N/B)), so we run N = 32 MB with buffers 256 KB - 4 MB, which
-// yields the same N/B sweep 128...8 and therefore the same heights 7...3
-// and overhead factors ~10k.
+// Scale note (README, "Virtual disk clock and N/B scaling"): the paper
+// used N = 1 GB with buffers of 8-128 MB. The mechanism depends only on
+// the ratio N/B (height k = log2(N/B)), so we run N = 32 MB with buffers
+// 256 KB - 4 MB, which yields the same N/B sweep 128...8 and therefore
+// the same heights 7...3 and overhead factors ~10k.
 //
 // Counters: height, overhead_factor (mean device I/Os per request;
 // Table 4 reports 10k), plus the analytic 10k reference.

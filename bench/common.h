@@ -59,7 +59,7 @@ inline constexpr SystemKind kAllSystems[] = {
 
 /// One fully wired system over a simulated disk. All benchmark times are
 /// read from sim->clock_ms() (virtual milliseconds), never from wall
-/// time — see DESIGN.md §1.
+/// time — see README, "Virtual disk clock and N/B scaling".
 struct SystemUnderTest {
   std::unique_ptr<storage::MemBlockDevice> mem;
   std::unique_ptr<storage::SimBlockDevice> sim;

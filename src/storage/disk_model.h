@@ -28,7 +28,8 @@ struct DiskModelParams {
 /// Virtual-time model of a single-spindle disk.
 ///
 /// All performance results in this reproduction are measured on the
-/// model's virtual clock rather than host wall-time (see DESIGN.md §1).
+/// model's virtual clock rather than host wall-time (README, "Virtual
+/// disk clock and N/B scaling").
 /// The model captures the two effects the paper's evaluation hinges on:
 ///
 ///  1. a random block access pays seek + rotational latency + transfer,

@@ -22,7 +22,7 @@ using analysis::UpdateAnalysisObserver;
 // =====================================================================
 // Definition 1, update analysis: an attacker snapshotting the raw storage
 // must not be able to tell a mixed (real + dummy) update campaign from a
-// dummy-only campaign. This is E10 of DESIGN.md, run at test scale.
+// dummy-only campaign. Run at test scale.
 // =====================================================================
 
 class UpdateAnalysisEndToEnd : public ::testing::Test {
