@@ -52,7 +52,7 @@ struct ObliviousStoreOptions {
   /// pays sequential index writes.
   bool charge_index_io = false;
 
-  // ---- Deamortized re-orders ----------------------------------------------
+  // ---- Re-order schedule --------------------------------------------------
 
   /// Re-order schedule. Every flush/dump cascade is planned as a chain of
   /// resumable ReorderJobs; this picks how the chain runs. Off (the

@@ -37,9 +37,10 @@ namespace steghide::oblivious {
 /// reconciled by the store with tombstones at install time.
 ///
 /// Each input's random sort tag is drawn from `tags` as the job feeds it
-/// to the sorter, not at snapshot time: run spills draw their IVs from
-/// the same stream, so feed-time draws keep tags and IVs in the order a
-/// re-order run in one go produces, whatever the step sizes.
+/// to the sorter, not at snapshot time. Run spills draw their IVs from
+/// the root stream, which a single-threaded caller's tag draws share, so
+/// feed-time draws keep tags and IVs in the order of a re-order run in
+/// one go, whatever the step sizes.
 ///
 /// Phases:
 ///   kBuildRuns — read device-input chunks (vectored, never past the
