@@ -7,6 +7,10 @@ namespace steghide::storage {
 
 namespace {
 
+/// Immediate same-replica attempts per write before the replica is
+/// counted as having missed it.
+constexpr int kWriteAttempts = 2;
+
 bool RetriableWrite(const Status& status) {
   // kDeadlineExceeded is what a partitioned/timed-out remote replica
   // surfaces; it is as transient as kIoError.
@@ -135,8 +139,7 @@ Status ReplicatedBlockDevice::WriteTo(std::span<const uint64_t> ids,
     const ReplicaState state = replica_state(r);
     if (state == ReplicaState::kQuarantined) continue;
     Status status;
-    for (int attempt = 0; attempt < std::max(1, options_.write_attempts);
-         ++attempt) {
+    for (int attempt = 0; attempt < kWriteAttempts; ++attempt) {
       status = replicas_[r]->WriteBlocks(ids, data);
       if (status.ok() || !RetriableWrite(status)) break;
     }
@@ -220,8 +223,7 @@ Status ReplicatedBlockDevice::QuorumWriteTo(std::span<const uint64_t> ids,
     const ReplicaState state = replica_state(r);
     if (state == ReplicaState::kQuarantined) continue;
     Status status;
-    for (int attempt = 0; attempt < std::max(1, options_.write_attempts);
-         ++attempt) {
+    for (int attempt = 0; attempt < kWriteAttempts; ++attempt) {
       status = replicas_[r]->WriteBlocks(ids, data);
       if (status.ok() || !RetriableWrite(status)) break;
     }

@@ -13,11 +13,6 @@ namespace steghide::storage {
 
 /// Mirroring policy knobs.
 struct ReplicationOptions {
-  /// Immediate same-replica attempts per write before the replica is
-  /// declared stale (a missed write quarantines the replica in strict
-  /// mode; in quorum mode it marks the blocks stale and demotes the
-  /// replica to lagging).
-  int write_attempts = 2;
   /// Consecutive failed *reads* after which a replica is quarantined
   /// instead of merely failed over (transient hiccups stay in rotation).
   /// In quorum mode the same threshold applies to consecutive failed
