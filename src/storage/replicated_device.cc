@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace steghide::storage {
 
@@ -28,7 +29,8 @@ ReplicatedBlockDevice::ReplicatedBlockDevice(
                                     : replicas_.front()->block_size()),
       states_(replicas_.size()),
       consecutive_read_errors_(replicas_.size(), 0),
-      consecutive_write_errors_(replicas_.size(), 0) {
+      consecutive_write_errors_(replicas_.size(), 0),
+      missed_(replicas_.size()) {
   assert(!replicas_.empty());
   uint64_t min_blocks = replicas_.front()->num_blocks();
   for (BlockDevice* replica : replicas_) {
@@ -36,16 +38,9 @@ ReplicatedBlockDevice::ReplicatedBlockDevice(
     if (replica->num_blocks() < min_blocks) min_blocks = replica->num_blocks();
   }
   num_blocks_ = min_blocks;
-  if (options_.quorum) {
-    write_quorum_ = std::clamp<size_t>(options_.write_quorum, 1,
-                                       replicas_.size());
-    read_quorum_ = std::clamp<size_t>(options_.read_quorum, 1,
-                                      replicas_.size());
-    latest_ver_.assign(num_blocks_, 0);
-    replica_ver_.assign(replicas_.size(),
-                        std::vector<uint64_t>(num_blocks_, 0));
-    stale_count_.assign(replicas_.size(), 0);
-  }
+  write_quorum_ =
+      std::clamp<size_t>(options_.write_quorum, 1, replicas_.size());
+  read_quorum_ = std::clamp<size_t>(options_.read_quorum, 1, replicas_.size());
   cells_.healthy_replicas.Set(static_cast<double>(replicas_.size()));
 }
 
@@ -79,13 +74,11 @@ void ReplicatedBlockDevice::QuarantineLocked(size_t r) {
   cells_.quarantines.Increment();
 }
 
-bool ReplicatedBlockDevice::ServingOrder(std::vector<size_t>* order,
-                                         bool include_lagging) {
+bool ReplicatedBlockDevice::ServingOrder(std::vector<size_t>* order) {
   order->clear();
   for (size_t r = 0; r < replicas_.size(); ++r) {
     const ReplicaState state = replica_state(r);
-    if (state == ReplicaState::kHealthy ||
-        (include_lagging && state == ReplicaState::kLagging)) {
+    if (state == ReplicaState::kHealthy || state == ReplicaState::kLagging) {
       order->push_back(r);
     }
   }
@@ -99,124 +92,68 @@ bool ReplicatedBlockDevice::ServingOrder(std::vector<size_t>* order,
 }
 
 // ---------------------------------------------------------------------------
-// Strict mode (write-all / read-one)
-
-Status ReplicatedBlockDevice::ReadFrom(std::span<const uint64_t> ids,
-                                       uint8_t* out) {
-  cells_.reads.Add(ids.size());
-  std::vector<size_t> order;
-  if (!ServingOrder(&order, /*include_lagging=*/false)) {
-    return Status::IoError("replicated device: no healthy replicas");
-  }
-  const double t0 = clock_fn_ ? clock_fn_() : 0.0;
-  Status status;
-  for (size_t attempt = 0; attempt < order.size(); ++attempt) {
-    const size_t r = order[attempt];
-    status = replicas_[r]->ReadBlocks(ids, out);
-    if (status.ok()) {
-      consecutive_read_errors_[r] = 0;
-      if (attempt > 0) {
-        cells_.failovers.Increment();
-        if (clock_fn_) cells_.failover_ms.Record(clock_fn_() - t0);
-      }
-      return status;
-    }
-    // Transient hiccups stay in rotation; a replica that keeps failing
-    // gets benched so serving stops paying its failover latency.
-    if (++consecutive_read_errors_[r] >= options_.quarantine_after) {
-      QuarantineLocked(r);
-    }
-  }
-  return status;
-}
-
-Status ReplicatedBlockDevice::WriteTo(std::span<const uint64_t> ids,
-                                      const uint8_t* data) {
-  cells_.writes.Add(ids.size());
-  bool healthy_ok = false;
-  Status healthy_error;
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    const ReplicaState state = replica_state(r);
-    if (state == ReplicaState::kQuarantined) continue;
-    Status status;
-    for (int attempt = 0; attempt < kWriteAttempts; ++attempt) {
-      status = replicas_[r]->WriteBlocks(ids, data);
-      if (status.ok() || !RetriableWrite(status)) break;
-    }
-    if (status.ok()) {
-      if (state == ReplicaState::kHealthy) healthy_ok = true;
-      continue;
-    }
-    // A replica that missed a write is stale: it must never serve a read
-    // again until a repair sweep re-mirrors it (this is also how a
-    // repairing replica drops back to quarantined on error).
-    QuarantineLocked(r);
-    if (state == ReplicaState::kHealthy && healthy_error.ok()) {
-      healthy_error = status;
-    }
-  }
-  if (healthy_ok) return Status::OK();
-  // No serving replica durably holds the new image; surface the failure
-  // (a successful write confined to a mid-repair replica does not count
-  // — its content is not servable yet).
-  return healthy_error.ok()
-             ? Status::IoError("replicated device: no healthy replicas")
-             : healthy_error;
-}
-
-// ---------------------------------------------------------------------------
-// Quorum mode
+// Staleness bookkeeping
 
 bool ReplicatedBlockDevice::CurrentForAll(
     size_t r, std::span<const uint64_t> ids) const {
-  // Cheap whole-replica check first: a replica with no stale blocks is
-  // current for any id set.
-  if (stale_count_[r] == 0) return true;
-  const std::vector<uint64_t>& vers = replica_ver_[r];
+  // A replica that missed nothing is current for any id set.
+  if (missed_[r].empty()) return true;
   for (uint64_t id : ids) {
-    if (vers[id] != latest_ver_[id]) return false;
+    if (!Current(r, id)) return false;
   }
   return true;
 }
 
-void ReplicatedBlockDevice::MarkCurrent(size_t r, uint64_t id) {
-  uint64_t& v = replica_ver_[r][id];
-  if (v != latest_ver_[id]) {
-    v = latest_ver_[id];
-    --stale_count_[r];
-  }
+void ReplicatedBlockDevice::MarkCurrent(size_t r,
+                                        std::span<const uint64_t> ids) {
+  if (missed_[r].empty()) return;
+  for (uint64_t id : ids) missed_[r].erase(id);
 }
 
-void ReplicatedBlockDevice::BumpVersions(std::span<const uint64_t> ids) {
-  for (uint64_t id : ids) {
-    const uint64_t next = ++latest_ver_[id];
-    for (size_t r = 0; r < replicas_.size(); ++r) {
-      // Replicas current for this block a moment ago are now stale
-      // until their write lands; already-stale ones stay counted once.
-      if (replica_ver_[r][id] + 1 == next) ++stale_count_[r];
-    }
+uint64_t ReplicatedBlockDevice::CopyRank(size_t r, uint64_t id) const {
+  // A replica whose first miss of `id` came later holds a later write of
+  // it, so ranking by first miss orders copies oldest to newest; a
+  // current copy is the newest there is.
+  const auto it = missed_[r].find(id);
+  return it == missed_[r].end() ? std::numeric_limits<uint64_t>::max()
+                                : it->second;
+}
+
+void ReplicatedBlockDevice::NoteReadFailure(size_t r) {
+  // Transient hiccups stay in rotation; a replica that keeps failing
+  // gets benched so serving stops paying its failover latency.
+  if (++consecutive_read_errors_[r] >= options_.quarantine_after) {
+    QuarantineLocked(r);
   }
 }
 
 void ReplicatedBlockDevice::NoteWriteFailure(size_t r) {
-  const ReplicaState state = replica_state(r);
-  if (++consecutive_write_errors_[r] >= options_.quarantine_after) {
+  // A strict mirror benches a replica the moment it misses a write; a
+  // quorum mirror lets it lag, still serving the blocks it holds
+  // current, until quarantine_after consecutive misses.
+  if (!options_.quorum ||
+      ++consecutive_write_errors_[r] >= options_.quarantine_after) {
     QuarantineLocked(r);
     return;
   }
-  if (state == ReplicaState::kHealthy) SetState(r, ReplicaState::kLagging);
+  if (replica_state(r) == ReplicaState::kHealthy) {
+    SetState(r, ReplicaState::kLagging);
+  }
 }
 
 void ReplicatedBlockDevice::MaybePromote(size_t r) {
-  if (replica_state(r) == ReplicaState::kLagging && stale_count_[r] == 0) {
+  if (replica_state(r) == ReplicaState::kLagging && missed_[r].empty()) {
     SetState(r, ReplicaState::kHealthy);
   }
 }
 
-Status ReplicatedBlockDevice::QuorumWriteTo(std::span<const uint64_t> ids,
-                                            const uint8_t* data) {
+// ---------------------------------------------------------------------------
+// Serving
+
+Status ReplicatedBlockDevice::WriteTo(std::span<const uint64_t> ids,
+                                      const uint8_t* data) {
   cells_.writes.Add(ids.size());
-  BumpVersions(ids);
+  const uint64_t seq = ++write_seq_;
   size_t acks = 0;
   Status first_error;
   for (size_t r = 0; r < replicas_.size(); ++r) {
@@ -229,7 +166,7 @@ Status ReplicatedBlockDevice::QuorumWriteTo(std::span<const uint64_t> ids,
     }
     if (status.ok()) {
       consecutive_write_errors_[r] = 0;
-      for (uint64_t id : ids) MarkCurrent(r, id);
+      MarkCurrent(r, ids);
       // A mid-repair replica's ack is not servable until its sweep
       // finishes, so it does not count toward the quorum.
       if (state != ReplicaState::kRepairing) ++acks;
@@ -237,9 +174,9 @@ Status ReplicatedBlockDevice::QuorumWriteTo(std::span<const uint64_t> ids,
       continue;
     }
     if (first_error.ok()) first_error = status;
-    // The stamps already record exactly which blocks this replica
-    // missed (BumpVersions), so it can keep serving its current blocks
-    // as a lagging replica instead of being benched outright.
+    // The replica now lacks these blocks. Only the first miss of a
+    // block is kept: the copy it holds predates that write.
+    for (uint64_t id : ids) missed_[r].emplace(id, seq);
     NoteWriteFailure(r);
   }
   if (acks >= write_quorum_) return Status::OK();
@@ -249,11 +186,11 @@ Status ReplicatedBlockDevice::QuorumWriteTo(std::span<const uint64_t> ids,
              : first_error;
 }
 
-Status ReplicatedBlockDevice::QuorumReadFrom(std::span<const uint64_t> ids,
-                                             uint8_t* out) {
+Status ReplicatedBlockDevice::ReadFrom(std::span<const uint64_t> ids,
+                                       uint8_t* out) {
   cells_.reads.Add(ids.size());
   std::vector<size_t> order;
-  if (!ServingOrder(&order, /*include_lagging=*/true)) {
+  if (!ServingOrder(&order)) {
     return Status::IoError("replicated device: no healthy replicas");
   }
   const size_t quorum_window = std::min(read_quorum_, order.size());
@@ -280,16 +217,14 @@ Status ReplicatedBlockDevice::QuorumReadFrom(std::span<const uint64_t> ids,
       return Status::OK();
     }
     last_error = status;
-    if (++consecutive_read_errors_[r] >= options_.quarantine_after) {
-      QuarantineLocked(r);
-    }
+    NoteReadFailure(r);
   }
 
-  // Assembly path: no single serving replica holds the whole batch at
-  // the latest stamps (mid-partition, mid-repair). Serve each block
-  // from a replica that is current *for that block*; only if no current
-  // replica is reachable does a stale stamp get served — and counted,
-  // because that is data loss.
+  // Assembly path: no single serving replica delivered the whole batch
+  // (it lacks some blocks, or every one failed part of it). Serve each
+  // block from a replica that is current *for that block*; only if no
+  // current replica is reachable does a stale copy get served — and
+  // counted, because that is data loss.
   std::vector<bool> served_current(ids.size(), false);
   bool any_failover = false;
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -298,7 +233,7 @@ Status ReplicatedBlockDevice::QuorumReadFrom(std::span<const uint64_t> ids,
     bool done = false;
     for (size_t attempt = 0; attempt < order.size() && !done; ++attempt) {
       const size_t r = order[attempt];
-      if (replica_ver_[r][id] != latest_ver_[id]) continue;
+      if (!Current(r, id)) continue;
       if (attempt >= quorum_window) widened = true;
       if (attempt > 0) any_failover = true;
       Status status = replicas_[r]->ReadBlock(id, dst);
@@ -309,32 +244,18 @@ Status ReplicatedBlockDevice::QuorumReadFrom(std::span<const uint64_t> ids,
         break;
       }
       last_error = status;
-      if (++consecutive_read_errors_[r] >= options_.quarantine_after) {
-        QuarantineLocked(r);
-      }
+      NoteReadFailure(r);
     }
     if (done) continue;
-    // Stale fallback: newest reachable stamp wins. Deterministic tie
-    // break on replica index keeps the choice data-independent.
-    size_t best = replicas_.size();
-    uint64_t best_ver = 0;
-    for (size_t attempt = 0; attempt < order.size(); ++attempt) {
-      const size_t r = order[attempt];
-      if (best == replicas_.size() || replica_ver_[r][id] > best_ver) {
-        best = r;
-        best_ver = replica_ver_[r][id];
-      }
-    }
-    if (best == replicas_.size()) {
-      return last_error.ok()
-                 ? Status::IoError("replicated device: no healthy replicas")
-                 : last_error;
+    // Fallback: the newest copy wins. Ties go to the first replica in
+    // rotation order, which keeps the choice data-independent.
+    size_t best = order.front();
+    for (size_t r : order) {
+      if (CopyRank(r, id) > CopyRank(best, id)) best = r;
     }
     Status status = replicas_[best]->ReadBlock(id, dst);
     if (!status.ok()) {
-      if (++consecutive_read_errors_[best] >= options_.quarantine_after) {
-        QuarantineLocked(best);
-      }
+      NoteReadFailure(best);
       return status;
     }
     consecutive_read_errors_[best] = 0;
@@ -360,7 +281,7 @@ void ReplicatedBlockDevice::ReadRepair(std::span<const uint64_t> ids,
     repair_buf_.clear();
     for (size_t i = 0; i < ids.size(); ++i) {
       if (!served_current[i]) continue;  // never propagate a stale read
-      if (replica_ver_[r][ids[i]] == latest_ver_[ids[i]]) continue;
+      if (Current(r, ids[i])) continue;
       fix_ids.push_back(ids[i]);
       repair_buf_.insert(repair_buf_.end(), out + i * bs, out + (i + 1) * bs);
     }
@@ -369,7 +290,7 @@ void ReplicatedBlockDevice::ReadRepair(std::span<const uint64_t> ids,
         std::span<const uint64_t>(fix_ids), repair_buf_.data());
     if (status.ok()) {
       consecutive_write_errors_[r] = 0;
-      for (uint64_t id : fix_ids) MarkCurrent(r, id);
+      MarkCurrent(r, fix_ids);
       cells_.read_repairs.Add(fix_ids.size());
       MaybePromote(r);
     } else {
@@ -378,7 +299,35 @@ void ReplicatedBlockDevice::ReadRepair(std::span<const uint64_t> ids,
   }
 }
 
-Status ReplicatedBlockDevice::QuorumFlush() {
+// ---------------------------------------------------------------------------
+// Entry points
+
+Status ReplicatedBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
+  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
+  return ReadFrom(std::span<const uint64_t>(&block_id, 1), out);
+}
+
+Status ReplicatedBlockDevice::WriteBlock(uint64_t block_id,
+                                         const uint8_t* data) {
+  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
+  return WriteTo(std::span<const uint64_t>(&block_id, 1), data);
+}
+
+Status ReplicatedBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
+                                         uint8_t* out) {
+  if (ids.empty()) return Status::OK();
+  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
+  return ReadFrom(ids, out);
+}
+
+Status ReplicatedBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
+                                          const uint8_t* data) {
+  if (ids.empty()) return Status::OK();
+  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
+  return WriteTo(ids, data);
+}
+
+Status ReplicatedBlockDevice::Flush() {
   size_t acks = 0;
   Status first_error;
   for (size_t r = 0; r < replicas_.size(); ++r) {
@@ -401,59 +350,6 @@ Status ReplicatedBlockDevice::QuorumFlush() {
 }
 
 // ---------------------------------------------------------------------------
-// Entry points
-
-Status ReplicatedBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  const std::span<const uint64_t> ids(&block_id, 1);
-  return options_.quorum ? QuorumReadFrom(ids, out) : ReadFrom(ids, out);
-}
-
-Status ReplicatedBlockDevice::WriteBlock(uint64_t block_id,
-                                         const uint8_t* data) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  const std::span<const uint64_t> ids(&block_id, 1);
-  return options_.quorum ? QuorumWriteTo(ids, data) : WriteTo(ids, data);
-}
-
-Status ReplicatedBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
-                                         uint8_t* out) {
-  if (ids.empty()) return Status::OK();
-  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
-  return options_.quorum ? QuorumReadFrom(ids, out) : ReadFrom(ids, out);
-}
-
-Status ReplicatedBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
-                                          const uint8_t* data) {
-  if (ids.empty()) return Status::OK();
-  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
-  return options_.quorum ? QuorumWriteTo(ids, data) : WriteTo(ids, data);
-}
-
-Status ReplicatedBlockDevice::Flush() {
-  if (options_.quorum) return QuorumFlush();
-  bool healthy_ok = false;
-  Status healthy_error;
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    const ReplicaState state = replica_state(r);
-    if (state == ReplicaState::kQuarantined) continue;
-    const Status status = replicas_[r]->Flush();
-    if (status.ok()) {
-      if (state == ReplicaState::kHealthy) healthy_ok = true;
-      continue;
-    }
-    QuarantineLocked(r);
-    if (state == ReplicaState::kHealthy && healthy_error.ok()) {
-      healthy_error = status;
-    }
-  }
-  if (healthy_ok) return Status::OK();
-  return healthy_error.ok()
-             ? Status::IoError("replicated device: no healthy replicas")
-             : healthy_error;
-}
-
-// ---------------------------------------------------------------------------
 // Repair
 
 Status ReplicatedBlockDevice::StartRepair(size_t r) {
@@ -461,13 +357,12 @@ Status ReplicatedBlockDevice::StartRepair(size_t r) {
     return Status::InvalidArgument("no such replica");
   }
   const ReplicaState state = replica_state(r);
-  const bool admissible =
-      state == ReplicaState::kQuarantined ||
-      (options_.quorum && state == ReplicaState::kLagging);
-  if (!admissible) {
+  if (state != ReplicaState::kQuarantined && state != ReplicaState::kLagging) {
     return Status::FailedPrecondition("replica is not quarantined");
   }
   SetState(r, ReplicaState::kRepairing);
+  // The sweep re-copies every block, so only misses from here on count.
+  missed_[r].clear();
   // The sweep restarts from block 0 — also when a second replica joins
   // an in-flight repair; re-copying a prefix is correct (live writes
   // keep it consistent) and keeps the scrub order a fixed public
@@ -492,22 +387,16 @@ Status ReplicatedBlockDevice::RepairStep(uint64_t budget_blocks, bool* more) {
   const uint64_t end = std::min(num_blocks_, repair_cursor_ + budget_blocks);
   for (uint64_t b = repair_cursor_; b < end; ++b) {
     // Source selection is a fixed public choice — repair traffic cannot
-    // leak which blocks changed while the replica was out. Strict mode:
-    // the lowest-index healthy replica (healthy == complete). Quorum
-    // mode: the lowest-index serving replica whose stamp for *this*
-    // block is current, so repair converges even when no replica is
-    // complete but the serving set jointly is.
+    // leak which blocks changed while the replica was out: the
+    // lowest-index serving replica that is current for *this* block, so
+    // repair converges even when no replica is complete but the serving
+    // set jointly is.
     size_t source = replicas_.size();
     for (size_t r = 0; r < replicas_.size(); ++r) {
       const ReplicaState state = replica_state(r);
-      if (options_.quorum) {
-        const bool serving = state == ReplicaState::kHealthy ||
-                             state == ReplicaState::kLagging;
-        if (serving && replica_ver_[r][b] == latest_ver_[b]) {
-          source = r;
-          break;
-        }
-      } else if (state == ReplicaState::kHealthy) {
+      const bool serving =
+          state == ReplicaState::kHealthy || state == ReplicaState::kLagging;
+      if (serving && Current(r, b)) {
         source = r;
         break;
       }
@@ -522,8 +411,8 @@ Status ReplicatedBlockDevice::RepairStep(uint64_t budget_blocks, bool* more) {
       const Status status = replicas_[r]->WriteBlock(b, repair_buf_.data());
       if (!status.ok()) {
         QuarantineLocked(r);
-      } else if (options_.quorum) {
-        MarkCurrent(r, b);
+      } else {
+        missed_[r].erase(b);
       }
     }
     cells_.repair_blocks.Increment();
@@ -533,7 +422,7 @@ Status ReplicatedBlockDevice::RepairStep(uint64_t budget_blocks, bool* more) {
     bool restart = false;
     for (size_t r = 0; r < replicas_.size(); ++r) {
       if (replica_state(r) != ReplicaState::kRepairing) continue;
-      if (options_.quorum && stale_count_[r] != 0) {
+      if (!missed_[r].empty()) {
         // A live write raced the sweep and missed this replica behind
         // the cursor; one more pass picks the block up. The restart
         // decision depends only on write/fault timing, never contents.

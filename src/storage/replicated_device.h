@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -15,19 +16,19 @@ namespace steghide::storage {
 struct ReplicationOptions {
   /// Consecutive failed *reads* after which a replica is quarantined
   /// instead of merely failed over (transient hiccups stay in rotation).
-  /// In quorum mode the same threshold applies to consecutive failed
+  /// With `quorum` the same threshold applies to consecutive failed
   /// writes/flushes before a lagging replica is quarantined.
   int quarantine_after = 3;
-  /// Quorum mode: per-block version stamps, lagging replicas, W/R
-  /// quorums, and read-repair. false = the strict write-all/read-one
-  /// mirror (a replica that misses one write is quarantined until a
-  /// full repair sweep).
+  /// What a replica that misses a write or flush becomes. false
+  /// (strict): it is quarantined at once, until a repair sweep
+  /// re-mirrors it. true: it drops to *lagging*, keeps serving the
+  /// blocks it still holds current, and is re-converged by read-repair.
   bool quorum = false;
   /// Acks (from healthy or lagging replicas) required for a write or
-  /// flush to succeed. Clamped to [1, R]. Quorum mode only.
+  /// flush to succeed. Clamped to [1, R].
   size_t write_quorum = 1;
   /// Replicas consulted per read before the search is counted as
-  /// "widened" beyond the quorum. Clamped to [1, R]. Quorum mode only.
+  /// "widened" beyond the quorum. Clamped to [1, R].
   size_t read_quorum = 1;
 };
 
@@ -35,10 +36,10 @@ enum class ReplicaState : uint8_t {
   kHealthy,
   kQuarantined,
   kRepairing,
-  /// Quorum mode: reachable but missing some writes (e.g. the far side
-  /// of a healed partition). Still serves reads for blocks it holds at
-  /// the latest version, receives all new writes, and re-converges via
-  /// read-repair or a repair sweep.
+  /// Reachable but missing some writes (e.g. the far side of a healed
+  /// partition); only `quorum` mirrors have lagging replicas. Still
+  /// serves reads for blocks it holds current, receives all new writes,
+  /// and re-converges via read-repair or a repair sweep.
   kLagging,
 };
 
@@ -51,18 +52,17 @@ struct ReplicationStats {
   uint64_t quarantines = 0;
   uint64_t repairs_completed = 0;
   uint64_t repair_blocks = 0;
-  /// Quorum mode: stale blocks pushed back to lagging replicas on the
-  /// read path.
+  /// Stale blocks pushed back to lagging replicas on the read path.
   uint64_t read_repairs = 0;
-  /// Quorum mode: reads that had to consult replicas beyond the first
-  /// read_quorum rotation candidates.
+  /// Reads that had to consult replicas beyond the first read_quorum
+  /// rotation candidates.
   uint64_t quorum_widened = 0;
-  /// Quorum mode: blocks served from a replica whose stamp is behind
-  /// the latest version — this is data loss and must never happen while
-  /// a write-quorum's worth of current replicas exists (hard-gated to
-  /// zero in the benches).
+  /// Blocks served from a replica that missed the latest write to them —
+  /// this is data loss and must never happen while a write-quorum's
+  /// worth of current replicas exists (hard-gated to zero in the
+  /// benches).
   uint64_t quorum_stale_reads = 0;
-  /// Quorum mode: writes that could not collect write_quorum acks.
+  /// Writes and flushes that could not collect write_quorum acks.
   uint64_t write_quorum_failures = 0;
   size_t healthy_replicas = 0;
   size_t lagging_replicas = 0;
@@ -75,19 +75,22 @@ struct ReplicationStats {
 };
 
 /// R-way mirrored block device with failover, quarantine, degraded-mode
-/// serving, and incremental repair. Two consistency modes:
+/// serving, and incremental repair, all run by one versioned protocol:
 ///
-///  * strict (default): write-all / read-one. A replica that misses a
-///    single write is quarantined until a full repair sweep re-mirrors
-///    it. Total loss of any replica fails nothing; a write error on the
-///    last healthy replica fails the write.
-///  * quorum: every block carries a version stamp (client-side, per
-///    mirror). Writes succeed on W acks; replicas that miss writes are
-///    demoted to *lagging* and only ever serve blocks they hold at the
-///    latest stamp, so quorum reads can never return stale data. Reads
-///    consult up to R rotation candidates and fall back per-block to
-///    any replica that is current for that block; fresh data is pushed
-///    back to reachable lagging replicas (read-repair). This is what
+///  * Writes go to every replica that is not quarantined and succeed on
+///    write_quorum acks. The mirror remembers, per replica, each block
+///    that replica missed (sparse: a healthy replica holds no entries).
+///  * Reads rotate over the serving replicas; trying more than
+///    read_quorum of them counts as widening. A replica that is current
+///    for the whole batch serves it in one call; otherwise each block is
+///    served by a replica current for that block, and only when none is
+///    reachable is the newest stale copy served (and counted as data
+///    loss). Fresh data read this way is pushed back to reachable
+///    lagging replicas (read-repair).
+///  * `ReplicationOptions::quorum` picks what a missed write or flush
+///    does to a replica. Strict (the default): quarantine at once, so a
+///    serving replica never lacks a block — write-all / read-one at the
+///    default quorums of 1. Quorum: demote to *lagging*, which is what
 ///    lets a partitioned or crashed *remote* replica degrade service
 ///    instead of failing it, and re-converge byte-identically after
 ///    reconnect.
@@ -95,13 +98,14 @@ struct ReplicationStats {
 /// *Oblivious replication*: every choice this layer makes is
 /// data-independent. The serving replica for a read is picked by a
 /// rotation counter over the serving set (a function of the op count
-/// and the fault history, never of block contents); version stamps are
-/// functions of the (public) write pattern and fault schedule; writes
-/// go to every serviceable replica in index order; repair copies blocks
-/// in plain ascending order from a per-block version-current source. An
-/// attacker tracing any single replica therefore sees a stream whose
-/// shape depends only on the request pattern and the (data-independent)
-/// fault schedule — pinned by the per-replica distinguisher suites.
+/// and the fault history, never of block contents); the missed-block
+/// records are functions of the (public) write pattern and fault
+/// schedule; writes go to every serviceable replica in index order;
+/// repair copies blocks in plain ascending order from a per-block
+/// current source. An attacker tracing any single replica therefore
+/// sees a stream whose shape depends only on the request pattern and the
+/// (data-independent) fault schedule — pinned by the per-replica
+/// distinguisher suites.
 ///
 /// Threading: I/O entry points and RepairStep follow the single-issuer
 /// contract (in the VolumeSet they all run on the owning shard's pool
@@ -110,8 +114,8 @@ struct ReplicationStats {
 class ReplicatedBlockDevice : public BlockDevice {
  public:
   /// Does not take ownership of `replicas`, which must share one block
-  /// size and outlive this object. All replicas start healthy and (in
-  /// quorum mode) version-current.
+  /// size and outlive this object. All replicas start healthy and
+  /// current.
   explicit ReplicatedBlockDevice(std::vector<BlockDevice*> replicas,
                                  ReplicationOptions options = {});
 
@@ -139,16 +143,15 @@ class ReplicatedBlockDevice : public BlockDevice {
   /// Manual quarantine (tests; an external health checker).
   void Quarantine(size_t r);
 
-  /// Re-admits a quarantined (or, in quorum mode, lagging) replica for
-  /// repair: it immediately receives all new writes (so the repaired
-  /// prefix can never go stale) and a full sequential copy pass
-  /// re-mirrors it. The caller must have revived/replaced the
-  /// underlying device first.
+  /// Re-admits a quarantined or lagging replica for repair: it
+  /// immediately receives all new writes (so the repaired prefix can
+  /// never go stale) and a full sequential copy pass re-mirrors it. The
+  /// caller must have revived/replaced the underlying device first.
   Status StartRepair(size_t r);
   /// Copies up to `budget_blocks` blocks into every repairing replica;
   /// *more = work remains. Completing the sweep promotes the replicas to
-  /// healthy (in quorum mode, only once every block is verifiably at the
-  /// latest stamp — a sweep raced by failed live writes restarts).
+  /// healthy, but only once they lack no block — a sweep raced by
+  /// failed live writes restarts.
   /// Fixed ascending scrub order: repair traffic is data-independent by
   /// construction.
   Status RepairStep(uint64_t budget_blocks, bool* more);
@@ -156,11 +159,11 @@ class ReplicatedBlockDevice : public BlockDevice {
   /// Next block the repair sweep will copy (progress indicator).
   uint64_t repair_cursor() const { return repair_cursor_; }
 
-  /// Quorum mode: number of blocks replica `r` holds at a stale stamp.
-  /// Issuer-thread only (like the version bookkeeping it reads).
-  uint64_t stale_blocks(size_t r) const {
-    return options_.quorum ? stale_count_[r] : 0;
-  }
+  /// Number of blocks replica `r` missed a write to and has not been
+  /// given since; 0 for a healthy replica. Frozen while the replica is
+  /// quarantined (quarantined replicas receive no writes to miss) and
+  /// reset by StartRepair. Issuer-thread only.
+  uint64_t stale_blocks(size_t r) const { return missed_[r].size(); }
 
   /// Virtual-clock sampler for the failover latency histogram.
   void set_clock_fn(std::function<double()> fn) { clock_fn_ = std::move(fn); }
@@ -187,31 +190,28 @@ class ReplicatedBlockDevice : public BlockDevice {
 
   void SetState(size_t r, ReplicaState state);
   void QuarantineLocked(size_t r);
-  /// Serving replicas in rotation order starting at the rr counter.
-  /// Strict mode serves from healthy replicas only; quorum mode also
-  /// admits lagging ones (their per-block stamps gate what they serve).
-  /// Returns false when the set is empty.
-  bool ServingOrder(std::vector<size_t>* order, bool include_lagging);
+  /// Serving (healthy and lagging) replicas in rotation order starting
+  /// at the rr counter; a lagging replica's missed blocks gate what it
+  /// serves. Returns false when the set is empty.
+  bool ServingOrder(std::vector<size_t>* order);
 
-  // Strict-mode paths (exactly the historical write-all/read-one).
-  Status ReadFrom(std::span<const uint64_t> ids, uint8_t* out);
-  Status WriteTo(std::span<const uint64_t> ids, const uint8_t* data);
-
-  // Quorum-mode paths.
+  bool Current(size_t r, uint64_t id) const {
+    return !missed_[r].contains(id);
+  }
   bool CurrentForAll(size_t r, std::span<const uint64_t> ids) const;
-  /// Marks `id` written at the latest stamp on replica `r`.
-  void MarkCurrent(size_t r, uint64_t id);
-  /// Bumps the latest stamp of every id and accounts the new staleness.
-  void BumpVersions(std::span<const uint64_t> ids);
+  /// Records that `ids` landed on replica `r`.
+  void MarkCurrent(size_t r, std::span<const uint64_t> ids);
+  /// Orders replica `r`'s copy of `id` among the others: higher is newer.
+  uint64_t CopyRank(size_t r, uint64_t id) const;
+  void NoteReadFailure(size_t r);
   /// Demotion ladder for a failed write/flush on replica `r`.
   void NoteWriteFailure(size_t r);
   void MaybePromote(size_t r);
-  Status QuorumReadFrom(std::span<const uint64_t> ids, uint8_t* out);
-  Status QuorumWriteTo(std::span<const uint64_t> ids, const uint8_t* data);
-  Status QuorumFlush();
-  /// Pushes the (version-current) blocks just read back to reachable
-  /// lagging replicas. `served_current[i]` guards against propagating a
-  /// stale fallback.
+  Status ReadFrom(std::span<const uint64_t> ids, uint8_t* out);
+  Status WriteTo(std::span<const uint64_t> ids, const uint8_t* data);
+  /// Pushes the (current) blocks just read back to reachable lagging
+  /// replicas. `served_current[i]` guards against propagating a stale
+  /// fallback.
   void ReadRepair(std::span<const uint64_t> ids, const uint8_t* out,
                   const std::vector<bool>& served_current);
 
@@ -229,10 +229,10 @@ class ReplicatedBlockDevice : public BlockDevice {
   std::vector<int> consecutive_write_errors_;
   uint64_t repair_cursor_ = 0;
   std::vector<uint8_t> repair_buf_;
-  /// Quorum mode version bookkeeping (issuer-thread only).
-  std::vector<uint64_t> latest_ver_;                // [num_blocks]
-  std::vector<std::vector<uint64_t>> replica_ver_;  // [R][num_blocks]
-  std::vector<uint64_t> stale_count_;               // [R]
+  /// Per replica: each block it missed, mapped to the sequence number
+  /// of the first write to it that it missed (issuer-thread only).
+  std::vector<std::unordered_map<uint64_t, uint64_t>> missed_;
+  uint64_t write_seq_ = 0;
   std::function<double()> clock_fn_;
   Cells cells_;
   obs::Registration registration_;
