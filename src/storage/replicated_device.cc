@@ -259,7 +259,13 @@ Status ReplicatedBlockDevice::ReadFrom(std::span<const uint64_t> ids,
       return status;
     }
     consecutive_read_errors_[best] = 0;
-    cells_.quorum_stale_reads.Increment();
+    // The newest copy may be a current one that failed earlier in this
+    // call and reads fine now; only a copy the replica lacks is stale.
+    if (Current(best, id)) {
+      served_current[i] = true;
+    } else {
+      cells_.quorum_stale_reads.Increment();
+    }
   }
   if (any_failover) {
     cells_.failovers.Increment();

@@ -30,14 +30,16 @@ using steghide::testing::GoldenBlock;
 /// Mem -> Fault -> Trace, mirrored by a ReplicatedBlockDevice — the unit
 /// twin of one VolumeSet shard.
 struct MirrorFixture {
+  /// `plans[r]`, when given, scripts replica r's fault layer.
   explicit MirrorFixture(size_t replicas, uint64_t blocks,
                          ReplicationOptions options = {},
-                         size_t block_size = 512) {
+                         size_t block_size = 512,
+                         std::vector<FaultPlan> plans = {}) {
     std::vector<BlockDevice*> tops;
     for (size_t r = 0; r < replicas; ++r) {
       mems.push_back(std::make_unique<MemBlockDevice>(blocks, block_size));
-      faults.push_back(
-          std::make_unique<FaultInjectionBlockDevice>(mems.back().get()));
+      faults.push_back(std::make_unique<FaultInjectionBlockDevice>(
+          mems.back().get(), r < plans.size() ? plans[r] : FaultPlan{}));
       traces.push_back(
           std::make_unique<TraceBlockDevice>(faults.back().get()));
       tops.push_back(traces.back().get());
@@ -201,6 +203,30 @@ TEST(ReplicatedDeviceTest, RepairTrafficIsAFixedPublicSchedule) {
   for (uint64_t b = 0; b < 8; ++b) {
     EXPECT_EQ(trace[b].kind, TraceEvent::Kind::kWrite);
     EXPECT_EQ(trace[b].block_id, b);
+  }
+}
+
+TEST(ReplicatedDeviceTest, CurrentCopyReadAfterEveryReplicaFailedIsNotStale) {
+  // Both replicas are current, and each fails its first two reads: the
+  // whole-batch pass and the per-block pass both fail, and the fallback
+  // reads the newest copy — a current one — a third time. That read is
+  // served-current, not a stale read.
+  FaultSpec flaky;
+  flaky.kind = FaultSpec::Kind::kTransientError;
+  flaky.ops = FaultSpec::OpFilter::kRead;
+  flaky.max_fires = 2;
+  const FaultPlan plan{{flaky}, 0};
+  for (bool quorum : {false, true}) {
+    SCOPED_TRACE(quorum ? "quorum" : "strict");
+    ReplicationOptions options;
+    options.quorum = quorum;
+    MirrorFixture fx(2, 8, options, 512, {plan, plan});
+    const Bytes image = GoldenBlock(5, 3, 512);
+    ASSERT_TRUE(fx.rep->WriteBlock(3, image.data()).ok());
+    Bytes out(512);
+    EXPECT_TRUE(fx.rep->ReadBlock(3, out.data()).ok());
+    EXPECT_EQ(out, image);
+    EXPECT_EQ(fx.rep->stats().quorum_stale_reads, 0u);
   }
 }
 
