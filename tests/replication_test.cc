@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "agent/oblivious_agent.h"
@@ -19,6 +21,7 @@
 #include "storage/trace_device.h"
 #include "storage/volume_set.h"
 #include "testing/golden.h"
+#include "util/random.h"
 
 namespace steghide::storage {
 namespace {
@@ -230,6 +233,32 @@ TEST(ReplicatedDeviceTest, CurrentCopyReadAfterEveryReplicaFailedIsNotStale) {
   }
 }
 
+TEST(ReplicatedDeviceTest, BatchFailingOnDifferentReplicasIsServedPerBlock) {
+  // Replica 0 cannot read block 2 and replica 1 cannot read block 5, so
+  // each fails the batch {2, 5} as a whole. Together they still hold
+  // every block current, and the batch is served block by block.
+  const auto sticky_read = [](uint64_t block) {
+    FaultSpec spec;
+    spec.kind = FaultSpec::Kind::kStickyError;
+    spec.ops = FaultSpec::OpFilter::kRead;
+    spec.first_block = spec.last_block = block;
+    return FaultPlan{{spec}, 0};
+  };
+  for (bool quorum : {false, true}) {
+    SCOPED_TRACE(quorum ? "quorum" : "strict");
+    ReplicationOptions options;
+    options.quorum = quorum;
+    MirrorFixture fx(2, 8, options, 512, {sticky_read(2), sticky_read(5)});
+    ASSERT_TRUE(FillGolden(*fx.rep, 61).ok());
+    const std::vector<uint64_t> ids = {2, 5};
+    Bytes out(2 * 512);
+    EXPECT_TRUE(fx.rep->ReadBlocks(ids, out.data()).ok());
+    EXPECT_EQ(Bytes(out.begin(), out.begin() + 512), GoldenBlock(61, 2, 512));
+    EXPECT_EQ(Bytes(out.begin() + 512, out.end()), GoldenBlock(61, 5, 512));
+    EXPECT_EQ(fx.rep->stats().quorum_stale_reads, 0u);
+  }
+}
+
 // ---- Quorum mode (R = 3): W/R windows, concurrent quarantines, ----------
 // ---- repair racing live writes ------------------------------------------
 
@@ -411,6 +440,191 @@ TEST(QuorumReplicationTest, StaleFallbackOnlyWhenNoCurrentReplicaRemains) {
   ASSERT_TRUE(fx.rep->ReadBlock(4, out.data()).ok());
   EXPECT_EQ(out, GoldenBlock(37, 4, 512));
   EXPECT_EQ(fx.rep->stats().quorum_stale_reads, 1u);
+}
+
+// ---- Seeded model-based fuzz --------------------------------------------
+//
+// Random vectored writes and reads, flushes, kills, revives and repair
+// steps against mirrors whose replicas carry random transient, torn and
+// sticky faults, checked after every op against a per-block model.
+
+constexpr uint64_t kFuzzBlocks = 16;
+constexpr size_t kFuzzBlockSize = 64;
+constexpr int kFuzzOps = 500;
+constexpr uint64_t kFuzzSeeds = 100;
+
+/// Image of write `wid` to `block`; write 0 is the zeroed initial image.
+Bytes FuzzImage(uint64_t wid, uint64_t block) {
+  return wid == 0 ? Bytes(kFuzzBlockSize, 0)
+                  : GoldenBlock(wid, block, kFuzzBlockSize);
+}
+
+/// One replica's fault schedule: transient read and write errors, torn
+/// writes, and a sticky range that latches the first time it fires.
+FaultPlan FuzzFaultPlan(Rng& rng) {
+  using Kind = FaultSpec::Kind;
+  using Op = FaultSpec::OpFilter;
+  FaultPlan plan;
+  plan.seed = rng.Next();
+  if (rng.Bernoulli(0.7)) {
+    plan.faults.push_back({.kind = Kind::kTransientError,
+                           .ops = Op::kRead,
+                           .every_nth = rng.UniformRange(3, 40),
+                           .start_after = rng.Uniform(60)});
+  }
+  if (rng.Bernoulli(0.5)) {
+    plan.faults.push_back({.kind = Kind::kTransientError,
+                           .ops = Op::kWrite,
+                           .every_nth = rng.UniformRange(4, 60),
+                           .start_after = rng.Uniform(60)});
+  }
+  if (rng.Bernoulli(0.4)) {
+    plan.faults.push_back({.kind = Kind::kTorn,
+                           .ops = Op::kWrite,
+                           .every_nth = rng.UniformRange(8, 80),
+                           .start_after = rng.Uniform(100)});
+  }
+  if (rng.Bernoulli(0.3)) {
+    const Op directions[] = {Op::kRead, Op::kWrite, Op::kAny};
+    const uint64_t first = rng.Uniform(kFuzzBlocks);
+    plan.faults.push_back(
+        {.kind = Kind::kStickyError,
+         .ops = directions[rng.Uniform(3)],
+         .first_block = first,
+         .last_block = std::min(kFuzzBlocks - 1, first + rng.Uniform(3)),
+         .start_after = rng.Uniform(800),
+         .max_fires = 1});
+  }
+  return plan;
+}
+
+/// One to four distinct block ids.
+std::vector<uint64_t> FuzzIds(Rng& rng) {
+  std::vector<uint64_t> ids(kFuzzBlocks);
+  std::iota(ids.begin(), ids.end(), 0);
+  rng.Shuffle(ids);
+  ids.resize(1 + rng.Uniform(4));
+  return ids;
+}
+
+/// Runs one seeded op stream over a mirror built from `options`.
+/// Returns false after reporting the first violation.
+bool RunMirrorFuzz(const ReplicationOptions& options, size_t replicas,
+                   uint64_t seed) {
+  Rng rng(seed);
+  std::vector<FaultPlan> plans;
+  for (size_t r = 0; r < replicas; ++r) plans.push_back(FuzzFaultPlan(rng));
+  MirrorFixture fx(replicas, kFuzzBlocks, options, kFuzzBlockSize, plans);
+
+  // Per block: the last acknowledged write, and every write to it that
+  // failed since (a failed write may have landed on any replica).
+  std::vector<uint64_t> acked(kFuzzBlocks, 0);
+  std::vector<std::vector<uint64_t>> failed_since(kFuzzBlocks);
+  uint64_t next_wid = 1;
+  for (int op = 0; op < kFuzzOps; ++op) {
+    const uint64_t dice = rng.Uniform(100);
+    const size_t target = rng.Uniform(replicas);
+    if (dice < 35) {
+      const std::vector<uint64_t> ids = FuzzIds(rng);
+      const uint64_t wid = next_wid++;
+      Bytes data;
+      for (uint64_t id : ids) {
+        const Bytes image = FuzzImage(wid, id);
+        data.insert(data.end(), image.begin(), image.end());
+      }
+      const bool ok = fx.rep->WriteBlocks(ids, data.data()).ok();
+      for (uint64_t id : ids) {
+        if (ok) {
+          acked[id] = wid;
+          failed_since[id].clear();
+        } else {
+          failed_since[id].push_back(wid);
+        }
+      }
+    } else if (dice < 70) {
+      const std::vector<uint64_t> ids = FuzzIds(rng);
+      Bytes out(ids.size() * kFuzzBlockSize);
+      const uint64_t stale_before = fx.rep->stats().quorum_stale_reads;
+      const bool ok = fx.rep->ReadBlocks(ids, out.data()).ok();
+      // A counted stale read is reported data loss; every other OK read
+      // must return data some write really put there.
+      if (ok && fx.rep->stats().quorum_stale_reads == stale_before) {
+        for (size_t i = 0; i < ids.size(); ++i) {
+          const Bytes got(out.begin() + i * kFuzzBlockSize,
+                          out.begin() + (i + 1) * kFuzzBlockSize);
+          bool known = got == FuzzImage(acked[ids[i]], ids[i]);
+          for (uint64_t wid : failed_since[ids[i]]) {
+            known = known || got == FuzzImage(wid, ids[i]);
+          }
+          if (!known) {
+            ADD_FAILURE() << "seed " << seed << " op " << op << ": block "
+                          << ids[i] << " read back neither its acknowledged "
+                          << "image nor that of a write that failed since";
+            return false;
+          }
+        }
+      }
+    } else if (dice < 75) {
+      (void)fx.rep->Flush();
+    } else if (dice < 80) {
+      fx.faults[target]->Kill();
+    } else if (dice < 88) {
+      fx.faults[target]->Revive();
+    } else if (dice < 93) {
+      (void)fx.rep->StartRepair(target);
+    } else {
+      bool more = false;
+      (void)fx.rep->RepairStep(1 + rng.Uniform(8), &more);
+    }
+    for (size_t r = 0; r < replicas; ++r) {
+      if (fx.rep->replica_state(r) == ReplicaState::kHealthy &&
+          fx.rep->stale_blocks(r) != 0) {
+        ADD_FAILURE() << "seed " << seed << " op " << op
+                      << ": healthy replica " << r << " lacks "
+                      << fx.rep->stale_blocks(r) << " blocks";
+        return false;
+      }
+    }
+    // A strict mirror's serving replicas never lack a block, so nothing
+    // it serves can be stale.
+    if (!options.quorum && fx.rep->stats().quorum_stale_reads != 0) {
+      ADD_FAILURE() << "seed " << seed << " op " << op
+                    << ": a strict mirror counted a stale read";
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(MirrorFuzzTest, ReadsReturnAcknowledgedOrFailedWritesInBothModes) {
+  struct Setting {
+    size_t write_quorum, read_quorum;
+    int quarantine_after;
+  };
+  // A hair-trigger and a patient quarantine at W = R = 1, and a
+  // W + R > replicas quorum.
+  const Setting kSettings[] = {{1, 1, 3}, {1, 1, 64}, {2, 2, 100}};
+  for (bool quorum : {false, true}) {
+    for (const Setting& setting : kSettings) {
+      for (size_t replicas : {2, 3}) {
+        ReplicationOptions options;
+        options.quorum = quorum;
+        options.write_quorum = setting.write_quorum;
+        options.read_quorum = setting.read_quorum;
+        options.quarantine_after = setting.quarantine_after;
+        SCOPED_TRACE(::testing::Message()
+                     << (quorum ? "quorum" : "strict")
+                     << " W=" << setting.write_quorum
+                     << " R=" << setting.read_quorum
+                     << " quarantine_after=" << setting.quarantine_after
+                     << " replicas=" << replicas);
+        for (uint64_t seed = 0; seed < kFuzzSeeds; ++seed) {
+          // Stop at the first violation rather than flood the log.
+          if (!RunMirrorFuzz(options, replicas, seed)) return;
+        }
+      }
+    }
+  }
 }
 
 // ---- VolumeSet kill / revive / repair -----------------------------------
