@@ -269,14 +269,15 @@ void RunShardSweep(benchmark::State& state, size_t shards, uint64_t users) {
 }
 
 // Degraded-mode sweep: the Fig10bShard serving path (K cache spindles,
-// R = 2 mirrored replicas per shard) with one replica of shard 0 killed
-// at the half-way mark, plus a mild transient-EIO read plan on the
-// surviving replica so the store scheduler's retry budget is exercised
-// while the shard is down to one mirror. The acceptance bar is
-// failed_requests == 0: every request after the kill is served by
-// failover / degraded writes / bounded retries. After the serving phase
-// the dead replica is revived and the repair sweep re-mirrors it; repair
-// cost is reported in virtual ms alongside the replication counters.
+// R = 2 strict mirrored replicas per shard) with one replica of shard 0
+// killed at the half-way mark, plus a mild transient-EIO read plan on
+// the surviving replica while the shard is down to one mirror. The
+// acceptance bars are failed_requests == 0 (every request after the
+// kill is served by failover / degraded writes / bounded retries) and
+// quorum_stale_reads == write_quorum_failures == 0, which every mirror
+// reports. After the serving phase the dead replica is revived and the
+// repair sweep re-mirrors it; repair cost is reported in virtual ms
+// alongside the replication counters.
 void RunDegradedSweep(benchmark::State& state, size_t shards,
                       uint64_t users) {
   constexpr uint64_t kFileBlocks = 16;
@@ -289,9 +290,10 @@ void RunDegradedSweep(benchmark::State& state, size_t shards,
     // Only the surviving replica of the shard we kill carries a fault
     // plan: a sparse transient read error (one op in 197, reads only).
     // While both mirrors are healthy those fires are absorbed by
-    // failover; once replica 1 is dead they surface through the
-    // replicated layer and must be re-driven by the scheduler's retry
-    // budget instead of failing the request.
+    // failover; once replica 1 is dead the mirror re-reads the failed
+    // batch block by block from the survivor, so they no longer reach
+    // the scheduler. Its retry budget stays armed all the same
+    // (IoSchedulerRetryTest pins that path).
     const auto fault_plan = [](size_t shard,
                                size_t replica) -> storage::FaultPlan {
       storage::FaultPlan plan;
@@ -375,8 +377,8 @@ void RunDegradedSweep(benchmark::State& state, size_t shards,
       }
       dispatcher.Stop();
     }
-    // Drain the re-order tail (retries absorb any remaining transient
-    // fires on the degraded shard).
+    // Drain the re-order tail (the mirror and the retry budget absorb
+    // any remaining transient fires on the degraded shard).
     bool more = true;
     while (more) {
       if (!sys.agent->store().StepReorder(1u << 20, &more).ok()) {
@@ -419,6 +421,10 @@ void RunDegradedSweep(benchmark::State& state, size_t shards,
     state.counters["requests_per_vsec"] =
         static_cast<double>(requests) / (serving_ms / 1e3);
     state.counters["kill_ms"] = kill_ms;
+    state.counters["quorum_stale_reads"] =
+        static_cast<double>(rstats.quorum_stale_reads);
+    state.counters["write_quorum_failures"] =
+        static_cast<double>(rstats.write_quorum_failures);
     state.counters["injected_errors"] = static_cast<double>(injected);
     state.counters["io_retries"] = static_cast<double>(iostats.retries);
     state.counters["io_retry_exhausted"] =
@@ -446,12 +452,13 @@ void RunDegradedSweep(benchmark::State& state, size_t shards,
 
 // Distributed-volume sweep: the Fig10bDegraded serving path with shard
 // 0's second mirror served over the loopback block-RPC transport and
-// the mirror running in quorum mode (W = R = 1, per-block version
-// stamps). Half-way through the request stream the remote link is
-// partitioned: every RPC to it fails fast, quorum writes keep
-// succeeding on the local replica, and quorum reads only ever serve
-// version-current stamps. The acceptance bars are failed_requests == 0
-// AND quorum_stale_reads == 0 (both hard-gated by bench_diff.py). After
+// the mirror running with `quorum` (W = R = 1, so a replica that misses
+// writes lags instead of being quarantined). Half-way through the
+// request stream the remote link is partitioned: every RPC to it fails
+// fast, writes keep succeeding on the local replica, and reads only
+// ever serve blocks a replica holds current. The acceptance bars are
+// failed_requests == 0 AND quorum_stale_reads == 0 (both hard-gated by
+// bench_diff.py). After
 // the serving phase the link heals, the endpoint restarts, and the
 // repair sweep re-converges the remote mirror; RPC and transport
 // counters ride along.
@@ -662,7 +669,8 @@ int main(int argc, char** argv) {
         ->Unit(benchmark::kMillisecond);
   }
   // Degraded-mode serving: one replica of one shard dies mid-run; the
-  // acceptance bar is failed_requests == 0 (gated by bench_diff.py).
+  // acceptance bars are failed_requests == 0, quorum_stale_reads == 0
+  // and write_quorum_failures == 0 (gated by bench_diff.py).
   benchmark::RegisterBenchmark(
       "Fig10bDegraded/shards:4/users:256",
       [](benchmark::State& s) { RunDegradedSweep(s, 4, 256); })

@@ -52,11 +52,12 @@ the same process, so the ratio is stable where the raw cycle counts are
 not. crypto_wall_ms and bytes_per_cycle are archived but exempt: they
 are host wall-clock/TSC measurements, which vary across CI runners.
 
-The degraded-mode sweep (Fig10bDegraded) additionally carries hard
-zero-gates: counters in ZERO_GATED (failed_requests — requests the
-fault-tolerance stack failed to serve — and io_retry_exhausted) fail
-the diff whenever the *current* run reports a nonzero value, baseline
-or not. Its throughput joins the direction-aware *_per_vsec gate like
+The degraded-mode and remote sweeps (Fig10bDegraded, Fig10bRemote)
+additionally carry hard zero-gates: counters in ZERO_GATED
+(failed_requests — requests the fault-tolerance stack failed to serve —
+io_retry_exhausted, and the mirror's quorum_stale_reads and
+write_quorum_failures) fail the diff whenever the *current* run reports
+a nonzero value, baseline or not. Its throughput joins the direction-aware *_per_vsec gate like
 every other sweep.
 
 Exit status 1 when any metric is worse than --max-regression (relative).
@@ -93,9 +94,10 @@ EXEMPT = ("mean_batch_fill", "speedup_vs_blocking_reorder",
 
 #: Hard zero-gates: a nonzero *current* value fails the diff outright,
 #: with or without a baseline. These are correctness counters — a served
-#: request that failed, a retry budget that ran dry, or a quorum read
-#: that returned a stale version stamp (data loss) — not performance, so
-#: no relative threshold applies.
+#: request that failed, a retry budget that ran dry, a mirror read that
+#: served a copy its replica had missed a write to (data loss), or a
+#: write no quorum acknowledged — not performance, so no relative
+#: threshold applies.
 ZERO_GATED = ("failed_requests", "io_retry_exhausted",
               "quorum_stale_reads", "write_quorum_failures")
 
