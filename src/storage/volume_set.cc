@@ -334,7 +334,7 @@ Status VolumeSet::ReviveAndRepair(size_t k, size_t r) {
   }
   // The replica may still be marked healthy if it died without any
   // traffic catching it; force the quarantine so repair has a defined
-  // starting state. (Quorum mode may have demoted it to lagging
+  // starting state. (A `quorum` mirror may have demoted it to lagging
   // already; StartRepair accepts that directly.)
   if (reps_[k]->replica_state(r) == ReplicaState::kHealthy) {
     reps_[k]->Quarantine(r);

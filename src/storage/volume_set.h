@@ -154,9 +154,10 @@ class ShardedBlockDevice : public BlockDevice {
 /// (scripted spindle faults) and a TraceBlockDevice (per-replica
 /// attacker view), always in a SimBlockDevice with its own DiskModel
 /// clock. With R > 1 each shard's replicas sit behind a
-/// ReplicatedBlockDevice (write-all / read-one, failover, repair); the
-/// shard tops are striped by a ShardedBlockDevice whose parallel clock
-/// samples the busiest replica of each shard.
+/// ReplicatedBlockDevice (failover, quarantine or lagging, repair; see
+/// Options::replication); the shard tops are striped by a
+/// ShardedBlockDevice whose parallel clock samples the busiest replica
+/// of each shard.
 class VolumeSet {
  public:
   struct Options {
@@ -173,7 +174,8 @@ class VolumeSet {
     /// layer. Return an empty plan for replicas that should only be
     /// killable by hand (Kill()/Revive()).
     std::function<FaultPlan(size_t shard, size_t replica)> fault_plan;
-    /// Mirroring knobs (replicas > 1 only).
+    /// Mirroring knobs (replicas > 1 only). The default is a strict
+    /// write-all / read-one mirror.
     ReplicationOptions replication;
     /// Per-shard spindle parameters (every replica gets its own clock).
     DiskModelParams disk;

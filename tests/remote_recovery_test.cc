@@ -86,7 +86,7 @@ TEST(RemoteQuorumTest, ScriptedPartitionMidWriteQuorumThenReadRepair) {
   EXPECT_EQ(volumes.replicated(0)->stats().write_quorum_failures, 0u);
 
   // Degraded reads: every block comes back fresh — the lagging remote
-  // only ever serves blocks it holds at the latest stamp.
+  // only ever serves blocks it holds current.
   Bytes out(512);
   for (uint64_t g = 0; g < 64; ++g) {
     ASSERT_TRUE(volumes.device().ReadBlock(g, out.data()).ok());
@@ -399,7 +399,7 @@ TEST(RemoteCrashConsistencyTest, RemoteReplicaDiesMidCascade) {
   sys.volumes->CrashReplica(0, 1);
 
   // Zero failed requests while degraded: quorum writes land on the
-  // local replica, quorum reads never serve a stale stamp.
+  // local replica, quorum reads never serve a stale copy.
   for (size_t f = 0; f < kFiles; ++f) {
     auto back = sys.agent->Read(ids[f], 0, kBlocks * payload);
     ASSERT_TRUE(back.ok()) << back.status().ToString();

@@ -1,6 +1,7 @@
 // Fault-matrix suite for the mirrored shard layer: ReplicatedBlockDevice
 // write-all/read-one semantics, rotation, failover, quarantine, degraded
-// mode and incremental repair; VolumeSet kill/revive/repair plumbing; a
+// mode and incremental repair; quorum mirrors; a seeded model-based fuzz
+// of both mirror modes; VolumeSet kill/revive/repair plumbing; a
 // crash-consistency scenario (one replica of one shard dies mid
 // flush-cascade, serving continues, repair re-mirrors it); and the
 // oblivious-replication pin — per-replica traces, including failover and
@@ -334,7 +335,7 @@ TEST(QuorumReplicationTest, RepairSweepRestartsWhenRacedByAFailedWrite) {
 
   // The sweep copies blocks 0..3, then a live write to block 1 — already
   // behind the cursor — fails on the repairing replica. The completed
-  // sweep may not promote: it restarts until every stamp is current.
+  // sweep may not promote: it restarts until the replica lacks no block.
   bool more = true;
   ASSERT_TRUE(fx.rep->RepairStep(4, &more).ok());
   ASSERT_TRUE(more);
@@ -394,7 +395,7 @@ TEST(QuorumReplicationTest, BelowTheBoundaryReadsWidenButNeverGoStale) {
   // W + R = R_total (1 + 2 = 3): two laggards can hold stale copies, so
   // a window of two rotation candidates sometimes contains no current
   // replica. The search widens (and says so) rather than serve a stale
-  // stamp.
+  // copy.
   MirrorFixture fx(3, 8, QuorumOptions(1, 2, /*quarantine_after=*/100));
   ASSERT_TRUE(FillGolden(*fx.rep, 35).ok());
   fx.faults[1]->Kill();
@@ -428,7 +429,7 @@ TEST(QuorumReplicationTest, StaleFallbackOnlyWhenNoCurrentReplicaRemains) {
   fx.faults[0]->Kill();
 
   // While replica 0 is still in rotation the read refuses to serve a
-  // stale stamp: it fails instead (and the repeated errors bench the
+  // stale copy: it fails instead (and the repeated errors bench the
   // dead replica).
   Bytes out(512);
   ASSERT_FALSE(fx.rep->ReadBlock(4, out.data()).ok());
@@ -436,7 +437,7 @@ TEST(QuorumReplicationTest, StaleFallbackOnlyWhenNoCurrentReplicaRemains) {
   EXPECT_EQ(fx.rep->stats().quorum_stale_reads, 0u);
 
   // With no current replica left at all, degraded mode serves the
-  // newest reachable stamp — and counts the loss.
+  // newest reachable copy — and counts the loss.
   ASSERT_TRUE(fx.rep->ReadBlock(4, out.data()).ok());
   EXPECT_EQ(out, GoldenBlock(37, 4, 512));
   EXPECT_EQ(fx.rep->stats().quorum_stale_reads, 1u);
