@@ -458,10 +458,9 @@ void RunDegradedSweep(benchmark::State& state, size_t shards,
 // fast, writes keep succeeding on the local replica, and reads only
 // ever serve blocks a replica holds current. The acceptance bars are
 // failed_requests == 0 AND quorum_stale_reads == 0 (both hard-gated by
-// bench_diff.py). After
-// the serving phase the link heals, the endpoint restarts, and the
-// repair sweep re-converges the remote mirror; RPC and transport
-// counters ride along.
+// bench_diff.py). After the serving phase the link heals, the endpoint
+// restarts, and the repair sweep re-converges the remote mirror; RPC
+// and transport counters ride along.
 void RunRemoteSweep(benchmark::State& state, size_t shards,
                     uint64_t users) {
   constexpr uint64_t kFileBlocks = 16;
