@@ -292,8 +292,8 @@ void RunDegradedSweep(benchmark::State& state, size_t shards,
     // While both mirrors are healthy those fires are absorbed by
     // failover; once replica 1 is dead the mirror re-reads the failed
     // batch block by block from the survivor, so they no longer reach
-    // the scheduler. Its retry budget stays armed all the same
-    // (IoSchedulerRetryTest pins that path).
+    // the store. Its retry budget stays armed all the same
+    // (StoreRetryTest in fault_device_test pins that path).
     const auto fault_plan = [](size_t shard,
                                size_t replica) -> storage::FaultPlan {
       storage::FaultPlan plan;

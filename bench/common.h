@@ -181,14 +181,16 @@ struct ObliviousSystemUnderTest {
 /// device grows a shadow mirror and re-orders run as incremental
 /// double-buffered chains (the dispatcher pumps them in idle gaps).
 /// `registry`/`trace` (both optional) wire the whole funnel's
-/// observability: the store, scheduler, agent and reader register their
+/// observability: the store, agent and reader register their
 /// instruments, the simulated devices export per-spindle utilization
-/// ("steg.*", "cache.*" / "cache.shard<k>.*"), and the trace log's
-/// virtual clock is bound to this system's summed disk clocks.
+/// ("steg.*", "cache.*" / "cache.shard<k>.*"), a sharded cache traces
+/// each shard's part of every vectored call on an "io/shard<k>" lane,
+/// and the trace log's virtual clock is bound to this system's summed
+/// disk clocks.
 /// `cache_replicas`/`cache_fault_plan`/`replication` (sharded cache
 /// only) mirror every cache shard R ways behind a ReplicatedBlockDevice
 /// and script per-(shard, replica) fault injection; `io_retry` arms the
-/// store scheduler's bounded retry budget so transient device errors
+/// store's bounded retry budget so transient device errors
 /// that survive the replica layer (e.g. a degraded shard's last healthy
 /// replica hiccuping) are re-driven instead of failing the request.
 /// `cache_remote` marks cache replicas served over the loopback
@@ -283,6 +285,7 @@ inline ObliviousSystemUnderTest MakeObliviousSystem(
       if (trace != nullptr) {
         trace->set_clock_fn(
             [steg, cache] { return steg->clock_ms() + cache->clock_ms(); });
+        cache->set_trace(trace);
       }
     } else {
       storage::SimBlockDevice* cache = sys.cache_sim.get();
@@ -367,7 +370,7 @@ struct DispatchRun {
   double max_stall_ms = 0;
   /// p99 of the per-flush/per-step stall histogram (virtual ms).
   double stall_p99_ms = 0;
-  /// p99 of the cache scheduler's per-drain queue depth (requests).
+  /// p99 of the store's blocks per scan sweep (one vectored read each).
   double queue_depth_p99 = 0;
   double reorder_steps = 0;
   uint64_t scan_passes = 0;

@@ -14,7 +14,7 @@ Result<Bytes> ReadBytes(stegfs::StegFsCore& core, const HiddenFile& file,
   const size_t payload = core.payload_size();
 
   // One vectored fetch for the whole logical span, so the storage stack
-  // (cache, scheduler, simulated disk) sees the request as a batch.
+  // (shard fan-out, retries, simulated disk) sees the request as a batch.
   const uint64_t first = offset / payload;
   const uint64_t last = (end - 1) / payload;  // inclusive; end > 0 from n > 0
   const uint64_t count = last - first + 1;

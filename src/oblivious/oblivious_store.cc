@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "crypto/key.h"
-#include "storage/async/sharded_io_scheduler.h"
 #include "storage/volume_set.h"
 
 namespace steghide::oblivious {
@@ -30,35 +29,24 @@ constexpr uint64_t kReorderRunFloor = 256;
 
 ObliviousStore::ObliviousStore(storage::BlockDevice* device,
                                const ObliviousStoreOptions& options)
-    : device_(device),
+    : retry_(options.io_retry.has_value()
+                 ? std::make_unique<storage::RetryingBlockDevice>(
+                       device, *options.io_retry)
+                 : nullptr),
+      device_(retry_ != nullptr ? retry_.get() : device),
       options_(options),
       codec_(device->block_size()),
       drbg_(options.drbg_seed) {
-  // A sharded backing volume gets the scheduler fan-out: per-level
-  // batches split by shard and drained in parallel on the shard threads.
+  // Reporting only (io_shard_count, shadow_spindle_separated): a sharded
+  // volume already splits each vectored call by stripe, keeps per-shard
+  // order and joins once.
   if (auto* sharded = dynamic_cast<storage::ShardedBlockDevice*>(device)) {
     io_shards_ = sharded->shard_count();
-    scheduler_ = std::make_unique<storage::ShardedIoScheduler>(sharded);
-  } else {
-    scheduler_ = std::make_unique<storage::IoScheduler>(device);
   }
-  // Probe counts are part of the attacker-visible pattern; the scheduler
-  // must issue them verbatim (no coalescing of colliding decoys).
-  scheduler_->set_preserve_pattern(true);
-  if (options_.io_retry.has_value()) {
-    scheduler_->set_retry_policy(*options_.io_retry);
-    // The re-order / merge path issues straight device calls outside the
-    // scheduler; give it the same budget via the decorator so a transient
-    // fault mid-chain cannot fail the serving call that paid the tax.
-    maintenance_retry_ = std::make_unique<storage::RetryingBlockDevice>(
-        device_, *options_.io_retry);
-  }
-  maint_device_ =
-      maintenance_retry_ != nullptr ? maintenance_retry_.get() : device_;
   // One persistent sorter per store: its run buffer and seal scratch are
   // recycled across re-orders instead of reconstructed per call.
   sorter_ = std::make_unique<ExternalMergeSorter>(
-      maint_device_, &codec_, &cipher_, &drbg_.root(), options_.scratch_base,
+      device_, &codec_, &cipher_, &drbg_.root(), options_.scratch_base,
       std::max<uint64_t>(options_.buffer_blocks, kReorderRunFloor));
 }
 
@@ -143,7 +131,8 @@ void ObliviousStore::ConfigureObservability() {
   trace_ = options_.trace;
   if (trace_ != nullptr) {
     trace_track_ = trace_->RegisterTrack(options_.obs_prefix);
-    scheduler_->set_trace(trace_, trace_->RegisterTrack("io"));
+    io_track_ = trace_->RegisterTrack("io");
+    if (retry_ != nullptr) retry_->set_trace(trace_, io_track_);
   }
   if (options_.registry != nullptr) {
     const std::string& p = options_.obs_prefix;
@@ -184,12 +173,10 @@ void ObliviousStore::ConfigureObservability() {
       std::lock_guard<std::mutex> lock(mu_);
       return stats_.stall_ms;
     });
-    scheduler_->RegisterMetrics(options_.registry, "io");
-    if (maintenance_retry_ != nullptr) {
-      // Re-order / merge path re-drives, separate from the scheduler's
-      // "io.shardK.retries" (both fold into io_stats().retries).
-      maintenance_retry_->RegisterMetrics(options_.registry, "io.reorder");
-    }
+    registration_.Counter("io.drains", &cells_.io_drains);
+    registration_.Counter("io.physical_reads", &cells_.io_physical_reads);
+    registration_.Histogram("io.queue_depth", &cells_.io_depth);
+    if (retry_ != nullptr) retry_->RegisterMetrics(options_.registry, "io");
   }
 }
 
@@ -215,6 +202,19 @@ ObliviousStats ObliviousStore::stats() const {
   s.reorder_steps = cells_.reorder_steps.value();
   s.deferred_flushes = cells_.deferred_flushes.value();
   s.stall_p99_ms = cells_.stall.Percentile(99.0);
+  return s;
+}
+
+storage::IoSchedulerStats ObliviousStore::io_stats() const {
+  storage::IoSchedulerStats s;
+  s.drains = cells_.io_drains.value();
+  s.physical_reads = cells_.io_physical_reads.value();
+  s.queue_depth_p99 = cells_.io_depth.Percentile(99.0);
+  if (retry_ != nullptr) {
+    const storage::RetryStats r = retry_->stats();
+    s.retries = r.retries;
+    s.retry_exhausted = r.exhausted;
+  }
   return s;
 }
 
@@ -287,7 +287,7 @@ Status ObliviousStore::ChargeIndexRebuild(const Level& level) {
   Bytes block(codec_.block_size(), 0);
   for (uint64_t i = 0; i < blocks && i < level.capacity; ++i) {
     STEGHIDE_RETURN_IF_ERROR(
-        maint_device_->WriteBlock(options_.scratch_base + i, block.data()));
+        device_->WriteBlock(options_.scratch_base + i, block.data()));
     cells_.index_io.Increment();
   }
   return Status::OK();
@@ -366,23 +366,29 @@ Status ObliviousStore::PlanScan(std::span<const RecordId> ids,
 Status ObliviousStore::ExecuteScan(uint8_t* out_payloads) {
   obs::ScopedSpan span(trace_, "store.scan", trace_track_,
                        {{"passes", static_cast<int64_t>(plan_.count)}});
-  // One IoBatch per level pass, one drain for the whole sweep. The
-  // pattern-preserving scheduler issues each pass as a vectored read, so
-  // a cache or timing model underneath sees whole per-level batches
-  // while the per-block sequence stays exactly the planned one.
+  // The whole sweep is one vectored read: every level pass's probes, in
+  // plan order. No device may drop, coalesce or reorder a block of it
+  // (block_device.h) — the probe count and sequence are the attacker-
+  // visible pattern, colliding decoys included — and a sharded volume
+  // splits the call by stripe, keeps per-shard order and joins once per
+  // sweep.
   const size_t bs = codec_.block_size();
-  if (pass_bufs_.size() < plan_.count) pass_bufs_.resize(plan_.count);
+  sweep_ids_.clear();
   for (size_t p = 0; p < plan_.count; ++p) {
-    const auto& probes = plan_.passes[p].probes;
-    pass_bufs_[p].resize(probes.size() * bs);
-    storage::IoBatch batch;
-    batch.requests.reserve(probes.size());
-    for (size_t i = 0; i < probes.size(); ++i) {
-      batch.Read(probes[i].block, pass_bufs_[p].data() + i * bs);
+    for (const ScanPlan::Probe& probe : plan_.passes[p].probes) {
+      sweep_ids_.push_back(probe.block);
     }
-    scheduler_->Submit(std::move(batch));
   }
-  STEGHIDE_RETURN_IF_ERROR(scheduler_->Drain());
+  sweep_buf_.resize(sweep_ids_.size() * bs);
+  if (!sweep_ids_.empty()) {
+    const auto n = static_cast<int64_t>(sweep_ids_.size());
+    cells_.io_drains.Increment();
+    cells_.io_depth.Record(static_cast<double>(n));
+    obs::ScopedSpan drain(trace_, "io.drain", io_track_, {{"reqs", n}});
+    STEGHIDE_RETURN_IF_ERROR(
+        device_->ReadBlocks(sweep_ids_, sweep_buf_.data()));
+    cells_.io_physical_reads.Add(sweep_ids_.size());
+  }
 
   // Batched decrypt + extract (decoys stay sealed): the real probes of
   // every pass in the sweep go through one scattered codec open, which
@@ -392,14 +398,16 @@ Status ObliviousStore::ExecuteScan(uint8_t* out_payloads) {
   const size_t ps = codec_.payload_size();
   open_blocks_scratch_.clear();
   open_payloads_scratch_.clear();
+  const uint8_t* block = sweep_buf_.data();
   for (size_t p = 0; p < plan_.count; ++p) {
-    const auto& probes = plan_.passes[p].probes;
-    for (size_t i = 0; i < probes.size(); ++i) {
-      if (probes[i].owner == ScanPlan::kDecoy) continue;
-      open_blocks_scratch_.push_back(pass_bufs_[p].data() + i * bs);
-      open_payloads_scratch_.push_back(
-          out_payloads != nullptr ? out_payloads + probes[i].owner * ps
-                                  : nullptr);
+    for (const ScanPlan::Probe& probe : plan_.passes[p].probes) {
+      if (probe.owner != ScanPlan::kDecoy) {
+        open_blocks_scratch_.push_back(block);
+        open_payloads_scratch_.push_back(
+            out_payloads != nullptr ? out_payloads + probe.owner * ps
+                                    : nullptr);
+      }
+      block += bs;
     }
   }
   if (open_blocks_scratch_.empty()) return Status::OK();
@@ -808,7 +816,7 @@ Status ObliviousStore::StartFlushChainLocked() {
     }
     ChainStep step;
     step.job = std::make_unique<ReorderJob>(
-        maint_device_, &codec_, &cipher_, &drbg_, sorter_.get(), target_idx,
+        device_, &codec_, &cipher_, &drbg_, sorter_.get(), target_idx,
         levels_[target_idx].alt_base, std::move(inputs));
     step.clears = std::move(clears);
     step.is_flush = is_flush;

@@ -21,10 +21,33 @@
 #include "oblivious/merge_sort.h"
 #include "oblivious/reorder_job.h"
 #include "stegfs/block_codec.h"
-#include "storage/async/io_scheduler.h"
 #include "storage/block_device.h"
 #include "storage/retry_device.h"
 #include "util/result.h"
+
+namespace steghide::storage {
+
+/// Counters of the store's scan I/O (ObliviousStore::io_stats()). The
+/// name and the storage namespace predate the single I/O path and are
+/// kept for the code that reads them.
+struct IoSchedulerStats {
+  /// Blocks read by scan sweeps.
+  uint64_t physical_reads = 0;
+  /// Blocks written by scan sweeps: always 0, scans only read. Re-order
+  /// writes count in ObliviousStats::reorder_writes.
+  uint64_t physical_writes = 0;
+  /// Scan sweeps, each one vectored read.
+  uint64_t drains = 0;
+  /// Whole-call re-drives of any store I/O after a kIoError
+  /// (ObliviousStoreOptions::io_retry), and the calls that burned the
+  /// whole budget.
+  uint64_t retries = 0;
+  uint64_t retry_exhausted = 0;
+  /// Blocks per sweep, p99 over the store's lifetime.
+  double queue_depth_p99 = 0.0;
+};
+
+}  // namespace steghide::storage
 
 namespace steghide::oblivious {
 
@@ -82,27 +105,29 @@ struct ObliviousStoreOptions {
 
   // ---- Fault tolerance ----------------------------------------------------
 
-  /// Optional retry budget for physical I/O: the scheduler re-drives any
-  /// vectored issue that fails with kIoError, up to max_attempts total
-  /// tries (see IoSchedulerBase::set_retry_policy). Retries are counted
-  /// in io_stats().retries and traced as "io.retry" instants. Retry
-  /// timing depends only on which physical ops fail — fault-plan
-  /// territory, not record contents — so the pattern argument is
-  /// unchanged. Nullopt = fail fast.
+  /// Optional retry budget for device I/O: every store call — scan
+  /// sweeps, re-orders, merges and index charges alike — goes through
+  /// one RetryingBlockDevice that re-drives a call failing with kIoError
+  /// whole, up to max_attempts total tries. Retries are counted in
+  /// io_stats().retries and traced as "io.retry" instants. Retry timing
+  /// depends only on which physical ops fail — fault-plan territory, not
+  /// record contents — so the pattern argument is unchanged. Nullopt =
+  /// fail fast.
   std::optional<storage::RetryPolicy> io_retry;
 
   // ---- Observability ------------------------------------------------------
 
-  /// Optional metrics registry: the store registers its counters (and its
-  /// scheduler's, cache-adjacent instruments excluded) under
-  /// "<obs_prefix>.*". Borrowed; must outlive the store. Null = private
-  /// instruments only (stats() keeps working).
+  /// Optional metrics registry: the store registers its counters under
+  /// "<obs_prefix>.*" and its scan I/O and retry counters under "io.*".
+  /// Borrowed; must outlive the store. Null = private instruments only
+  /// (stats() keeps working).
   obs::Registry* registry = nullptr;
   /// Optional trace log: scans, flushes and re-order steps emit spans on
-  /// a "<obs_prefix>" track, and the scheduler gets an "io" (or per-shard
-  /// "io/shardK") track. Borrowed; must outlive the store. Recording only
-  /// — the attacker-visible device trace is unchanged (leakage-neutral,
-  /// pinned by the trace-equivalence suites).
+  /// a "<obs_prefix>" track; each scan sweep's read is an "io.drain" span
+  /// and each retry an "io.retry" instant on an "io" track. Borrowed;
+  /// must outlive the store. Recording only — the attacker-visible
+  /// device trace is unchanged (leakage-neutral, pinned by the
+  /// trace-equivalence suites).
   obs::TraceLog* trace = nullptr;
   /// Instrument name prefix and trace track name.
   std::string obs_prefix = "store";
@@ -183,12 +208,14 @@ struct ObliviousStats {
 /// Retrieval is organised as a planner/executor pipeline over request
 /// *groups*: MultiRead/MultiWrite plan one probe set covering up to B
 /// requests per level scan — one slot per level per request, duplicated
-/// real slots replaced by decoys — and submit each level pass as a single
-/// IoBatch through a pattern-preserving IoScheduler, drained once per
-/// pass group. Single-request Read/Write are the k = 1 case of the same
-/// path. The §5.1.2 buffer argument covers the grouping: every slot is
-/// still read at most once between re-orders, and the per-request trace
-/// stays one touch per non-empty level.
+/// real slots replaced by decoys — and read the whole sweep, every level
+/// pass in plan order, with one vectored ReadBlocks. Nothing between the
+/// plan and the device coalesces, forwards or reorders a probe: the probe
+/// sequence is the attacker-visible pattern. Single-request Read/Write
+/// are the k = 1 case of the same path. The §5.1.2 buffer argument
+/// covers the grouping: every slot is still read at most once between
+/// re-orders, and the per-request trace stays one touch per non-empty
+/// level.
 ///
 /// Re-orders: every flush/dump cascade is planned as a chain of
 /// resumable ReorderJobs over an immutable snapshot (flush set +
@@ -330,19 +357,10 @@ class ObliviousStore {
   ObliviousStats stats() const;
   void ResetStats();
 
-  /// Scheduler counters (physical I/O, drains, per-drain queue depth —
-  /// the sharded scheduler reports the deepest shard). Retries folded in
-  /// from both re-drive layers: the scheduler (request path) and the
-  /// maintenance-path RetryingBlockDevice (re-order / merge I/O).
-  storage::IoSchedulerStats io_stats() const {
-    storage::IoSchedulerStats s = scheduler_->stats();
-    if (maintenance_retry_ != nullptr) {
-      const storage::RetryStats m = maintenance_retry_->stats();
-      s.retries += m.retries;
-      s.retry_exhausted += m.exhausted;
-    }
-    return s;
-  }
+  /// Scan I/O counters (one drain per sweep, blocks read, blocks per
+  /// sweep) plus the retries of every store I/O under io_retry. Not
+  /// cleared by ResetStats().
+  storage::IoSchedulerStats io_stats() const;
 
   /// Wires a virtual-clock sampler (e.g. SimBlockDevice::clock_ms) so the
   /// stats can split retrieve vs sort time, Figure 12(b).
@@ -366,6 +384,7 @@ class ObliviousStore {
 
   /// Number of spindles the level-scan I/O fans out across: the shard
   /// count when the backing device is a ShardedBlockDevice, else 1.
+  /// Reporting only; the store drives every device the same way.
   size_t io_shard_count() const { return io_shards_; }
 
   /// True when every double-buffered level's two ping-pong regions land
@@ -391,8 +410,7 @@ class ObliviousStore {
   /// This thread's DRBG stream (decoy slots, shuffle tags, IVs).
   crypto::HashDrbg& Drbg() { return drbg_.ForThread(); }
 
-  /// Registry/trace wiring, called from Create() after the scheduler and
-  /// levels exist.
+  /// Registry/trace wiring, called from Create() after the levels exist.
   void ConfigureObservability();
 
   /// Atomic counter cells behind the ObliviousStats snapshot. Bumped
@@ -413,6 +431,11 @@ class ObliviousStore {
     obs::CounterCell probes_saved;
     obs::CounterCell reorder_steps;
     obs::CounterCell deferred_flushes;
+    /// Scan sweeps and the blocks they read (io_stats()).
+    obs::CounterCell io_drains;
+    obs::CounterCell io_physical_reads;
+    /// Blocks per scan sweep.
+    obs::HistogramCell io_depth;
     /// Individual serving stalls (virtual ms each).
     obs::HistogramCell stall;
     /// Re-order chain progress, sampled at chain transitions.
@@ -503,9 +526,9 @@ class ObliviousStore {
                   std::span<const uint8_t> scan,
                   std::span<const uint8_t> decoy_only);
 
-  /// Executes `plan_`: one IoBatch per level pass through the pattern-
-  /// preserving scheduler, one drain, then per-request decrypt+extract
-  /// into out_payloads (group-indexed; nullptr skips extraction).
+  /// Executes `plan_`: the whole sweep as one vectored read in plan
+  /// order, then per-request decrypt+extract into out_payloads
+  /// (group-indexed; nullptr skips extraction).
   Status ExecuteScan(uint8_t* out_payloads);
 
   /// Serves one group of at most buffer_blocks read requests.
@@ -597,15 +620,14 @@ class ObliviousStore {
   /// device I/Os) at chain transitions.
   void UpdateChainGaugesLocked();
 
+  /// With io_retry set, the retry decorator over the caller's device;
+  /// null otherwise.
+  std::unique_ptr<storage::RetryingBlockDevice> retry_;
+  /// The one device every store I/O goes through — scan sweeps, re-order
+  /// jobs, the merge sorter and index charges: retry_ when set, else the
+  /// caller's device. A transient kIoError in a serving-tax re-order step
+  /// is then re-driven like one in a scan.
   storage::BlockDevice* device_;
-  /// Maintenance-path re-drive layer: the reorder jobs, the external
-  /// merge sorter and the index-rebuild charges bypass the scheduler and
-  /// issue straight device calls; with io_retry set those go through this
-  /// decorator, so a transient kIoError during a serving-tax re-order
-  /// step is re-driven instead of failing the request that paid the tax.
-  /// Null when io_retry is unset — maint_device_ is then device_ itself.
-  std::unique_ptr<storage::RetryingBlockDevice> maintenance_retry_;
-  storage::BlockDevice* maint_device_ = nullptr;
   ObliviousStoreOptions options_;
   stegfs::BlockCodec codec_;
   /// Per-thread DRBG stream family (root + deterministic forks). All
@@ -615,10 +637,6 @@ class ObliviousStore {
   /// exact byte stream the shared-DRBG design produced.
   crypto::DrbgStreams drbg_;
   crypto::CbcCipher cipher_;
-  /// Single-device IoScheduler, or a ShardedIoScheduler fanning the
-  /// per-level batches out across a ShardedBlockDevice's shard threads
-  /// (chosen at construction from the device's dynamic type).
-  std::unique_ptr<storage::IoSchedulerBase> scheduler_;
   size_t io_shards_ = 1;
   std::vector<Level> levels_;  // levels_[0] is level 1 (size 2B)
 
@@ -635,6 +653,7 @@ class ObliviousStore {
   obs::Registration registration_;
   obs::TraceLog* trace_ = nullptr;
   uint32_t trace_track_ = 0;
+  uint32_t io_track_ = 0;
 
   /// Serializes public operations at scan-pass granularity. Plain (not
   /// recursive): public entry points delegate to *Locked impls and the
@@ -642,11 +661,12 @@ class ObliviousStore {
   mutable std::mutex mu_;
 
   // Per-group scratch reused across scan passes (guarded by mu_): the
-  // plan, its per-pass read buffers, the decrypt staging block, and the
-  // group classification vectors. Kept as members to cut allocation
-  // churn on the hot path.
+  // plan, the sweep's block ids and read buffer, the decrypt staging
+  // block, and the group classification vectors. Kept as members to cut
+  // allocation churn on the hot path.
   ScanPlan plan_;
-  std::vector<Bytes> pass_bufs_;
+  std::vector<uint64_t> sweep_ids_;
+  Bytes sweep_buf_;
   Bytes payload_scratch_;
   /// Pointer tables for the sweep-wide scattered batch open.
   std::vector<const uint8_t*> open_blocks_scratch_;

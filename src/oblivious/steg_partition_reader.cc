@@ -79,8 +79,8 @@ Status StegPartitionReader::ReadRefBatch(std::span<const BlockRef> refs,
     // fetched set growing in between — exactly the sequential draw
     // sequence, on which the uniformity argument depends — while the
     // decoy I/O itself is issued as vectored reads afterwards, so the
-    // observable stream keeps its distribution and a cache/scheduler
-    // sees whole batches.
+    // observable stream keeps its distribution and the layers below see
+    // whole batches.
     const uint64_t m = core_->num_blocks();
     decoys_.clear();
     // This batch's fetches join the set S only after every I/O below

@@ -4,8 +4,8 @@
 // Metrics registry: named counters / gauges / histograms with an atomic,
 // sharded hot path.
 //
-// Components own their instruments as plain value members (an
-// `IoSchedulerCells` struct of CounterCells, say) and keep exposing the
+// Components own their instruments as plain value members (a `Cells`
+// struct of CounterCells, say) and keep exposing the
 // historical plain-struct `stats()` accessors as snapshot views assembled
 // from atomic loads — concurrent readers never see torn values and writers
 // never take a lock. A `Registry` additionally gives every instrument a

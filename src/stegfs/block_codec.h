@@ -17,7 +17,8 @@ namespace steghide::stegfs {
 ///
 /// The *Blocks/*Scatter entry points process whole batches of
 /// independently-IV'd blocks through CbcCipher's multi-chain kernels —
-/// one call per IoBatch instead of one AES setup per block — and are
+/// one call per vectored device batch instead of one AES setup per
+/// block — and are
 /// bytewise equivalent to the corresponding sequence of single-block
 /// calls: batched IV draws consume the DRBG stream in exactly the same
 /// order (the Hash_DRBG output stream is position-independent), so

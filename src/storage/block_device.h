@@ -41,9 +41,6 @@ inline constexpr size_t kDefaultBlockSize = 4096;
 /// Layers that admit true multi-threaded callers synchronize above this
 /// contract instead:
 ///
-///  * BlockCache is fully thread-safe (sharded LRU locks plus an internal
-///    backing mutex), so it can front a non-thread-safe device for
-///    concurrent readers;
 ///  * StegFsCore / ObliviousStore serialize at operation / scan-pass
 ///    granularity;
 ///  * agent::RequestDispatcher funnels all user I/O through one issuing
@@ -60,10 +57,14 @@ class BlockDevice {
   virtual Status WriteBlock(uint64_t block_id, const uint8_t* data) = 0;
 
   /// Vectored read: block `ids[i]` lands at `out + i * block_size()`.
-  /// `out` must hold ids.size() * block_size() bytes. The default issues
-  /// the single-block calls in submission order, so decorators that do
-  /// not override it (tracing, timing) keep their per-block semantics
-  /// bit-for-bit; caching/scheduling decorators override it to batch.
+  /// `out` must hold ids.size() * block_size() bytes. No implementation
+  /// may drop, coalesce or reorder the blocks that reach one backing
+  /// device, duplicates included: the oblivious store reads each scan
+  /// sweep with one call, and its probe sequence is the attacker-visible
+  /// pattern. The default issues the single-block calls in submission
+  /// order, so decorators that do not override it (tracing, timing) keep
+  /// their per-block semantics bit-for-bit; fan-out, retry and RPC layers
+  /// override it to move the whole call at once.
   virtual Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out);
 
   /// Vectored write: block `ids[i]` is written from

@@ -15,8 +15,8 @@ namespace steghide::storage {
 ///
 /// Follows the single-issuer threading contract of block_device.h; debug
 /// builds abort on overlapping calls from different threads. Concurrent
-/// users go through a synchronized decorator (BlockCache) or the
-/// dispatcher's single I/O thread.
+/// users go through a serializing layer (StegFsCore, ObliviousStore) or
+/// the dispatcher's single I/O thread.
 class FileBlockDevice : public BlockDevice {
  public:
   /// Creates (or truncates) `path` sized for `num_blocks` blocks.

@@ -2,13 +2,19 @@
 
 namespace steghide::storage {
 
-Status RetryingBlockDevice::Retry(const std::function<Status()>& call) {
+Status RetryingBlockDevice::Retry(size_t blocks,
+                                  const std::function<Status()>& call) {
   Status status = call();
   if (status.ok()) return status;
   for (int attempt = 1; attempt < policy_.max_attempts; ++attempt) {
     if (status.code() != StatusCode::kIoError) return status;
     if (latency_fn_) latency_fn_(policy_.BackoffFor(attempt - 1));
     cells_.retries.Increment();
+    if (trace_ != nullptr) {
+      trace_->Instant("io.retry", trace_track_,
+                      {{"attempt", attempt},
+                       {"blocks", static_cast<int64_t>(blocks)}});
+    }
     status = call();
     if (status.ok()) {
       cells_.recovered.Increment();
@@ -22,26 +28,27 @@ Status RetryingBlockDevice::Retry(const std::function<Status()>& call) {
 }
 
 Status RetryingBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  return Retry([&] { return backing_->ReadBlock(block_id, out); });
+  return Retry(1, [&] { return backing_->ReadBlock(block_id, out); });
 }
 
 Status RetryingBlockDevice::WriteBlock(uint64_t block_id,
                                        const uint8_t* data) {
-  return Retry([&] { return backing_->WriteBlock(block_id, data); });
+  return Retry(1, [&] { return backing_->WriteBlock(block_id, data); });
 }
 
 Status RetryingBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
                                        uint8_t* out) {
-  return Retry([&] { return backing_->ReadBlocks(ids, out); });
+  return Retry(ids.size(), [&] { return backing_->ReadBlocks(ids, out); });
 }
 
 Status RetryingBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
                                         const uint8_t* data) {
-  return Retry([&] { return backing_->WriteBlocks(ids, data); });
+  return Retry(ids.size(),
+               [&] { return backing_->WriteBlocks(ids, data); });
 }
 
 Status RetryingBlockDevice::Flush() {
-  return Retry([&] { return backing_->Flush(); });
+  return Retry(0, [&] { return backing_->Flush(); });
 }
 
 void RetryingBlockDevice::RegisterMetrics(obs::Registry* registry,

@@ -5,12 +5,13 @@
 #include <functional>
 
 #include "obs/metrics.h"
+#include "obs/trace_log.h"
 #include "storage/block_device.h"
 
 namespace steghide::storage {
 
-/// Bounded exponential-backoff retry budget, shared by the
-/// RetryingBlockDevice decorator and the IoScheduler issue path.
+/// Bounded exponential-backoff retry budget of the RetryingBlockDevice
+/// decorator (and, per replica, of the remote block client).
 struct RetryPolicy {
   /// Total attempts including the first; <= 1 disables retrying.
   int max_attempts = 3;
@@ -96,6 +97,13 @@ class RetryingBlockDevice : public BlockDevice {
     latency_fn_ = std::move(fn);
   }
 
+  /// Attaches a trace log: every retry emits an "io.retry" instant on
+  /// `track` (args: attempt, blocks). Null detaches.
+  void set_trace(obs::TraceLog* log, uint32_t track) {
+    trace_ = log;
+    trace_track_ = track;
+  }
+
   RetryStats stats() const {
     RetryStats s;
     s.retries = cells_.retries.value();
@@ -114,11 +122,15 @@ class RetryingBlockDevice : public BlockDevice {
     obs::CounterCell exhausted;
   };
 
-  Status Retry(const std::function<Status()>& call);
+  /// Runs `call`, a device call covering `blocks` blocks, under the
+  /// budget.
+  Status Retry(size_t blocks, const std::function<Status()>& call);
 
   BlockDevice* backing_;
   RetryPolicy policy_;
   std::function<void(double)> latency_fn_;
+  obs::TraceLog* trace_ = nullptr;
+  uint32_t trace_track_ = 0;
   Cells cells_;
   obs::Registration registration_;
 };

@@ -72,6 +72,7 @@ ShardedBlockDevice::ShardedBlockDevice(std::vector<BlockDevice*> shards)
       block_size_(shards_.empty() ? kDefaultBlockSize
                                   : shards_.front()->block_size()),
       pool_(shards_.size()),
+      shard_tracks_(shards_.size(), 0),
       split_local_(shards_.size()),
       split_pos_(shards_.size()),
       staging_(shards_.size()) {
@@ -82,6 +83,15 @@ ShardedBlockDevice::ShardedBlockDevice(std::vector<BlockDevice*> shards)
     if (shard->num_blocks() < min_blocks) min_blocks = shard->num_blocks();
   }
   num_blocks_ = min_blocks * shards_.size();
+}
+
+void ShardedBlockDevice::set_trace(obs::TraceLog* log) {
+  trace_ = log;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    shard_tracks_[k] =
+        log != nullptr ? log->RegisterTrack("io/shard" + std::to_string(k))
+                       : 0;
+  }
 }
 
 Status ShardedBlockDevice::RunOnShards(
@@ -155,6 +165,8 @@ Status ShardedBlockDevice::FanOut(std::span<const uint64_t> ids, uint8_t* out,
       // exclusively by this shard between dispatch and join.
       const std::vector<uint64_t>& local = split_local_[k];
       const std::vector<size_t>& pos = split_pos_[k];
+      obs::ScopedSpan span(trace_, "io.drain", shard_tracks_[k],
+                           {{"reqs", static_cast<int64_t>(local.size())}});
       staging_[k].resize(local.size() * bs);
       if (out != nullptr) {
         STEGHIDE_RETURN_IF_ERROR(

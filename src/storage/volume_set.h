@@ -11,6 +11,7 @@
 
 #include "util/result.h"
 
+#include "obs/trace_log.h"
 #include "storage/block_device.h"
 #include "storage/fault_device.h"
 #include "storage/mem_block_device.h"
@@ -126,8 +127,16 @@ class ShardedBlockDevice : public BlockDevice {
 
   /// Runs arbitrary per-shard jobs on the shard threads with the same
   /// join barrier and max-delta clock accounting as the built-in fan-out.
-  /// Used by ShardedIoScheduler to drain per-shard queues in parallel.
+  /// Used by VolumeSet::PumpRepair to advance every shard's repair sweep
+  /// in parallel.
   Status RunOnShards(std::vector<std::function<Status()>> jobs);
+
+  /// Attaches a trace log: the part of every vectored call that reaches
+  /// shard k is one "io.drain" span (arg `reqs`: its block count) on
+  /// track "io/shard<k>", recorded on that shard's thread, so the shards
+  /// of one sweep render as parallel lanes. Null detaches. Call before
+  /// any I/O.
+  void set_trace(obs::TraceLog* log);
 
  private:
   /// Shared fan-out: exactly one of `out` / `data` is non-null.
@@ -140,6 +149,8 @@ class ShardedBlockDevice : public BlockDevice {
   ShardPool pool_;
   std::function<double(size_t)> shard_clock_;
   std::atomic<double> clock_ms_{0.0};
+  obs::TraceLog* trace_ = nullptr;
+  std::vector<uint32_t> shard_tracks_;  // indexed by shard
   // Fan-out scratch, indexed by shard. The split vectors are built by the
   // issuer; each staging buffer is touched only by its shard's thread,
   // strictly between the issuer's dispatch and the join.

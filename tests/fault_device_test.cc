@@ -1,24 +1,25 @@
 // Fault-matrix suite for the failure-path plumbing: the scripted
 // FaultInjectionBlockDevice (every fault kind, determinism, vectored
-// mid-batch semantics), the RetryingBlockDevice budget, the IoScheduler
-// retry path (including error propagation through IoFuture), and the
-// regression tests for the stuck-maintenance bug — a transient fault
-// mid-reorder-cascade must leave the chain resumable at the store level
-// and must never wedge the dispatcher's idle pump.
+// mid-batch semantics), the RetryingBlockDevice budget, the store's
+// io_retry budget (one decorator under every store I/O, one traced
+// instant per retry), and the regression tests for the stuck-maintenance
+// bug — a transient fault mid-reorder-cascade must leave the chain
+// resumable at the store level and must never wedge the dispatcher's
+// idle pump.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "agent/dispatch/request_dispatcher.h"
 #include "agent/oblivious_agent.h"
 #include "obs/metrics.h"
-#include "storage/async/io_scheduler.h"
-#include "storage/async/sharded_io_scheduler.h"
+#include "obs/trace_log.h"
 #include "storage/fault_device.h"
 #include "storage/mem_block_device.h"
 #include "storage/retry_device.h"
@@ -326,156 +327,6 @@ TEST(RetryDeviceTest, NonIoErrorsAreNotRetried) {
   EXPECT_EQ(retry.stats().retries, 0u);
 }
 
-// ---- IoScheduler retry budget -------------------------------------------
-
-TEST(IoSchedulerRetryTest, TransientErrorsRecoverWithinBudget) {
-  MemBlockDevice mem(32, 512);
-  FaultPlan plan;
-  FaultSpec spec;
-  spec.kind = FaultSpec::Kind::kTransientError;
-  spec.every_nth = 5;
-  plan.faults.push_back(spec);
-  FaultInjectionBlockDevice fault(&mem, plan);
-  IoScheduler scheduler(&fault);
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  scheduler.set_retry_policy(policy);
-
-  // Buffers at stride 2*block_size inside one arena, so no pair sits
-  // exactly block_size apart and the scheduler cannot fold the batch
-  // into one vectored run (separate heap allocations may land
-  // contiguous under some allocators). Each block is then its own
-  // physical issue: a failed single-block issue retries at a fresh op
-  // index, which is off the every-5th schedule.
-  std::vector<Bytes> images;
-  Bytes write_arena(16 * 2 * 512);
-  IoBatch writes;
-  for (uint64_t b = 0; b < 16; ++b) {
-    images.push_back(GoldenBlock(13, b, 512));
-    std::memcpy(write_arena.data() + b * 2 * 512, images[b].data(), 512);
-    writes.Write(b, write_arena.data() + b * 2 * 512);
-  }
-  IoFuture wf = scheduler.Submit(std::move(writes));
-  ASSERT_TRUE(scheduler.Drain().ok());
-  ASSERT_TRUE(wf.done());
-  EXPECT_TRUE(wf.status().ok());
-
-  Bytes read_arena(16 * 2 * 512);
-  IoBatch reads;
-  for (uint64_t b = 0; b < 16; ++b) {
-    reads.Read(b, read_arena.data() + b * 2 * 512);
-  }
-  IoFuture rf = scheduler.Submit(std::move(reads));
-  ASSERT_TRUE(scheduler.Drain().ok());
-  EXPECT_TRUE(rf.status().ok());
-  for (uint64_t b = 0; b < 16; ++b) {
-    EXPECT_EQ(0, std::memcmp(read_arena.data() + b * 2 * 512,
-                             images[b].data(), 512))
-        << "block " << b;
-  }
-
-  const IoSchedulerStats stats = scheduler.stats();
-  EXPECT_GT(stats.retries, 0u);
-  EXPECT_EQ(stats.retry_exhausted, 0u);
-  EXPECT_GT(fault.stats().injected_errors, 0u);
-}
-
-TEST(IoSchedulerRetryTest, ExhaustedBudgetSurfacesThroughTheFuture) {
-  MemBlockDevice mem(32, 512);
-  FaultPlan plan;
-  FaultSpec spec;
-  spec.kind = FaultSpec::Kind::kStickyError;
-  spec.first_block = 3;
-  spec.last_block = 3;
-  plan.faults.push_back(spec);
-  FaultInjectionBlockDevice fault(&mem, plan);
-  IoScheduler scheduler(&fault);
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  scheduler.set_retry_policy(policy);
-
-  Bytes good(512), bad(512);
-  IoBatch batch;
-  batch.Read(1, good.data());
-  batch.Read(3, bad.data());
-  IoFuture future = scheduler.Submit(std::move(batch));
-  const Status status = scheduler.Drain();
-  EXPECT_EQ(status.code(), StatusCode::kIoError);
-  // Error propagation is all-or-nothing per drain: the future carries
-  // the failure even though block 1 itself was readable.
-  ASSERT_TRUE(future.done());
-  EXPECT_EQ(future.status().code(), StatusCode::kIoError);
-  const IoSchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.retry_exhausted, 1u);
-}
-
-TEST(IoSchedulerRetryTest, WithoutAPolicyErrorsFailFast) {
-  MemBlockDevice mem(8, 512);
-  FaultPlan plan;
-  FaultSpec spec;
-  spec.kind = FaultSpec::Kind::kTransientError;
-  spec.max_fires = 1;
-  plan.faults.push_back(spec);
-  FaultInjectionBlockDevice fault(&mem, plan);
-  IoScheduler scheduler(&fault);
-
-  Bytes out(512);
-  IoBatch batch;
-  batch.Read(0, out.data());
-  IoFuture future = scheduler.Submit(std::move(batch));
-  EXPECT_FALSE(scheduler.Drain().ok());
-  EXPECT_FALSE(future.status().ok());
-  EXPECT_EQ(scheduler.stats().retries, 0u);
-}
-
-TEST(IoSchedulerRetryTest, ShardedSchedulerFansThePolicyOut) {
-  VolumeSet::Options options;
-  options.shards = 2;
-  options.total_blocks = 64;
-  options.block_size = 512;
-  options.fault_plan = [](size_t shard, size_t) {
-    FaultPlan plan;
-    plan.seed = shard;
-    FaultSpec spec;
-    spec.kind = FaultSpec::Kind::kTransientError;
-    spec.every_nth = 7;
-    plan.faults.push_back(spec);
-    return plan;
-  };
-  VolumeSet volumes(options);
-  ShardedIoScheduler scheduler(&volumes.device());
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  scheduler.set_retry_policy(policy);
-  // A flaky shard can carry a deeper budget than its peers.
-  policy.max_attempts = 6;
-  scheduler.set_shard_retry_policy(1, policy);
-
-  std::vector<Bytes> images;
-  IoBatch writes;
-  for (uint64_t b = 0; b < 32; ++b) {
-    images.push_back(GoldenBlock(29, b, 512));
-    writes.Write(b, images[b].data());
-  }
-  IoFuture wf = scheduler.Submit(std::move(writes));
-  ASSERT_TRUE(scheduler.Drain().ok());
-  EXPECT_TRUE(wf.status().ok());
-
-  std::vector<Bytes> out(32, Bytes(512));
-  IoBatch reads;
-  for (uint64_t b = 0; b < 32; ++b) reads.Read(b, out[b].data());
-  IoFuture rf = scheduler.Submit(std::move(reads));
-  ASSERT_TRUE(scheduler.Drain().ok());
-  EXPECT_TRUE(rf.status().ok());
-  for (uint64_t b = 0; b < 32; ++b) {
-    EXPECT_EQ(out[b], images[b]) << "block " << b;
-  }
-  const IoSchedulerStats stats = scheduler.stats();
-  EXPECT_GT(stats.retries, 0u);
-  EXPECT_EQ(stats.retry_exhausted, 0u);
-}
-
 }  // namespace
 }  // namespace steghide::storage
 
@@ -566,6 +417,113 @@ struct FaultySystem {
   stegfs::StegFsCore core;
   std::unique_ptr<ObliviousAgent> agent;
 };
+
+// ---- Store-level retry budget (ObliviousStoreOptions::io_retry) ----------
+
+/// The store's cache volume for the retry script: one flaky device, or
+/// four shards of which shard 2 is flaky. The fault is a transient read
+/// error on every 7th op, capped at 6 fires.
+struct FlakyCache {
+  explicit FlakyCache(size_t shards) {
+    std::vector<storage::BlockDevice*> tops;
+    for (size_t k = 0; k < shards; ++k) {
+      mems.push_back(
+          std::make_unique<storage::MemBlockDevice>(512 / shards, 4096));
+      tops.push_back(mems.back().get());
+    }
+    storage::FaultPlan plan;
+    storage::FaultSpec spec;
+    spec.kind = storage::FaultSpec::Kind::kTransientError;
+    spec.ops = storage::FaultSpec::OpFilter::kRead;
+    spec.every_nth = 7;
+    spec.max_fires = 6;
+    plan.faults.push_back(spec);
+    const size_t flaky = shards / 2;
+    fault = std::make_unique<storage::FaultInjectionBlockDevice>(tops[flaky],
+                                                                 plan);
+    tops[flaky] = fault.get();
+    if (shards > 1) {
+      sharded = std::make_unique<storage::ShardedBlockDevice>(tops);
+      device = sharded.get();
+    } else {
+      device = fault.get();
+    }
+  }
+
+  std::vector<std::unique_ptr<storage::MemBlockDevice>> mems;
+  std::unique_ptr<storage::FaultInjectionBlockDevice> fault;
+  std::unique_ptr<storage::ShardedBlockDevice> sharded;
+  storage::BlockDevice* device = nullptr;
+};
+
+oblivious::ObliviousStoreOptions RetryStoreOptions() {
+  oblivious::ObliviousStoreOptions opts;
+  opts.buffer_blocks = 8;
+  opts.capacity_blocks = 128;  // levels 16, 32, 64, 128
+  opts.partition_base = 0;
+  opts.scratch_base = 2 * 128 - 2 * 8;  // 240
+  opts.drbg_seed = 43;
+  return opts;
+}
+
+/// Inserts 96 records (flushes and re-orders read the levels), then
+/// reads each back (scan sweeps). Returns the first failure.
+Status InsertAndReadBack(oblivious::ObliviousStore& store) {
+  const size_t ps = store.payload_size();
+  for (oblivious::RecordId id = 0; id < 96; ++id) {
+    const Bytes payload(ps, static_cast<uint8_t>(id));
+    STEGHIDE_RETURN_IF_ERROR(store.Insert(id, payload.data()));
+  }
+  Bytes out(ps);
+  for (oblivious::RecordId id = 0; id < 96; ++id) {
+    STEGHIDE_RETURN_IF_ERROR(store.Read(id, out.data()));
+    if (out != Bytes(ps, static_cast<uint8_t>(id))) {
+      return Status::Corruption("record " + std::to_string(id));
+    }
+  }
+  return Status::OK();
+}
+
+TEST(StoreRetryTest, EveryRetryIsCountedAndTraced) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    FlakyCache cache(shards);
+    obs::TraceLog log;
+    log.set_enabled(true);
+    oblivious::ObliviousStoreOptions opts = RetryStoreOptions();
+    opts.io_retry = storage::RetryPolicy{.max_attempts = 8};
+    opts.trace = &log;
+    auto store = oblivious::ObliviousStore::Create(cache.device, opts);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+    const Status status = InsertAndReadBack(**store);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    const storage::IoSchedulerStats io = (*store)->io_stats();
+    EXPECT_GT(io.retries, 0u);
+    EXPECT_EQ(io.retry_exhausted, 0u);
+    EXPECT_EQ(io.retries, cache.fault->stats().injected_errors);
+    uint64_t instants = 0;
+    for (const obs::TraceEvent& ev : log.events()) {
+      if (ev.kind == obs::TraceEvent::Kind::kInstant &&
+          std::string(ev.label()) == "io.retry") {
+        ++instants;
+      }
+    }
+    EXPECT_EQ(instants, io.retries);
+  }
+}
+
+TEST(StoreRetryTest, WithoutABudgetTheSameScriptFails) {
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    FlakyCache cache(shards);
+    auto store =
+        oblivious::ObliviousStore::Create(cache.device, RetryStoreOptions());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(InsertAndReadBack(**store).code(), StatusCode::kIoError);
+    EXPECT_EQ((*store)->io_stats().retries, 0u);
+  }
+}
 
 TEST(FaultyCascadeTest, StoreChainSurvivesATransientFaultMidCascade) {
   FaultySystem sys(2024);

@@ -2,14 +2,13 @@
 // ordering, close/reopen round-trips, geometry validation) that the
 // MemBlockDevice-backed suites cannot cover, plus integration with the
 // layers that will sit on a file-backed volume in a deployment
-// (BlockCache write-back, StegFsCore header trees).
+// (retry over faults, StegFsCore header trees).
 
 #include <gtest/gtest.h>
 
 #include <utility>
 
 #include "stegfs/stegfs_core.h"
-#include "storage/async/block_cache.h"
 #include "storage/fault_device.h"
 #include "storage/file_block_device.h"
 #include "storage/retry_device.h"
@@ -169,27 +168,6 @@ TEST_F(FileDeviceTest, ExhaustedRetryBudgetSurfacesIoError) {
   EXPECT_EQ(rs.recovered, 0u);
   // Blocks outside the bad region keep working.
   EXPECT_TRUE(retry.WriteBlock(1, image.data()).ok());
-}
-
-TEST_F(FileDeviceTest, WriteBackCachePersistsAcrossReopen) {
-  {
-    auto dev = FileBlockDevice::Create(path_, 64, 512);
-    ASSERT_TRUE(dev.ok());
-    BlockCacheOptions opts;
-    opts.capacity_blocks = 16;
-    opts.write_back = true;
-    BlockCache cache(&*dev, opts);
-    for (uint64_t b = 0; b < 64; ++b) {
-      const Bytes image = GoldenBlock(17, b, 512);
-      ASSERT_TRUE(cache.WriteBlock(b, image.data()).ok());
-    }
-    // Evictions already pushed most blocks; Flush drains the rest and
-    // fsyncs the file underneath.
-    ASSERT_TRUE(cache.Flush().ok());
-  }
-  auto dev = FileBlockDevice::Open(path_, 512);
-  ASSERT_TRUE(dev.ok());
-  EXPECT_TRUE(DeviceMatchesGolden(*dev, 17));
 }
 
 TEST_F(FileDeviceTest, StegFsHeaderTreeSurvivesReopen) {

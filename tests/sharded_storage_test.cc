@@ -1,9 +1,9 @@
 // Suite for the sharded storage layer: ShardPool fork/join,
-// ShardedBlockDevice striping and parallel-clock accounting,
-// ShardedIoScheduler fan-out, and — the headline pin — per-shard trace
-// equivalence: an oblivious store over K traced shards produces, on each
-// shard, exactly the single-volume schedule restricted to that shard's
-// residue class. The multi-threaded stress tests are the tsan/sanitize
+// ShardedBlockDevice striping, vectored fan-out order, per-shard trace
+// spans and parallel-clock accounting, and — the headline pin —
+// per-shard trace equivalence: an oblivious store over K traced shards
+// produces, on each shard, exactly the single-volume schedule restricted
+// to that shard's residue class. The multi-threaded stress tests are the tsan/sanitize
 // targets for the fan-out/join path (K=4 configuration).
 
 #include <gtest/gtest.h>
@@ -11,12 +11,13 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "agent/dispatch/request_dispatcher.h"
 #include "agent/oblivious_agent.h"
-#include "storage/async/sharded_io_scheduler.h"
+#include "obs/trace_log.h"
 #include "storage/mem_block_device.h"
 #include "storage/sim_device.h"
 #include "storage/trace_device.h"
@@ -194,7 +195,7 @@ TEST(ShardedBlockDeviceTest, ParallelClockChargesSlowestShardOfJoin) {
   EXPECT_LT(device.clock_ms(), 0.5 * sum);
 }
 
-// ---- ShardedIoScheduler ------------------------------------------------
+// ---- Vectored fan-out over traced shards --------------------------------
 
 struct TracedShardedFixture {
   explicit TracedShardedFixture(size_t shards, uint64_t per_shard_blocks,
@@ -214,23 +215,22 @@ struct TracedShardedFixture {
   std::unique_ptr<ShardedBlockDevice> device;
 };
 
-TEST(ShardedIoSchedulerTest, PreservePatternKeepsPerShardSubmissionOrder) {
+TEST(ShardedBlockDeviceTest, VectoredReadKeepsPerShardSubmissionOrder) {
+  // The oblivious store reads a whole scan sweep with one call; each
+  // shard must see its part verbatim, duplicates included — a dropped
+  // duplicate would be an observably missing decoy.
   TracedShardedFixture fx(2, 32);
-  ShardedIoScheduler scheduler(fx.device.get());
-  scheduler.set_preserve_pattern(true);
-  EXPECT_TRUE(scheduler.preserve_pattern());
-  Bytes bufs(6 * 512);
-  IoBatch batch;
-  for (size_t i = 0; uint64_t id : {9, 4, 13, 6, 9, 2}) {
-    batch.Read(id, bufs.data() + (i++) * 512);
+  ASSERT_TRUE(FillGolden(*fx.mems[0], 2).ok());
+  ASSERT_TRUE(FillGolden(*fx.mems[1], 3).ok());
+  const std::vector<uint64_t> ids = {9, 4, 13, 6, 9, 2};
+  Bytes out(ids.size() * 512);
+  ASSERT_TRUE(fx.device->ReadBlocks(ids, out.data()).ok());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const size_t shard = ids[i] % 2;
+    EXPECT_EQ(Bytes(out.begin() + i * 512, out.begin() + (i + 1) * 512),
+              GoldenBlock(2 + shard, ids[i] / 2, 512))
+        << "position " << i;
   }
-  IoFuture future = scheduler.Submit(std::move(batch));
-  EXPECT_FALSE(future.done());
-  EXPECT_FALSE(scheduler.idle());
-  ASSERT_TRUE(scheduler.Drain().ok());
-  EXPECT_TRUE(future.done());
-  EXPECT_TRUE(future.status().ok());
-  EXPECT_TRUE(scheduler.idle());
   // Shard 0 (even globals): 4, 6, 2 -> locals 2, 3, 1 in that order.
   const IoTrace expect0 = {{TraceEvent::Kind::kRead, 2},
                            {TraceEvent::Kind::kRead, 3},
@@ -243,140 +243,61 @@ TEST(ShardedIoSchedulerTest, PreservePatternKeepsPerShardSubmissionOrder) {
   EXPECT_EQ(fx.traces[1]->trace(), expect1);
 }
 
-TEST(ShardedIoSchedulerTest, ForwardingWorksWithinEachShard) {
-  TracedShardedFixture fx(2, 16);
-  ShardedIoScheduler scheduler(fx.device.get());
-  const Bytes image = GoldenBlock(3, 6, 512);
-  Bytes out(512);
-  IoBatch batch;
-  batch.Write(6, image.data());
-  batch.Read(6, out.data());
-  ASSERT_TRUE(scheduler.Run(std::move(batch)).ok());
-  EXPECT_EQ(out, image);
-  EXPECT_EQ(scheduler.stats().forwarded_reads, 1u);
-  // Only the write reached shard 0; shard 1 saw nothing.
-  EXPECT_EQ(fx.traces[0]->trace().size(), 1u);
-  EXPECT_TRUE(fx.traces[1]->trace().empty());
-}
-
-TEST(ShardedIoSchedulerTest, AggregatesPerShardStats) {
-  TracedShardedFixture fx(4, 16);
-  ShardedIoScheduler scheduler(fx.device.get());
-  ASSERT_TRUE(FillGolden(*fx.mems[0], 1).ok());
-
-  // Per shard k: one write to global k, plus reads of globals k and k+4
-  // (two distinct local blocks), plus a duplicate read of global k+4
-  // that coalesces. 4 shards x (1 write + 3 reads).
-  Bytes out(12 * 512);
-  std::vector<Bytes> images;
-  IoBatch batch;
-  for (uint64_t k = 0; k < 4; ++k) {
-    images.push_back(GoldenBlock(7, k, 512));
-    batch.Write(k, images.back().data());
-    batch.Read(k + 4, out.data() + (3 * k + 0) * 512);
-    batch.Read(k + 4, out.data() + (3 * k + 1) * 512);
-    batch.Read(k + 8, out.data() + (3 * k + 2) * 512);
-  }
-  ASSERT_TRUE(scheduler.Run(std::move(batch)).ok());
-
-  const IoSchedulerStats total = scheduler.stats();
-  EXPECT_EQ(total.submitted_writes, 4u);
-  EXPECT_EQ(total.submitted_reads, 12u);
-  EXPECT_EQ(total.physical_writes, 4u);
-  EXPECT_EQ(total.physical_reads, 8u);   // one per distinct block
-  EXPECT_EQ(total.coalesced_reads, 4u);  // one duplicate per shard
-  EXPECT_EQ(total.drains, 1u);           // one parallel drain
-  ASSERT_EQ(scheduler.shard_count(), 4u);
-  uint64_t sum_reads = 0;
-  for (size_t k = 0; k < 4; ++k) {
-    const IoSchedulerStats s = scheduler.shard_stats(k);
-    EXPECT_EQ(s.submitted_reads, 3u) << "shard " << k;
-    EXPECT_EQ(s.submitted_writes, 1u) << "shard " << k;
-    EXPECT_EQ(s.coalesced_reads, 1u) << "shard " << k;
-    sum_reads += s.physical_reads;
-  }
-  EXPECT_EQ(sum_reads, total.physical_reads);
-
-  scheduler.ResetStats();
-  const IoSchedulerStats cleared = scheduler.stats();
-  EXPECT_EQ(cleared.submitted_reads, 0u);
-  EXPECT_EQ(cleared.drains, 0u);
-}
-
-TEST(ShardedIoSchedulerTest, StatsSnapshotDuringLoadIsTearFree) {
-  // Regression for the torn-counter aggregation: stats() used to sum
-  // plain per-shard structs while shard threads were mid-increment (and
-  // bumped a plain uint64_t drains_ from the issuer), so a snapshot
-  // taken during a drain could tear. The counters are atomic cells now;
-  // a poller racing the load must only ever see consistent,
-  // monotonically growing values. Under TSan this is also the data-race
-  // pin for snapshot-during-load.
+TEST(ShardedBlockDeviceTest, WriteThenReadRoundsThroughTheFacade) {
+  // The facade follows the single-issuer contract, but its I/O runs on
+  // the shard threads; under TSan this pins the join barrier's
+  // happens-before edge from every shard thread's I/O to the caller's
+  // inspection of its buffer.
   ShardedFixture fx(4, 64);
-  ShardedIoScheduler scheduler(fx.device.get());
-  std::atomic<bool> done{false};
-  std::thread poller([&] {
-    uint64_t last_reads = 0, last_drains = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      const IoSchedulerStats s = scheduler.stats();
-      EXPECT_GE(s.physical_reads, last_reads);
-      EXPECT_GE(s.drains, last_drains);
-      // Submits precede drains, but the poller's reads are not one
-      // instant: the physical count read later can include reads whose
-      // submit bump the earlier read missed. Bounding the submitted
-      // count by the PREVIOUS iteration's physical count is robust
-      // under any interleaving.
-      EXPECT_GE(s.submitted_reads, last_reads);
-      last_reads = s.physical_reads;
-      last_drains = s.drains;
-    }
-  });
-  const Bytes image = GoldenBlock(5, 0, 512);
-  Bytes out(32 * 512);
-  for (int round = 0; round < 64; ++round) {
-    IoBatch batch;
-    for (uint64_t i = 0; i < 32; ++i) {
-      if (i % 4 == 0) {
-        batch.Write(i, image.data());
-      } else {
-        batch.Read(i, out.data() + i * 512);
-      }
-    }
-    ASSERT_TRUE(scheduler.Run(std::move(batch)).ok());
-  }
-  done.store(true, std::memory_order_release);
-  poller.join();
-  const IoSchedulerStats s = scheduler.stats();
-  EXPECT_EQ(s.drains, 64u);
-  EXPECT_EQ(s.submitted_reads, 64u * 24u);
-}
-
-TEST(ShardedIoSchedulerTest, ConcurrentSubmittersThroughOneIssuer) {
-  // The scheduler itself follows the single-issuer contract, but the
-  // data it carries comes from many threads; under TSan this pins the
-  // join barrier's happens-before edge from every shard thread's I/O to
-  // the caller's inspection of the buffers.
-  ShardedFixture fx(4, 64);
-  ShardedIoScheduler scheduler(fx.device.get());
   for (int round = 0; round < 8; ++round) {
-    std::vector<Bytes> images(16);
-    IoBatch write_batch;
+    std::vector<uint64_t> ids;
+    Bytes images;
     for (uint64_t i = 0; i < 16; ++i) {
-      images[i] = GoldenBlock(round, i, 512);
-      write_batch.Write(i, images[i].data());
+      ids.push_back(i);
+      const Bytes image = GoldenBlock(round, i, 512);
+      images.insert(images.end(), image.begin(), image.end());
     }
-    ASSERT_TRUE(scheduler.Run(std::move(write_batch)).ok());
+    ASSERT_TRUE(fx.device->WriteBlocks(ids, images.data()).ok());
     Bytes out(16 * 512);
-    IoBatch read_batch;
-    for (uint64_t i = 0; i < 16; ++i) {
-      read_batch.Read(i, out.data() + i * 512);
-    }
-    ASSERT_TRUE(scheduler.Run(std::move(read_batch)).ok());
+    ASSERT_TRUE(fx.device->ReadBlocks(ids, out.data()).ok());
     for (uint64_t i = 0; i < 16; ++i) {
       ASSERT_EQ(Bytes(out.begin() + i * 512, out.begin() + (i + 1) * 512),
-                images[i])
+                GoldenBlock(round, i, 512))
           << "round " << round << " block " << i;
     }
   }
+}
+
+TEST(ShardedBlockDeviceTest, TraceEmitsOneDrainSpanPerInvolvedShard) {
+  ShardedFixture fx(4, 16);
+  obs::TraceLog log;
+  log.set_enabled(true);
+  fx.device->set_trace(&log);
+  // Globals 1, 5, 9 live on shard 1 and 3 on shard 3; shards 0 and 2
+  // take no part in the call.
+  const std::vector<uint64_t> ids = {1, 3, 5, 9};
+  Bytes out(ids.size() * 512);
+  ASSERT_TRUE(fx.device->ReadBlocks(ids, out.data()).ok());
+
+  const std::vector<std::string> tracks = log.tracks();
+  std::map<std::string, int64_t> reqs_by_track;
+  for (const obs::TraceEvent& ev : log.events()) {
+    ASSERT_EQ(ev.kind, obs::TraceEvent::Kind::kSpan);
+    EXPECT_STREQ(ev.label(), "io.drain");
+    ASSERT_LT(ev.track, tracks.size());
+    ASSERT_EQ(ev.num_args, 1);
+    EXPECT_STREQ(ev.args[0].key, "reqs");
+    EXPECT_EQ(reqs_by_track.count(tracks[ev.track]), 0u);
+    reqs_by_track[tracks[ev.track]] = ev.args[0].value;
+  }
+  const std::map<std::string, int64_t> expected = {{"io/shard1", 3},
+                                                   {"io/shard3", 1}};
+  EXPECT_EQ(reqs_by_track, expected);
+
+  // Detached: no further spans.
+  fx.device->set_trace(nullptr);
+  ASSERT_TRUE(fx.device->ReadBlocks(ids, out.data()).ok());
+  EXPECT_EQ(log.events().size(), 2u);
 }
 
 }  // namespace

@@ -3,17 +3,24 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "storage/disk_model.h"
 #include "storage/file_block_device.h"
 #include "storage/mem_block_device.h"
 #include "storage/sim_device.h"
+#include "testing/device_factory.h"
+#include "testing/golden.h"
 #include "testing/rng.h"
 #include "testing/temp_dir.h"
 #include "util/random.h"
 
 namespace steghide::storage {
 namespace {
+
+using steghide::testing::FillGolden;
+using steghide::testing::GoldenBlock;
+using steghide::testing::TracedMemDevice;
 
 // ---- MemBlockDevice ---------------------------------------------------
 
@@ -201,6 +208,54 @@ TEST(SimBlockDeviceTest, ErrorsAreNotCharged) {
   EXPECT_FALSE(sim.ReadBlock(99, buf.data()).ok());
   EXPECT_DOUBLE_EQ(sim.clock_ms(), 0.0);
   EXPECT_EQ(sim.stats().reads, 0u);
+}
+
+// ---- Vectored BlockDevice fallback ------------------------------------
+
+TEST(VectoredIoTest, DefaultReadBlocksPreservesSubmissionOrder) {
+  TracedMemDevice dev(16, 512);
+  ASSERT_TRUE(FillGolden(dev.mem(), /*seed=*/3).ok());
+  const std::vector<uint64_t> ids = {9, 2, 9, 0};
+  Bytes out;
+  ASSERT_TRUE(dev.traced().ReadBlocks(ids, out).ok());
+  ASSERT_EQ(out.size(), ids.size() * 512);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const Bytes expected = GoldenBlock(3, ids[i], 512);
+    EXPECT_EQ(Bytes(out.begin() + i * 512, out.begin() + (i + 1) * 512),
+              expected)
+        << "block " << ids[i];
+  }
+  const IoTrace expected = {{TraceEvent::Kind::kRead, 9},
+                            {TraceEvent::Kind::kRead, 2},
+                            {TraceEvent::Kind::kRead, 9},
+                            {TraceEvent::Kind::kRead, 0}};
+  EXPECT_EQ(dev.trace(), expected);
+}
+
+TEST(VectoredIoTest, DefaultWriteBlocksPreservesSubmissionOrder) {
+  TracedMemDevice dev(8, 512);
+  const std::vector<uint64_t> ids = {5, 1, 6};
+  Bytes data;
+  for (uint64_t id : ids) {
+    const Bytes block = GoldenBlock(7, id, 512);
+    data.insert(data.end(), block.begin(), block.end());
+  }
+  ASSERT_TRUE(dev.traced().WriteBlocks(ids, data.data()).ok());
+  const IoTrace expected = {{TraceEvent::Kind::kWrite, 5},
+                            {TraceEvent::Kind::kWrite, 1},
+                            {TraceEvent::Kind::kWrite, 6}};
+  EXPECT_EQ(dev.trace(), expected);
+  for (uint64_t id : ids) {
+    EXPECT_TRUE(
+        steghide::testing::BlockEquals(dev.mem(), id, GoldenBlock(7, id, 512)));
+  }
+}
+
+TEST(VectoredIoTest, OutOfRangeIdFailsWholeBatch) {
+  MemBlockDevice mem(4, 512);
+  const std::vector<uint64_t> ids = {1, 99};
+  Bytes out;
+  EXPECT_EQ(mem.ReadBlocks(ids, out).code(), StatusCode::kOutOfRange);
 }
 
 // TraceBlockDevice and Snapshot have dedicated suites now:
