@@ -2,16 +2,17 @@
 // within a few percent of an uninstrumented twin.
 //
 // The migration to obs:: cells left instruments compiled
-// unconditionally into the serving hot paths — a cache-hit read now
-// costs its map lookup + payload copy PLUS two CounterCell bumps and
-// one disabled-ScopedSpan check. There is deliberately no build-time
-// off switch, so this bench is the guard that the "off" cost (registry
+// unconditionally into the serving hot paths — a memory-served read
+// costs its lookup + payload copy PLUS two CounterCell bumps and one
+// disabled-ScopedSpan check. There is deliberately no build-time off
+// switch, so this bench is the guard that the "off" cost (registry
 // wired or not, trace log disabled — the production default) stays
-// noise-level: it measures a synthetic twin of the block-cache hit path
-// with and without exactly the instrumentation the real path carries,
-// min-of-rounds on both sides, and ABORTS when the relative overhead
-// exceeds the budget. Running under `ctest -L bench_smoke` makes the
-// regression un-mergeable rather than merely visible.
+// noise-level: it times a synthetic in-memory hit path (mutex, map
+// lookup, payload copy, LRU touch) with and without exactly that
+// instrumentation, in paired rounds, and ABORTS when the median
+// per-round overhead exceeds the budget. Running under
+// `ctest -L bench_smoke` makes the regression un-mergeable rather than
+// merely visible.
 //
 // Wall-clock is the measured quantity here — the one bench where that
 // is correct: instrument cost is real CPU, invisible to the virtual
@@ -53,11 +54,11 @@ constexpr double kMaxOverhead = 0.05;
 constexpr size_t kPayload = 4096;
 constexpr size_t kBlocks = 64;
 constexpr int kIters = 20000;
-constexpr int kRounds = 12;
+constexpr int kRounds = 24;
 
-// The shared "service" work of one cache-hit read, mirroring
-// BlockCache::ReadBlock's hit branch: shard mutex, map lookup, payload
-// copy out of the cached entry, LRU touch. Both twins run exactly this.
+// The shared "service" work of one memory-served read: mutex, map
+// lookup, payload copy out of the cached entry, LRU touch. Both twins
+// run exactly this.
 struct HitPath {
   struct Entry {
     uint64_t id;
@@ -112,10 +113,17 @@ double InstrumentedRoundMs(HitPath& path, obs::CounterCell& hits,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
 void ObsOverheadGuard(benchmark::State& state) {
   for (auto _ : state) {
-    HitPath plain_path;
-    HitPath instr_path;
+    // Both twins serve one path, so they touch the same memory.
+    HitPath path;
     obs::Registry registry;
     obs::CounterCell hits, reads;
     obs::Registration reg(&registry);
@@ -124,29 +132,41 @@ void ObsOverheadGuard(benchmark::State& state) {
     obs::TraceLog log;  // wired but disabled: the production default
     log.set_enabled(false);
 
-    // Min-of-rounds on each side absorbs scheduler noise; interleaving
-    // the twins keeps thermal/frequency drift symmetric.
-    double plain_min = 1e100, instr_min = 1e100;
+    // Paired statistic: each round times both twins back to back, and
+    // the guard takes the median of the per-round ratios. A round's two
+    // halves share the machine's state of the moment (frequency,
+    // co-tenant load), which swings the plain time by several percent
+    // from round to round, so minima taken from different rounds would
+    // let that swing through. The twins swap places every round, so
+    // whatever running first or second costs cancels out.
+    std::vector<double> plain_ms, instr_ms, ratios;
     for (int round = 0; round < kRounds; ++round) {
-      plain_min = std::min(plain_min, PlainRoundMs(plain_path));
-      instr_min = std::min(
-          instr_min, InstrumentedRoundMs(instr_path, hits, reads, &log));
+      if (round % 2 == 0) {
+        plain_ms.push_back(PlainRoundMs(path));
+        instr_ms.push_back(InstrumentedRoundMs(path, hits, reads, &log));
+      } else {
+        instr_ms.push_back(InstrumentedRoundMs(path, hits, reads, &log));
+        plain_ms.push_back(PlainRoundMs(path));
+      }
+      ratios.push_back(instr_ms.back() / plain_ms.back());
     }
 
-    const double overhead = (instr_min - plain_min) / plain_min;
-    state.counters["plain_ns_per_op"] = plain_min * 1e6 / kIters;
-    state.counters["instrumented_ns_per_op"] = instr_min * 1e6 / kIters;
+    const double overhead = Median(ratios) - 1.0;
+    const double plain_ns = Median(plain_ms) * 1e6 / kIters;
+    const double instr_ns = Median(instr_ms) * 1e6 / kIters;
+    state.counters["plain_ns_per_op"] = plain_ns;
+    state.counters["instrumented_ns_per_op"] = instr_ns;
     state.counters["overhead_pct"] = overhead * 100.0;
     state.counters["max_overhead_pct"] = kMaxOverhead * 100.0;
 
     if (overhead > kMaxOverhead) {
       std::fprintf(stderr,
                    "obs overhead guard FAILED: instrumented hot path is "
-                   "%.2f%% slower than the uninstrumented twin "
-                   "(budget %.0f%%; plain %.1f ns/op, instrumented "
-                   "%.1f ns/op)\n",
-                   overhead * 100.0, kMaxOverhead * 100.0,
-                   plain_min * 1e6 / kIters, instr_min * 1e6 / kIters);
+                   "%.2f%% slower than the uninstrumented twin (median "
+                   "of %d paired rounds; budget %.0f%%; plain %.1f ns/op, "
+                   "instrumented %.1f ns/op)\n",
+                   overhead * 100.0, kRounds, kMaxOverhead * 100.0, plain_ns,
+                   instr_ns);
       std::abort();
     }
     // The counters must actually have counted — a twin that optimized

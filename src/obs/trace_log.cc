@@ -114,40 +114,43 @@ void TraceLog::Clear() {
 
 void ScopedSpan::Begin(TraceLog* log, const char* name, uint32_t track,
                        std::initializer_list<TraceArg> args) {
-  log_ = log;
-  name_ = name;
-  track_ = track;
-  ts_ms_ = log->Now();
-  for (const TraceArg& a : args) {
-    if (num_args_ < args_.size()) {
-      args_[num_args_++] = a;
+  Active& a = active_.emplace();
+  a.log = log;
+  a.name = name;
+  a.track = track;
+  a.ts_ms = log->Now();
+  for (const TraceArg& arg : args) {
+    if (a.num_args < a.args.size()) {
+      a.args[a.num_args++] = arg;
     }
   }
-  wall_start_ = std::chrono::steady_clock::now();
+  a.wall_start = std::chrono::steady_clock::now();
 }
 
 void ScopedSpan::End() {
+  const Active& a = *active_;
   TraceEvent event;
-  event.name = name_;
+  event.name = a.name;
   event.kind = TraceEvent::Kind::kSpan;
-  event.track = track_;
-  event.ts_ms = ts_ms_;
-  event.dur_ms = log_->Now() - ts_ms_;
+  event.track = a.track;
+  event.ts_ms = a.ts_ms;
+  event.dur_ms = a.log->Now() - a.ts_ms;
   event.wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - wall_start_)
+                      std::chrono::steady_clock::now() - a.wall_start)
                       .count();
-  for (uint8_t i = 0; i < num_args_; ++i) {
-    event.args[i] = args_[i];
+  for (uint8_t i = 0; i < a.num_args; ++i) {
+    event.args[i] = a.args[i];
   }
-  event.num_args = num_args_;
-  log_->Append(std::move(event));
+  event.num_args = a.num_args;
+  a.log->Append(std::move(event));
 }
 
 void ScopedSpan::AddArg(const char* key, int64_t value) {
-  if (log_ == nullptr) return;
-  if (num_args_ < args_.size()) {
-    args_[num_args_] = TraceArg{key, value};
-    ++num_args_;
+  if (!active_) return;
+  Active& a = *active_;
+  if (a.num_args < a.args.size()) {
+    a.args[a.num_args] = TraceArg{key, value};
+    ++a.num_args;
   }
 }
 

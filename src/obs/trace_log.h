@@ -25,6 +25,7 @@
 #include <functional>
 #include <initializer_list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,12 +129,12 @@ class ScopedSpan {
     if (log != nullptr && log->enabled()) Begin(log, name, track, args);
   }
   ~ScopedSpan() {
-    if (log_ != nullptr) End();
+    if (active_) End();
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  bool active() const { return log_ != nullptr; }
+  bool active() const { return active_.has_value(); }
   void AddArg(const char* key, int64_t value);
 
  private:
@@ -141,15 +142,20 @@ class ScopedSpan {
              std::initializer_list<TraceArg> args);
   void End();
 
-  // POD members only (the TraceEvent, with its std::string, is built in
-  // End()): an inert span initializes two words and nothing else.
-  TraceLog* log_ = nullptr;
-  const char* name_ = "";
-  uint32_t track_ = 0;
-  uint8_t num_args_ = 0;
-  double ts_ms_ = 0.0;
-  std::array<TraceArg, 4> args_;  // [0, num_args_) valid, tail untouched
-  std::chrono::steady_clock::time_point wall_start_{};
+  // What a recording span carries. POD members only: the TraceEvent,
+  // with its std::string, is built in End().
+  struct Active {
+    TraceLog* log = nullptr;
+    const char* name = "";
+    uint32_t track = 0;
+    uint8_t num_args = 0;
+    double ts_ms = 0.0;
+    std::array<TraceArg, 4> args{};  // [0, num_args) valid
+    std::chrono::steady_clock::time_point wall_start{};
+  };
+  // Empty while inert, so an inert span stores one flag and nothing
+  // else; Begin() constructs the rest.
+  std::optional<Active> active_;
 };
 
 }  // namespace steghide::obs
