@@ -60,6 +60,11 @@ write_quorum_failures) fail the diff whenever the *current* run reports
 a nonzero value, baseline or not. Its throughput joins the direction-aware *_per_vsec gate like
 every other sweep.
 
+A baseline counter file or benchmark that the current run no longer
+produces (a deleted or renamed bench) drops out of the comparison; it is
+listed with a ::notice:: annotation so the loss is visible, but it never
+fails the diff.
+
 Exit status 1 when any metric is worse than --max-regression (relative).
 Emits GitHub workflow annotations (::error / ::notice) so regressions
 surface on the PR without digging through logs.
@@ -163,7 +168,7 @@ def main():
 
     baseline_dir = pathlib.Path(args.baseline)
     current_dir = pathlib.Path(args.current)
-    regressions, improvements, skipped, fresh = [], [], [], []
+    regressions, improvements, skipped, fresh, dropped = [], [], [], [], []
 
     zero_failures = []
     for current_file in sorted(current_dir.glob("*.json")):
@@ -178,6 +183,9 @@ def main():
             continue
         base = load_metrics(baseline_file)
         cur = load_metrics(current_file)
+        for name in sorted(set(base) - set(cur)):
+            dropped.append(f"{current_file.name} :: {name}: benchmark no "
+                           f"longer produced")
         for name, metrics in sorted(cur.items()):
             if name not in base:
                 fresh.append(f"{current_file.name} :: {name}: new benchmark")
@@ -211,8 +219,17 @@ def main():
                 elif rel < -args.max_regression:
                     improvements.append(line)
 
+    for baseline_file in sorted(baseline_dir.glob("*.json")):
+        if not (current_dir / baseline_file.name).exists():
+            dropped.append(f"{baseline_file.name}: counter file no longer "
+                           f"produced")
+
     for line in skipped:
         print(f"skip      {line}")
+    for line in dropped:
+        print(f"dropped   {line}")
+        print(f"::notice::bench baseline not produced by this run "
+              f"(dropped from the diff, not gated): {line}")
     for line in fresh:
         print(f"fresh     {line}")
         print(f"::notice::bench counter has no baseline yet (gating "

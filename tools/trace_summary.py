@@ -5,15 +5,17 @@ The bench harness's --trace=<path> flag dumps the obs::TraceLog as
 Chrome trace_event JSON (load it in Perfetto / chrome://tracing for the
 interactive view). This tool prints the terminal companion: a per-track,
 per-phase table of virtual milliseconds, so a CI log answers "where did
-the virtual time go — scan vs re-order vs cache drains vs per-shard
+the virtual time go — scan vs re-order vs sweep reads vs per-shard
 device work?" without opening a UI.
 
 Span names follow "<component>.<phase>" ("store.scan",
-"dispatch.commit", "io.drain"); per-shard scheduler lanes are tracks
-named "io/shard<k>". Attribute args (level, shards, reqs, stall) are
-aggregated where present. Nested spans overlap by construction (a
-store.scan contains its io.drain), so rows are per-(track, name) and do
-not sum to wall totals; the table orders by total virtual ms.
+"dispatch.commit", "io.drain"); per-shard lanes are tracks named
+"io/shard<k>", where a ShardedBlockDevice records one "io.drain" span for
+each shard's part of every vectored call (ShardedBlockDevice::set_trace).
+Attribute args (level, shards, reqs, stall) are aggregated where
+present. Nested spans overlap by construction (a store.scan contains its
+io.drain), so rows are per-(track, name) and do not sum to wall totals;
+the table orders by total virtual ms.
 
 Usage:
   tools/trace_summary.py trace.json
