@@ -204,7 +204,7 @@ void RunDispatchSweep(benchmark::State& state, uint64_t users) {
 // Sharded-volume sweep: the deamortized dispatcher serving path with the
 // oblivious cache striped across K spindles (ShardedBlockDevice over K
 // independent DiskModel clocks). Virtual time on the cache side is the
-// parallel clock — each fan-out costs the slowest shard of the join —
+// parallel clock — each call costs the slowest shard it touches —
 // so the counters directly measure what disk parallelism buys the
 // serving funnel. K=1 runs the same sharded machinery as the scaling
 // baseline; speedup_vs_1shard is this run's throughput over that

@@ -155,7 +155,7 @@ struct ObliviousSystemUnderTest {
   std::unique_ptr<storage::SimBlockDevice> cache_sim;
   /// Sharded cache volume (cache_shards >= 1): K Mem+Sim stacks striped
   /// by a ShardedBlockDevice, replacing cache_mem/cache_sim. Its
-  /// parallel clock (max per-shard delta across each join) is what the
+  /// parallel clock (max per-shard delta of each call) is what the
   /// cache contributes to clock_ms().
   std::unique_ptr<storage::VolumeSet> cache_volumes;
   std::unique_ptr<stegfs::StegFsCore> core;

@@ -5,6 +5,28 @@
 
 namespace steghide::agent {
 
+namespace {
+
+/// Track and metric prefix of the dispatcher's observability output.
+constexpr char kObsPrefix[] = "dispatcher";
+/// Consecutive failed maintenance slices that count as one escalation.
+constexpr size_t kMaintenanceRetryLimit = 8;
+/// Failed-slice retry delay: the base doubles per consecutive failure
+/// up to the cap.
+constexpr std::chrono::microseconds kMaintenanceRetryBackoff{500};
+constexpr std::chrono::microseconds kMaintenanceRetryCap{50'000};
+
+std::chrono::microseconds RetryBackoff(size_t consecutive_failures) {
+  std::chrono::microseconds delay = kMaintenanceRetryBackoff;
+  for (size_t i = 1;
+       i < consecutive_failures && delay < kMaintenanceRetryCap; ++i) {
+    delay *= 2;
+  }
+  return std::min(delay, kMaintenanceRetryCap);
+}
+
+}  // namespace
+
 RequestDispatcher::RequestDispatcher(ObliviousAgent* agent,
                                      DispatcherOptions options)
     : agent_(agent), options_(std::move(options)) {
@@ -12,11 +34,11 @@ RequestDispatcher::RequestDispatcher(ObliviousAgent* agent,
   // Wire observability before the worker starts so the thread never
   // races a registration (the thread-create is the synchronizing edge).
   if (options_.trace != nullptr) {
-    trace_track_ = options_.trace->RegisterTrack(options_.obs_prefix);
+    trace_track_ = options_.trace->RegisterTrack(kObsPrefix);
   }
   if (options_.registry != nullptr) {
     registration_ = obs::Registration(options_.registry);
-    const std::string& p = options_.obs_prefix;
+    const std::string p = kObsPrefix;
     registration_.Counter(p + ".requests", &cells_.requests);
     registration_.Counter(p + ".read_requests", &cells_.read_requests);
     registration_.Counter(p + ".write_requests", &cells_.write_requests);
@@ -196,19 +218,6 @@ RequestDispatcher::PumpResult RequestDispatcher::PumpMaintenance() {
   return PumpResult::kIdle;
 }
 
-std::chrono::microseconds RequestDispatcher::RetryBackoff(
-    size_t consecutive_failures) const {
-  constexpr std::chrono::microseconds kCap{50'000};
-  std::chrono::microseconds delay = options_.maintenance_retry_backoff;
-  if (delay <= std::chrono::microseconds::zero()) {
-    delay = std::chrono::microseconds{500};
-  }
-  for (size_t i = 1; i < consecutive_failures && delay < kCap; ++i) {
-    delay *= 2;
-  }
-  return std::min(delay, kCap);
-}
-
 void RequestDispatcher::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   // Consecutive failed maintenance slices; drives the retry backoff and
@@ -235,7 +244,7 @@ void RequestDispatcher::WorkerLoop() {
       if (pump == PumpResult::kFailed) {
         ++pump_failures;
         cells_.maintenance_pump_retries.Increment();
-        if (pump_failures == options_.maintenance_retry_limit) {
+        if (pump_failures == kMaintenanceRetryLimit) {
           cells_.maintenance_escalations.Increment();
           if (options_.trace != nullptr) {
             options_.trace->Instant(

@@ -46,18 +46,8 @@ struct DispatcherOptions {
   /// issuer — with the maintenance budget, only when the re-order chain
   /// has no work, returning whether more remains. May be empty.
   std::function<Result<bool>(uint64_t budget)> extra_maintenance;
-  /// Consecutive failed maintenance slices before the dispatcher counts
-  /// an escalation (stats().maintenance_escalations — the "a spindle is
-  /// not coming back" alarm). Retrying continues past the limit at the
-  /// capped backoff: a pending chain is never abandoned to an unbounded
-  /// condvar wait, which is how a transient fault used to wedge the
-  /// worker (see WorkerLoop).
-  size_t maintenance_retry_limit = 8;
-  /// Base wall-clock delay between failed-slice retries; doubles per
-  /// consecutive failure, capped at ~50ms.
-  std::chrono::microseconds maintenance_retry_backoff{500};
   /// Observability sinks, all optional (null = zero-cost). The registry
-  /// gets the dispatcher's counters/histograms under `obs_prefix`; the
+  /// gets the dispatcher's counters/histograms under "dispatcher"; the
   /// trace log gets commit/maintenance spans on a dispatcher track plus
   /// one async interval per request (id = submission sequence number);
   /// the snapshotter — if given — is pumped from the worker loop after
@@ -65,7 +55,6 @@ struct DispatcherOptions {
   obs::Registry* registry = nullptr;
   obs::TraceLog* trace = nullptr;
   obs::StatsSnapshotter* snapshotter = nullptr;
-  std::string obs_prefix = "dispatcher";
 };
 
 /// Counters describing the dispatcher's aggregation behaviour. The
@@ -89,9 +78,14 @@ struct DispatcherStats {
   /// Maintenance slices that failed with an I/O error (the chain stays
   /// pending; the error also surfaces through the serving path).
   uint64_t maintenance_pump_errors = 0;
-  /// Failed slices re-attempted after a bounded backoff.
+  /// Failed slices re-attempted after a bounded backoff (500 us,
+  /// doubling per consecutive failure, capped at 50 ms). Retrying never
+  /// stops: a pending chain is never abandoned to an unbounded condvar
+  /// wait, which is how a transient fault used to wedge the worker (see
+  /// WorkerLoop).
   uint64_t maintenance_pump_retries = 0;
-  /// Failure streaks that crossed maintenance_retry_limit.
+  /// Failure streaks that reached 8 consecutive failed slices — the "a
+  /// spindle is not coming back" alarm.
   uint64_t maintenance_escalations = 0;
 
   double p50_latency_ms = 0.0;
@@ -216,8 +210,6 @@ class RequestDispatcher {
   /// One maintenance slice (caller must NOT hold mu_): re-order chain
   /// first, then options_.extra_maintenance once the chain is idle.
   PumpResult PumpMaintenance();
-  /// Exponential failed-slice retry delay, capped at ~50ms.
-  std::chrono::microseconds RetryBackoff(size_t consecutive_failures) const;
   double Clock() const {
     return options_.clock_fn ? options_.clock_fn() : 0.0;
   }
@@ -241,7 +233,7 @@ class RequestDispatcher {
 
   // Atomic instrument cells (obs/metrics.h): the worker bumps them
   // without a lock, stats() sums stripes, and — when a registry is wired
-  // — the same cells export under "<obs_prefix>.*". The latency
+  // — the same cells export under "dispatcher.*". The latency
   // histogram replaces the old bounded reservoir: O(1) memory, no
   // stats mutex on the hot path, and p90 for free.
   struct Cells {

@@ -13,8 +13,7 @@ namespace steghide::crypto {
 
 /// A family of per-thread HashDrbg streams over one root seed — the fix
 /// for the crypto-path serialization point where every IV and decoy draw
-/// from dispatcher workers, shard pool threads, and the maintenance pump
-/// contended on a single stream mutex.
+/// from concurrent callers contended on a single stream mutex.
 ///
 /// Determinism model:
 ///  - The first thread to draw is handed the *root* stream itself, so a

@@ -130,12 +130,12 @@ Result<std::unique_ptr<ObliviousStore>> ObliviousStore::Create(
 void ObliviousStore::ConfigureObservability() {
   trace_ = options_.trace;
   if (trace_ != nullptr) {
-    trace_track_ = trace_->RegisterTrack(options_.obs_prefix);
+    trace_track_ = trace_->RegisterTrack("store");
     io_track_ = trace_->RegisterTrack("io");
     if (retry_ != nullptr) retry_->set_trace(trace_, io_track_);
   }
   if (options_.registry != nullptr) {
-    const std::string& p = options_.obs_prefix;
+    const std::string p = "store";
     registration_ = obs::Registration(options_.registry);
     registration_.Counter(p + ".user_reads", &cells_.user_reads);
     registration_.Counter(p + ".user_writes", &cells_.user_writes);
@@ -370,8 +370,8 @@ Status ObliviousStore::ExecuteScan(uint8_t* out_payloads) {
   // plan order. No device may drop, coalesce or reorder a block of it
   // (block_device.h) — the probe count and sequence are the attacker-
   // visible pattern, colliding decoys included — and a sharded volume
-  // splits the call by stripe, keeps per-shard order and joins once per
-  // sweep.
+  // splits the call by stripe, keeps per-shard order and charges its
+  // parallel clock once per sweep.
   const size_t bs = codec_.block_size();
   sweep_ids_.clear();
   for (size_t p = 0; p < plan_.count; ++p) {

@@ -118,19 +118,17 @@ struct ObliviousStoreOptions {
   // ---- Observability ------------------------------------------------------
 
   /// Optional metrics registry: the store registers its counters under
-  /// "<obs_prefix>.*" and its scan I/O and retry counters under "io.*".
+  /// "store.*" and its scan I/O and retry counters under "io.*".
   /// Borrowed; must outlive the store. Null = private instruments only
   /// (stats() keeps working).
   obs::Registry* registry = nullptr;
   /// Optional trace log: scans, flushes and re-order steps emit spans on
-  /// a "<obs_prefix>" track; each scan sweep's read is an "io.drain" span
-  /// and each retry an "io.retry" instant on an "io" track. Borrowed;
-  /// must outlive the store. Recording only — the attacker-visible
-  /// device trace is unchanged (leakage-neutral, pinned by the
-  /// trace-equivalence suites).
+  /// a "store" track; each scan sweep's read is an "io.drain" span and
+  /// each retry an "io.retry" instant on an "io" track. Borrowed; must
+  /// outlive the store. Recording only — the attacker-visible device
+  /// trace is unchanged (leakage-neutral, pinned by the trace-equivalence
+  /// suites).
   obs::TraceLog* trace = nullptr;
-  /// Instrument name prefix and trace track name.
-  std::string obs_prefix = "store";
 };
 
 struct ObliviousStats {

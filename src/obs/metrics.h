@@ -34,7 +34,7 @@
 namespace steghide::obs {
 
 // Monotonic counter, striped across cache lines so concurrent writers on
-// shard/dispatcher threads do not bounce one line. Reads sum the stripes
+// different threads do not bounce one line. Reads sum the stripes
 // (relaxed loads): a snapshot taken mid-increment is merely slightly
 // stale, never torn.
 class CounterCell {

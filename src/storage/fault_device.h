@@ -99,7 +99,7 @@ struct FaultStats {
 /// Threading: follows the single-issuer contract of block_device.h for
 /// all I/O entry points; only Kill()/Revive()/dead() and the stats
 /// snapshot are thread-safe (a bench thread can pull the plug while the
-/// shard thread is mid-run).
+/// issuer is mid-run).
 class FaultInjectionBlockDevice : public BlockDevice {
  public:
   /// Does not take ownership of `backing`.

@@ -42,8 +42,7 @@ struct RemoteDeviceOptions {
   double rpc_deadline_ms = 2000.0;
   /// Reconnect-and-re-drive budget per RPC. max_attempts includes the
   /// first try; backoff is charged through the backoff hook between
-  /// attempts. Give each replica a distinct jitter seed
-  /// (retry.WithJitterSeed) so R clients retrying one fault spread out.
+  /// attempts.
   RetryPolicy retry{.max_attempts = 4, .backoff_ms = 1.0,
                     .backoff_multiplier = 2.0};
 };

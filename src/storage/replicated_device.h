@@ -108,8 +108,8 @@ struct ReplicationStats {
 /// distinguisher suites.
 ///
 /// Threading: I/O entry points and RepairStep follow the single-issuer
-/// contract (in the VolumeSet they all run on the owning shard's pool
-/// thread); replica_state()/healthy_count()/stats() are thread-safe
+/// contract (in the VolumeSet the sharded facade's caller issues them
+/// all); replica_state()/healthy_count()/stats() are thread-safe
 /// snapshots.
 class ReplicatedBlockDevice : public BlockDevice {
  public:

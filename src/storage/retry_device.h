@@ -19,39 +19,11 @@ struct RetryPolicy {
   /// first retry; doubles by `backoff_multiplier` per further attempt.
   double backoff_ms = 0.5;
   double backoff_multiplier = 2.0;
-  /// Deterministic jitter: each backoff is scaled by a factor drawn
-  /// uniformly from [1 - jitter, 1 + jitter], derived only from
-  /// (jitter_seed, retry_index). R replicas retrying the same transient
-  /// fault get decorrelated schedules when given distinct seeds, while
-  /// twin runs with equal seeds stay byte-identical. 0 disables jitter
-  /// and reproduces the exact un-jittered ladder.
-  double jitter = 0.0;
-  uint64_t jitter_seed = 0;
 
   double BackoffFor(int retry_index) const {
     double ms = backoff_ms;
     for (int i = 0; i < retry_index; ++i) ms *= backoff_multiplier;
-    if (jitter > 0.0) {
-      // SplitMix64 over (seed, index): a stateless mix keeps BackoffFor
-      // a pure function, so concurrent callers and replayed schedules
-      // agree without shared RNG state.
-      uint64_t z = jitter_seed + 0x9e3779b97f4a7c15ULL *
-                                     (static_cast<uint64_t>(retry_index) + 1);
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      z ^= z >> 31;
-      double unit = static_cast<double>(z >> 11) * 0x1.0p-53;  // [0, 1)
-      ms *= 1.0 - jitter + 2.0 * jitter * unit;
-    }
     return ms;
-  }
-
-  /// The same policy with a seed mixed in — how a mirror hands each of
-  /// its R replicas a decorrelated copy of one configured budget.
-  RetryPolicy WithJitterSeed(uint64_t seed) const {
-    RetryPolicy p = *this;
-    p.jitter_seed = seed;
-    return p;
   }
 };
 

@@ -8,74 +8,13 @@
 
 namespace steghide::storage {
 
-ShardPool::ShardPool(size_t shards) : slots_(shards) {
-  threads_.reserve(shards);
-  for (size_t k = 0; k < shards; ++k) {
-    threads_.emplace_back([this, k] { WorkerLoop(k); });
-  }
-}
-
-ShardPool::~ShardPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ShardPool::WorkerLoop(size_t shard) {
-  for (;;) {
-    std::function<Status()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || slots_[shard].has_job; });
-      if (!slots_[shard].has_job) return;  // stop_ and nothing queued
-      job = std::move(slots_[shard].job);
-      slots_[shard].has_job = false;
-    }
-    Status result = job();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      slots_[shard].result = std::move(result);
-      if (--outstanding_ == 0) done_cv_.notify_all();
-    }
-  }
-}
-
-Status ShardPool::Run(std::vector<std::function<Status()>> jobs) {
-  assert(jobs.size() == slots_.size());
-  size_t queued = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t k = 0; k < jobs.size(); ++k) {
-      if (!jobs[k]) continue;
-      slots_[k].job = std::move(jobs[k]);
-      slots_[k].has_job = true;
-      slots_[k].result = Status::OK();
-      ++queued;
-    }
-    outstanding_ = queued;
-  }
-  if (queued == 0) return Status::OK();
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return outstanding_ == 0; });
-  for (Slot& slot : slots_) {
-    if (!slot.result.ok()) return std::move(slot.result);
-  }
-  return Status::OK();
-}
-
 ShardedBlockDevice::ShardedBlockDevice(std::vector<BlockDevice*> shards)
     : shards_(std::move(shards)),
       block_size_(shards_.empty() ? kDefaultBlockSize
                                   : shards_.front()->block_size()),
-      pool_(shards_.size()),
       shard_tracks_(shards_.size(), 0),
       split_local_(shards_.size()),
-      split_pos_(shards_.size()),
-      staging_(shards_.size()) {
+      split_pos_(shards_.size()) {
   assert(!shards_.empty());
   uint64_t min_blocks = shards_.front()->num_blocks();
   for (BlockDevice* shard : shards_) {
@@ -94,57 +33,29 @@ void ShardedBlockDevice::set_trace(obs::TraceLog* log) {
   }
 }
 
-Status ShardedBlockDevice::RunOnShards(
-    std::vector<std::function<Status()>> jobs) {
-  const size_t k_shards = shards_.size();
-  std::vector<double> before(k_shards, 0.0);
-  const bool timed = static_cast<bool>(shard_clock_);
-  if (timed) {
-    for (size_t k = 0; k < k_shards; ++k) before[k] = shard_clock_(k);
-  }
-  Status status = pool_.Run(std::move(jobs));
-  if (timed) {
-    double max_delta = 0.0;
-    for (size_t k = 0; k < k_shards; ++k) {
-      const double delta = shard_clock_(k) - before[k];
-      if (delta > max_delta) max_delta = delta;
-    }
-    // Only the issuer mutates the clock; concurrent readers (latency
-    // stamps on other threads) see a torn-free atomic value.
-    clock_ms_.store(clock_ms_.load(std::memory_order_relaxed) + max_delta,
-                    std::memory_order_relaxed);
-  }
-  return status;
-}
-
 Status ShardedBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
   STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
   const size_t shard = static_cast<size_t>(ShardOf(block_id));
-  const uint64_t local = LocalBlock(block_id);
-  std::vector<std::function<Status()>> jobs(shards_.size());
-  jobs[shard] = [this, shard, local, out] {
-    return shards_[shard]->ReadBlock(local, out);
-  };
-  return RunOnShards(std::move(jobs));
+  return RunOnShards([&](size_t k) {
+    return k == shard ? shards_[k]->ReadBlock(LocalBlock(block_id), out)
+                      : Status::OK();
+  });
 }
 
 Status ShardedBlockDevice::WriteBlock(uint64_t block_id,
                                       const uint8_t* data) {
   STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
   const size_t shard = static_cast<size_t>(ShardOf(block_id));
-  const uint64_t local = LocalBlock(block_id);
-  std::vector<std::function<Status()>> jobs(shards_.size());
-  jobs[shard] = [this, shard, local, data] {
-    return shards_[shard]->WriteBlock(local, data);
-  };
-  return RunOnShards(std::move(jobs));
+  return RunOnShards([&](size_t k) {
+    return k == shard ? shards_[k]->WriteBlock(LocalBlock(block_id), data)
+                      : Status::OK();
+  });
 }
 
 Status ShardedBlockDevice::FanOut(std::span<const uint64_t> ids, uint8_t* out,
                                   const uint8_t* data) {
-  const size_t k_shards = shards_.size();
   const size_t bs = block_size_;
-  for (size_t k = 0; k < k_shards; ++k) {
+  for (size_t k = 0; k < shards_.size(); ++k) {
     split_local_[k].clear();
     split_pos_[k].clear();
   }
@@ -154,37 +65,28 @@ Status ShardedBlockDevice::FanOut(std::span<const uint64_t> ids, uint8_t* out,
     split_local_[shard].push_back(LocalBlock(ids[i]));
     split_pos_[shard].push_back(i);
   }
-  std::vector<std::function<Status()>> jobs(k_shards);
-  for (size_t k = 0; k < k_shards; ++k) {
-    if (split_local_[k].empty()) continue;
-    jobs[k] = [this, k, out, data, bs] {
-      // Stage through a contiguous per-shard buffer so the shard sees one
-      // vectored call (whole-batch visibility for decorators below), then
-      // scatter/gather against the caller's strided layout. The staging
-      // buffer and the addressed slices of the caller's buffer are owned
-      // exclusively by this shard between dispatch and join.
-      const std::vector<uint64_t>& local = split_local_[k];
-      const std::vector<size_t>& pos = split_pos_[k];
-      obs::ScopedSpan span(trace_, "io.drain", shard_tracks_[k],
-                           {{"reqs", static_cast<int64_t>(local.size())}});
-      staging_[k].resize(local.size() * bs);
-      if (out != nullptr) {
-        STEGHIDE_RETURN_IF_ERROR(
-            shards_[k]->ReadBlocks(local, staging_[k].data()));
-        for (size_t i = 0; i < pos.size(); ++i) {
-          std::memcpy(out + pos[i] * bs, staging_[k].data() + i * bs, bs);
-        }
-      } else {
-        for (size_t i = 0; i < pos.size(); ++i) {
-          std::memcpy(staging_[k].data() + i * bs, data + pos[i] * bs, bs);
-        }
-        STEGHIDE_RETURN_IF_ERROR(
-            shards_[k]->WriteBlocks(local, staging_[k].data()));
+  return RunOnShards([&](size_t k) {
+    const std::vector<uint64_t>& local = split_local_[k];
+    const std::vector<size_t>& pos = split_pos_[k];
+    if (local.empty()) return Status::OK();
+    // Stage through a contiguous buffer so the shard sees one vectored
+    // call (whole-batch visibility for decorators below), then
+    // scatter/gather against the caller's strided layout.
+    obs::ScopedSpan span(trace_, "io.drain", shard_tracks_[k],
+                         {{"reqs", static_cast<int64_t>(local.size())}});
+    staging_.resize(local.size() * bs);
+    if (out != nullptr) {
+      STEGHIDE_RETURN_IF_ERROR(shards_[k]->ReadBlocks(local, staging_.data()));
+      for (size_t i = 0; i < pos.size(); ++i) {
+        std::memcpy(out + pos[i] * bs, staging_.data() + i * bs, bs);
       }
       return Status::OK();
-    };
-  }
-  return RunOnShards(std::move(jobs));
+    }
+    for (size_t i = 0; i < pos.size(); ++i) {
+      std::memcpy(staging_.data() + i * bs, data + pos[i] * bs, bs);
+    }
+    return shards_[k]->WriteBlocks(local, staging_.data());
+  });
 }
 
 Status ShardedBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
@@ -200,11 +102,7 @@ Status ShardedBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
 }
 
 Status ShardedBlockDevice::Flush() {
-  std::vector<std::function<Status()>> jobs(shards_.size());
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    jobs[k] = [this, k] { return shards_[k]->Flush(); };
-  }
-  return RunOnShards(std::move(jobs));
+  return RunOnShards([this](size_t k) { return shards_[k]->Flush(); });
 }
 
 VolumeSet::VolumeSet(const Options& options) {
@@ -310,9 +208,6 @@ BlockDevice* VolumeSet::MakeRemote(size_t k, size_t r, BlockDevice* backing,
                           remote::TransportFaultController::Side::kServer);
       });
 
-  remote::RemoteDeviceOptions ropts = options.remote_options;
-  // Decorrelate the replica clients' reconnect backoff.
-  ropts.retry = ropts.retry.WithJitterSeed(0x524d545645ULL + slot);
   Result<std::unique_ptr<remote::RemoteBlockDevice>> client =
       remote::RemoteBlockDevice::Create(
           [endpoint, ctrl]() -> Result<std::unique_ptr<remote::Transport>> {
@@ -322,7 +217,7 @@ BlockDevice* VolumeSet::MakeRemote(size_t k, size_t r, BlockDevice* backing,
             return ctrl->Wrap(std::move(conn).value(),
                               remote::TransportFaultController::Side::kClient);
           },
-          ropts);
+          options.remote_options);
   // The loopback endpoint is up and fault-free at construction, so the
   // handshake cannot fail short of resource exhaustion.
   assert(client.ok());
@@ -362,20 +257,12 @@ bool VolumeSet::repair_pending() const {
 }
 
 Result<bool> VolumeSet::PumpRepair(uint64_t budget_blocks) {
-  if (reps_.empty()) return false;
-  std::vector<std::function<Status()>> jobs(shards_);
-  bool any = false;
-  for (size_t k = 0; k < shards_; ++k) {
-    ReplicatedBlockDevice* rep = reps_[k].get();
-    if (!rep->repair_pending()) continue;
-    any = true;
-    jobs[k] = [rep, budget_blocks] {
-      bool more = false;
-      return rep->RepairStep(budget_blocks, &more);
-    };
-  }
-  if (!any) return false;
-  STEGHIDE_RETURN_IF_ERROR(device_->RunOnShards(std::move(jobs)));
+  if (!repair_pending()) return false;
+  STEGHIDE_RETURN_IF_ERROR(device_->RunOnShards([&](size_t k) {
+    if (!reps_[k]->repair_pending()) return Status::OK();
+    bool more = false;
+    return reps_[k]->RepairStep(budget_blocks, &more);
+  }));
   return repair_pending();
 }
 

@@ -1,12 +1,10 @@
 #ifndef STEGHIDE_STORAGE_VOLUME_SET_H_
 #define STEGHIDE_STORAGE_VOLUME_SET_H_
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "util/result.h"
@@ -24,64 +22,24 @@
 
 namespace steghide::storage {
 
-/// Fixed pool of shard worker threads with a fork/join surface. One
-/// thread per shard lives for the pool's lifetime, so every I/O a shard
-/// ever sees is issued by the same thread — the strongest form of the
-/// single-issuer contract in block_device.h, and the property that makes
-/// the sharded fan-out trivially race-free: shard k's thread is the sole
-/// issuer for shard k's device, and Run() joins before returning, so no
-/// two jobs for the same shard can ever overlap.
-class ShardPool {
- public:
-  explicit ShardPool(size_t shards);
-  ~ShardPool();
-
-  ShardPool(const ShardPool&) = delete;
-  ShardPool& operator=(const ShardPool&) = delete;
-
-  size_t size() const { return threads_.size(); }
-
-  /// Runs jobs[k] on shard thread k (null entries are skipped) and blocks
-  /// until every job has finished — the join barrier. Returns the first
-  /// non-OK result in shard order. Not reentrant: one Run() at a time.
-  Status Run(std::vector<std::function<Status()>> jobs);
-
- private:
-  void WorkerLoop(size_t shard);
-
-  struct Slot {
-    std::function<Status()> job;
-    bool has_job = false;
-    Status result;
-  };
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<Slot> slots_;
-  size_t outstanding_ = 0;
-  bool stop_ = false;
-  std::vector<std::thread> threads_;
-};
-
 /// Stripes a flat block space across K backing volumes, block-granular
 /// round-robin: global block g lives on shard g % K at local offset
 /// g / K. A sequence of ascending global ids therefore maps to ascending
 /// (and for stride-K runs, sequential) local ids on every shard, which
 /// preserves the rotational-disk locality the elevator schedule creates.
 ///
-/// All I/O — single-block and vectored — is executed on the owning
-/// shard's pool thread; vectored calls fan out to every involved shard in
-/// parallel and join before returning. The facade itself follows the
-/// single-issuer contract of block_device.h (callers must not overlap
-/// calls into it); underneath, shard thread k is the sole issuer for
-/// shards[k] over the device's whole lifetime.
+/// Every call runs each involved shard's part on the calling thread, in
+/// shard order: a vectored call is split by stripe, each shard sees its
+/// part as one call in submission order, every involved shard is issued
+/// even after one fails, and the first error in shard order is returned.
+/// The facade follows the single-issuer contract of block_device.h, and
+/// its caller is the sole issuer of every shard below it.
 ///
 /// Virtual time: with a per-shard clock sampler installed (normally each
 /// shard's SimBlockDevice clock), the facade maintains a parallel virtual
-/// clock — each fan-out advances it by the *maximum* per-shard clock
-/// delta, i.e. the slowest spindle in the join, not the sum. This is the
-/// clock the sharded benchmarks measure.
+/// clock — each call advances it by the *maximum* per-shard clock delta,
+/// i.e. the slowest spindle, not the sum, as if the shards had seeked
+/// concurrently. This is the clock the sharded benchmarks measure.
 class ShardedBlockDevice : public BlockDevice {
  public:
   /// Does not take ownership of `shards`, which must all outlive this
@@ -119,44 +77,61 @@ class ShardedBlockDevice : public BlockDevice {
   void set_shard_clock_fn(std::function<double(size_t)> fn) {
     shard_clock_ = std::move(fn);
   }
-  /// Parallel virtual clock: sum over fan-outs of the max per-shard
-  /// delta. Zero when no sampler is installed.
+  /// Parallel virtual clock: sum over calls of the max per-shard delta.
+  /// Zero when no sampler is installed.
   double clock_ms() const {
     return clock_ms_.load(std::memory_order_relaxed);
   }
 
-  /// Runs arbitrary per-shard jobs on the shard threads with the same
-  /// join barrier and max-delta clock accounting as the built-in fan-out.
-  /// Used by VolumeSet::PumpRepair to advance every shard's repair sweep
-  /// in parallel.
-  Status RunOnShards(std::vector<std::function<Status()>> jobs);
+  /// Runs `part(k)` for every shard k in ascending order on the calling
+  /// thread and charges the parallel clock once, with the largest
+  /// per-shard clock delta. Every part runs even after one fails; returns
+  /// the first error in shard order. A part with no work for its shard
+  /// returns OK without touching it. The built-in I/O and
+  /// VolumeSet::PumpRepair both go through here.
+  template <typename Part>
+  Status RunOnShards(Part&& part) {
+    Status first;
+    double max_delta = 0.0;
+    for (size_t k = 0; k < shards_.size(); ++k) {
+      const double before = ShardClock(k);
+      Status status = part(k);
+      max_delta = std::max(max_delta, ShardClock(k) - before);
+      if (first.ok()) first = std::move(status);
+    }
+    // Only the issuer mutates the clock; concurrent readers (latency
+    // stamps on other threads) see a torn-free atomic value.
+    clock_ms_.store(clock_ms_.load(std::memory_order_relaxed) + max_delta,
+                    std::memory_order_relaxed);
+    return first;
+  }
 
   /// Attaches a trace log: the part of every vectored call that reaches
   /// shard k is one "io.drain" span (arg `reqs`: its block count) on
-  /// track "io/shard<k>", recorded on that shard's thread, so the shards
-  /// of one sweep render as parallel lanes. Null detaches. Call before
-  /// any I/O.
+  /// track "io/shard<k>", so the shards of one sweep render as separate
+  /// lanes. Null detaches. Call before any I/O.
   void set_trace(obs::TraceLog* log);
 
  private:
   /// Shared fan-out: exactly one of `out` / `data` is non-null.
   Status FanOut(std::span<const uint64_t> ids, uint8_t* out,
                 const uint8_t* data);
+  double ShardClock(size_t k) const {
+    return shard_clock_ ? shard_clock_(k) : 0.0;
+  }
 
   std::vector<BlockDevice*> shards_;
   uint64_t num_blocks_;
   size_t block_size_;
-  ShardPool pool_;
   std::function<double(size_t)> shard_clock_;
   std::atomic<double> clock_ms_{0.0};
   obs::TraceLog* trace_ = nullptr;
   std::vector<uint32_t> shard_tracks_;  // indexed by shard
-  // Fan-out scratch, indexed by shard. The split vectors are built by the
-  // issuer; each staging buffer is touched only by its shard's thread,
-  // strictly between the issuer's dispatch and the join.
+  // Per-call scratch, reused: each shard's local ids and caller
+  // positions, and one staging buffer the shards take in turn.
   std::vector<std::vector<uint64_t>> split_local_;
   std::vector<std::vector<size_t>> split_pos_;
-  std::vector<std::vector<uint8_t>> staging_;
+  std::vector<uint8_t> staging_;
 };
 
 /// Owns a ready-to-use sharded simulation stack for benchmarks and
@@ -200,8 +175,7 @@ class VolumeSet {
     /// are ignored here). Null = clean links.
     std::function<FaultPlan(size_t shard, size_t replica)>
         transport_fault_plan;
-    /// Client-side RPC knobs shared by every remote replica; each
-    /// client's retry policy gets a distinct jitter seed on top.
+    /// Client-side RPC knobs shared by every remote replica.
     remote::RemoteDeviceOptions remote_options;
   };
 
@@ -261,9 +235,9 @@ class VolumeSet {
   /// Any shard still owing repair copy work?
   bool repair_pending() const;
   /// Advances every shard's repair sweep by up to `budget_blocks`
-  /// blocks, in parallel on the shard threads (same join barrier and
-  /// clock accounting as serving I/O — the caller must be the device's
-  /// single issuer). Returns whether repair work remains.
+  /// blocks, shard by shard on the calling thread, with one
+  /// parallel-clock charge like a serving call (the caller must be the
+  /// device's single issuer). Returns whether repair work remains.
   Result<bool> PumpRepair(uint64_t budget_blocks);
 
   /// Registers per-replica sim counters under "<prefix>.shard<k>.r<r>",
@@ -283,10 +257,10 @@ class VolumeSet {
   size_t shards_ = 0;
   size_t replicas_ = 1;
   // Declaration order is teardown order in reverse: the sharded facade
-  // (and its pool threads) dies first, then the mirrors, then the RPC
-  // clients, then the endpoints (joining their server threads), then
-  // the fault controllers their wrappers point into, and only then the
-  // local stacks everything was backed by.
+  // dies first, then the mirrors, then the RPC clients, then the
+  // endpoints (joining their server threads), then the fault controllers
+  // their wrappers point into, and only then the local stacks everything
+  // was backed by.
   std::vector<std::unique_ptr<MemBlockDevice>> mems_;
   std::vector<std::unique_ptr<FaultInjectionBlockDevice>> faults_;
   std::vector<std::unique_ptr<TraceBlockDevice>> traces_;

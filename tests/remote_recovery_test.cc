@@ -19,6 +19,7 @@
 #include "storage/remote/transport.h"
 #include "storage/volume_set.h"
 #include "testing/golden.h"
+#include "testing/mirrored_agent.h"
 #include "util/bytes.h"
 
 namespace steghide::storage {
@@ -284,25 +285,13 @@ using storage::FaultPlan;
 using storage::ReplicaState;
 using storage::VolumeSet;
 
-oblivious::ObliviousStoreOptions RemoteStoreOptions() {
-  oblivious::ObliviousStoreOptions opts;
-  opts.buffer_blocks = 8;
-  opts.capacity_blocks = 128;  // levels 16, 32, 64, 128
-  opts.partition_base = 0;
-  opts.scratch_base = 2 * 128 - 2 * 8;  // 240
-  opts.drbg_seed = 43;
-  opts.deamortize_reorders = true;
-  opts.shadow_base = 240 + 128;
-  opts.reorder_step_blocks = 1;
-  return opts;
-}
-
 /// The ReplicatedSystem of replication_test.cc with replica 1 of every
 /// shard behind the loopback RPC transport, in quorum mode.
-struct RemoteReplicatedSystem {
+struct RemoteReplicatedSystem : steghide::testing::MirroredAgentSystem {
   explicit RemoteReplicatedSystem(uint64_t seed)
-      : steg_mem(4096, 4096),
-        core(&steg_mem, stegfs::StegFsOptions{seed, true}) {
+      : MirroredAgentSystem(seed, Options(), /*drbg_seed=*/43) {}
+
+  static VolumeSet::Options Options() {
     VolumeSet::Options options;
     options.shards = 2;
     options.replicas = 2;
@@ -315,69 +304,8 @@ struct RemoteReplicatedSystem {
     options.remote = [](size_t, size_t r) { return r == 1; };
     options.remote_options.rpc_deadline_ms = 5000.0;
     options.remote_options.retry.max_attempts = 2;
-    volumes = std::make_unique<VolumeSet>(options);
-    EXPECT_TRUE(core.Format().ok());
-    auto created = ObliviousAgent::Create(&core, &volumes->device(),
-                                          RemoteStoreOptions());
-    EXPECT_TRUE(created.ok()) << created.status().ToString();
-    agent = std::move(created).value();
-    EXPECT_TRUE(agent->CreateDummyFile("u", 600).ok());
+    return options;
   }
-
-  Bytes FileBlock(uint64_t salt, size_t file_index, size_t block) {
-    return Bytes(core.payload_size(),
-                 static_cast<uint8_t>(salt * 101 + file_index * 37 + block));
-  }
-
-  std::vector<ObliviousAgent::FileId> Populate(uint64_t salt, size_t files,
-                                               size_t blocks) {
-    std::vector<ObliviousAgent::FileId> ids;
-    const size_t payload = core.payload_size();
-    for (size_t f = 0; f < files; ++f) {
-      auto id = agent->CreateHiddenFile("u");
-      EXPECT_TRUE(id.ok());
-      Bytes data(blocks * payload);
-      for (size_t b = 0; b < blocks; ++b) {
-        const Bytes block = FileBlock(salt, f, b);
-        std::copy(block.begin(), block.end(), data.begin() + b * payload);
-      }
-      EXPECT_TRUE(agent->Write(*id, 0, data).ok());
-      ids.push_back(*id);
-    }
-    return ids;
-  }
-
-  void BuildReorderBacklog() {
-    auto& store = agent->store();
-    Bytes payloads(16 * store.payload_size(), 0x5a);
-    std::vector<oblivious::RecordId> rids(16);
-    for (size_t i = 0; i < rids.size(); ++i) rids[i] = (1u << 20) + i;
-    for (int round = 0; round < 32 && !store.reorder_pending(); ++round) {
-      ASSERT_TRUE(store.MultiInsert(rids, payloads.data()).ok());
-    }
-    ASSERT_TRUE(store.reorder_pending()) << "no chain ever went pending";
-  }
-
-  void DrainReorders() {
-    while (agent->store().reorder_pending()) {
-      bool more = false;
-      ASSERT_TRUE(agent->store().StepReorder(1 << 20, &more).ok());
-    }
-  }
-
-  void RepairReplica(size_t k, size_t r) {
-    ASSERT_TRUE(volumes->ReviveAndRepair(k, r).ok());
-    for (;;) {
-      auto pending = volumes->PumpRepair(32);
-      ASSERT_TRUE(pending.ok()) << pending.status().ToString();
-      if (!*pending) break;
-    }
-  }
-
-  storage::MemBlockDevice steg_mem;
-  std::unique_ptr<VolumeSet> volumes;
-  stegfs::StegFsCore core;
-  std::unique_ptr<ObliviousAgent> agent;
 };
 
 TEST(RemoteCrashConsistencyTest, RemoteReplicaDiesMidCascade) {

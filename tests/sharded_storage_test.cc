@@ -1,10 +1,11 @@
-// Suite for the sharded storage layer: ShardPool fork/join,
-// ShardedBlockDevice striping, vectored fan-out order, per-shard trace
-// spans and parallel-clock accounting, and — the headline pin —
-// per-shard trace equivalence: an oblivious store over K traced shards
-// produces, on each shard, exactly the single-volume schedule restricted
-// to that shard's residue class. The multi-threaded stress tests are the tsan/sanitize
-// targets for the fan-out/join path (K=4 configuration).
+// Suite for the sharded storage layer: ShardedBlockDevice striping,
+// issuing on the calling thread in shard order, error reporting,
+// vectored split order, per-shard trace spans and parallel-clock
+// accounting, and — the headline pin — per-shard trace equivalence: an
+// oblivious store over K traced shards produces, on each shard, exactly
+// the single-volume schedule restricted to that shard's residue class.
+// The dispatcher stress test is the tsan/sanitize target for the sharded
+// serving path (K=4 configuration).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "agent/dispatch/request_dispatcher.h"
 #include "agent/oblivious_agent.h"
 #include "obs/trace_log.h"
+#include "storage/fault_device.h"
 #include "storage/mem_block_device.h"
 #include "storage/sim_device.h"
 #include "storage/trace_device.h"
@@ -30,51 +32,6 @@ namespace {
 
 using steghide::testing::FillGolden;
 using steghide::testing::GoldenBlock;
-
-// ---- ShardPool ---------------------------------------------------------
-
-TEST(ShardPoolTest, RunsJobsOnDistinctThreadsAndJoins) {
-  ShardPool pool(4);
-  std::vector<std::thread::id> seen(4);
-  std::vector<std::function<Status()>> jobs(4);
-  for (size_t k = 0; k < 4; ++k) {
-    jobs[k] = [&seen, k] {
-      seen[k] = std::this_thread::get_id();
-      return Status::OK();
-    };
-  }
-  ASSERT_TRUE(pool.Run(std::move(jobs)).ok());
-  std::sort(seen.begin(), seen.end());
-  // One persistent thread per shard, all distinct (single-issuer per
-  // shard device), and none of them is the calling thread.
-  EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
-  for (const auto& id : seen) EXPECT_NE(id, std::this_thread::get_id());
-}
-
-TEST(ShardPoolTest, ReportsFirstErrorInShardOrder) {
-  ShardPool pool(3);
-  std::vector<std::function<Status()>> jobs(3);
-  jobs[0] = [] { return Status::OK(); };
-  jobs[1] = [] { return Status::IoError("shard 1 failed"); };
-  jobs[2] = [] { return Status::Corruption("shard 2 failed"); };
-  const Status status = pool.Run(std::move(jobs));
-  EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_EQ(status.message(), "shard 1 failed");
-}
-
-TEST(ShardPoolTest, NullJobsAreSkipped) {
-  ShardPool pool(2);
-  bool ran = false;
-  std::vector<std::function<Status()>> jobs(2);
-  jobs[1] = [&ran] {
-    ran = true;
-    return Status::OK();
-  };
-  ASSERT_TRUE(pool.Run(std::move(jobs)).ok());
-  EXPECT_TRUE(ran);
-  // All-null is a no-op.
-  ASSERT_TRUE(pool.Run(std::vector<std::function<Status()>>(2)).ok());
-}
 
 // ---- ShardedBlockDevice ------------------------------------------------
 
@@ -195,6 +152,143 @@ TEST(ShardedBlockDeviceTest, ParallelClockChargesSlowestShardOfJoin) {
   EXPECT_LT(device.clock_ms(), 0.5 * sum);
 }
 
+// ---- Issuing: calling thread, shard order, errors ----------------------
+
+/// Mem-backed shard that records the thread and op of every call and can
+/// be told to fail every call with `fail`.
+class RecordingDevice : public BlockDevice {
+ public:
+  RecordingDevice() : mem_(16, 512) {}
+
+  using BlockDevice::ReadBlock;
+  using BlockDevice::WriteBlock;
+
+  Status ReadBlock(uint64_t block_id, uint8_t* out) override {
+    return Record("read", mem_.ReadBlock(block_id, out));
+  }
+  Status WriteBlock(uint64_t block_id, const uint8_t* data) override {
+    return Record("write", mem_.WriteBlock(block_id, data));
+  }
+  Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override {
+    return Record("readv", mem_.ReadBlocks(ids, out));
+  }
+  Status WriteBlocks(std::span<const uint64_t> ids,
+                     const uint8_t* data) override {
+    return Record("writev", mem_.WriteBlocks(ids, data));
+  }
+  Status Flush() override { return Record("flush", mem_.Flush()); }
+  uint64_t num_blocks() const override { return mem_.num_blocks(); }
+  size_t block_size() const override { return mem_.block_size(); }
+
+  std::vector<std::string> ops;
+  std::vector<std::thread::id> threads;
+  Status fail;
+
+ private:
+  Status Record(const char* op, Status status) {
+    ops.push_back(op);
+    threads.push_back(std::this_thread::get_id());
+    return fail.ok() ? status : fail;
+  }
+
+  MemBlockDevice mem_;
+};
+
+struct RecordingFixture {
+  explicit RecordingFixture(size_t count) : shards(count) {
+    std::vector<BlockDevice*> tops;
+    for (RecordingDevice& shard : this->shards) tops.push_back(&shard);
+    device = std::make_unique<ShardedBlockDevice>(std::move(tops));
+  }
+
+  std::vector<RecordingDevice> shards;
+  std::unique_ptr<ShardedBlockDevice> device;
+};
+
+TEST(ShardedBlockDeviceTest, IssuesEveryShardOnTheCallingThread) {
+  RecordingFixture fx(4);
+  Bytes buf(8 * 512, 0x3c);
+  const std::vector<uint64_t> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  ASSERT_TRUE(fx.device->WriteBlock(5, buf.data()).ok());
+  ASSERT_TRUE(fx.device->ReadBlock(6, buf.data()).ok());
+  ASSERT_TRUE(fx.device->WriteBlocks(all, buf.data()).ok());
+  ASSERT_TRUE(fx.device->ReadBlocks(all, buf.data()).ok());
+  ASSERT_TRUE(fx.device->Flush().ok());
+  for (size_t k = 0; k < 4; ++k) {
+    std::vector<std::string> expected = {"writev", "readv", "flush"};
+    if (k == 2) expected.insert(expected.begin(), "read");
+    if (k == 1) expected.insert(expected.begin(), "write");
+    EXPECT_EQ(fx.shards[k].ops, expected) << "shard " << k;
+    for (const std::thread::id& id : fx.shards[k].threads) {
+      EXPECT_EQ(id, std::this_thread::get_id()) << "shard " << k;
+    }
+  }
+}
+
+TEST(ShardedBlockDeviceTest, ReportsFirstErrorInShardOrder) {
+  // Shards 1 and 3 fail: every shard's part is still issued, and the
+  // error is shard 1's.
+  RecordingFixture fx(4);
+  fx.shards[1].fail = Status::IoError("shard 1 failed");
+  fx.shards[3].fail = Status::Corruption("shard 3 failed");
+  const std::vector<uint64_t> ids = {3, 2, 1, 0};
+  Bytes out(ids.size() * 512);
+  const Status status = fx.device->ReadBlocks(ids, out.data());
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_EQ(status.message(), "shard 1 failed");
+  for (size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(fx.shards[k].ops, std::vector<std::string>{"readv"})
+        << "shard " << k;
+  }
+  EXPECT_EQ(fx.device->Flush().message(), "shard 1 failed");
+  EXPECT_EQ(fx.shards[3].ops.back(), "flush");
+}
+
+TEST(ShardedBlockDeviceTest, UntouchedShardsSeeNothing) {
+  RecordingFixture fx(4);
+  // Globals 1, 5 and 3 live on shards 1 and 3 only.
+  const std::vector<uint64_t> ids = {1, 5, 3};
+  Bytes buf(ids.size() * 512);
+  ASSERT_TRUE(fx.device->ReadBlocks(ids, buf.data()).ok());
+  ASSERT_TRUE(fx.device->ReadBlock(2, buf.data()).ok());
+  EXPECT_TRUE(fx.shards[0].ops.empty());
+  EXPECT_EQ(fx.shards[1].ops, std::vector<std::string>{"readv"});
+  EXPECT_EQ(fx.shards[2].ops, std::vector<std::string>{"read"});
+  EXPECT_EQ(fx.shards[3].ops, std::vector<std::string>{"readv"});
+}
+
+TEST(ShardedBlockDeviceTest, FailedShardDoesNotFailLaterCalls) {
+  // A vectored read fails once on shard 2. The error belongs to that
+  // call: later calls that do not touch shard 2 must not return it.
+  std::vector<std::unique_ptr<MemBlockDevice>> mems;
+  std::vector<std::unique_ptr<FaultInjectionBlockDevice>> faults;
+  std::vector<BlockDevice*> tops;
+  for (size_t k = 0; k < 4; ++k) {
+    mems.push_back(std::make_unique<MemBlockDevice>(8, 512));
+    FaultPlan plan;
+    if (k == 2) {
+      FaultSpec once;
+      once.kind = FaultSpec::Kind::kTransientError;
+      once.ops = FaultSpec::OpFilter::kRead;
+      once.max_fires = 1;
+      plan.faults.push_back(once);
+    }
+    faults.push_back(std::make_unique<FaultInjectionBlockDevice>(
+        mems.back().get(), plan));
+    tops.push_back(faults.back().get());
+  }
+  ShardedBlockDevice device(std::move(tops));
+
+  const std::vector<uint64_t> ids = {0, 1, 2, 3};
+  Bytes out(ids.size() * 512);
+  EXPECT_EQ(device.ReadBlocks(ids, out.data()).code(), StatusCode::kIoError);
+  EXPECT_TRUE(device.ReadBlock(0, out.data()).ok());
+  EXPECT_TRUE(device.ReadBlock(4, out.data()).ok());
+  const std::vector<uint64_t> others = {1, 3, 7};
+  EXPECT_TRUE(device.ReadBlocks(others, out.data()).ok());
+  EXPECT_TRUE(device.ReadBlocks(ids, out.data()).ok());
+}
+
 // ---- Vectored fan-out over traced shards --------------------------------
 
 struct TracedShardedFixture {
@@ -244,10 +338,8 @@ TEST(ShardedBlockDeviceTest, VectoredReadKeepsPerShardSubmissionOrder) {
 }
 
 TEST(ShardedBlockDeviceTest, WriteThenReadRoundsThroughTheFacade) {
-  // The facade follows the single-issuer contract, but its I/O runs on
-  // the shard threads; under TSan this pins the join barrier's
-  // happens-before edge from every shard thread's I/O to the caller's
-  // inspection of its buffer.
+  // Repeated vectored writes and reads through one reused staging
+  // buffer: every round must read back exactly what it wrote.
   ShardedFixture fx(4, 64);
   for (int round = 0; round < 8; ++round) {
     std::vector<uint64_t> ids;
