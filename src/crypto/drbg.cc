@@ -10,7 +10,6 @@ HashDrbg::HashDrbg(const Bytes& seed) {
   h.Update("steghide-drbg-init");
   h.Update(seed);
   v_ = h.Finish();
-  seed_v_ = v_;
   block_offset_ = Sha256::kDigestSize;  // force generation on first use
 }
 
@@ -27,28 +26,7 @@ void HashDrbg::Reseed(const Bytes& seed) {
   h.Update(v_.data(), v_.size());
   h.Update(seed);
   v_ = h.Finish();
-  seed_v_ = v_;
   block_offset_ = Sha256::kDigestSize;
-}
-
-Bytes HashDrbg::ForkSeed(std::string_view domain, uint64_t id) const {
-  Sha256 h;
-  h.Update("steghide-drbg-fork");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    h.Update(seed_v_.data(), seed_v_.size());
-  }
-  h.Update(domain);
-  uint8_t id_bytes[8];
-  StoreBigEndian64(id_bytes, id);
-  h.Update(id_bytes, sizeof(id_bytes));
-  const Sha256::Digest d = h.Finish();
-  return Bytes(d.begin(), d.end());
-}
-
-std::unique_ptr<HashDrbg> HashDrbg::Fork(std::string_view domain,
-                                         uint64_t id) const {
-  return std::make_unique<HashDrbg>(ForkSeed(domain, id));
 }
 
 void HashDrbg::Ratchet() {

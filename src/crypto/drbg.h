@@ -2,9 +2,7 @@
 #define STEGHIDE_CRYPTO_DRBG_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <string_view>
 
 #include "crypto/sha256.h"
 #include "util/bytes.h"
@@ -20,6 +18,10 @@ namespace steghide::crypto {
 /// Security-relevant randomness in the reproduction — IVs, target-block
 /// selection in the update engine, dummy-read choices, shuffle tags — is
 /// drawn from this generator. Workload-level randomness uses util::Rng.
+///
+/// StegFsCore and ObliviousStore each own one generator, and every layer
+/// above them draws from it, so a component's draws form one stream in
+/// the order its operations are issued — whichever thread issues them.
 ///
 /// Thread safety: every draw is internally serialized, so a generator
 /// shared between layers (StegFsCore's DRBG feeds the update engine, the
@@ -51,26 +53,13 @@ class HashDrbg {
   /// Uniform double in [0, 1).
   double NextDouble();
 
-  /// Seed material for an independent child stream, derived from this
-  /// generator's *seed state* (the state right after construction or the
-  /// last Reseed) together with `domain` and `id`. Deterministic: the same
-  /// (seed, reseed history, domain, id) always yields the same child,
-  /// regardless of how much output the parent has produced — and deriving
-  /// a fork consumes no parent output.
-  Bytes ForkSeed(std::string_view domain, uint64_t id) const;
-
-  /// Convenience wrapper: a heap-allocated child stream seeded with
-  /// ForkSeed (HashDrbg itself is immovable because of its mutex).
-  std::unique_ptr<HashDrbg> Fork(std::string_view domain, uint64_t id) const;
-
  private:
   void Ratchet();
   void GenerateLocked(uint8_t* out, size_t n);
   uint64_t NextUint64Locked();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   Sha256::Digest v_;          // secret state
-  Sha256::Digest seed_v_;     // V right after seeding/reseeding (for forks)
   Sha256::Digest block_;      // current output block
   size_t block_offset_ = 0;   // consumed bytes of block_
   uint64_t counter_ = 0;

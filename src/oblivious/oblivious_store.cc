@@ -46,7 +46,7 @@ ObliviousStore::ObliviousStore(storage::BlockDevice* device,
   // One persistent sorter per store: its run buffer and seal scratch are
   // recycled across re-orders instead of reconstructed per call.
   sorter_ = std::make_unique<ExternalMergeSorter>(
-      device_, &codec_, &cipher_, &drbg_.root(), options_.scratch_base,
+      device_, &codec_, &cipher_, &drbg_, options_.scratch_base,
       std::max<uint64_t>(options_.buffer_blocks, kReorderRunFloor));
 }
 
@@ -61,7 +61,7 @@ Result<std::unique_ptr<ObliviousStore>> ObliviousStore::Create(
   std::unique_ptr<ObliviousStore> store(new ObliviousStore(device, options));
 
   Bytes key = options.store_key.empty()
-                  ? store->Drbg().Generate(crypto::kDefaultKeyLen)
+                  ? store->drbg_.Generate(crypto::kDefaultKeyLen)
                   : options.store_key;
   STEGHIDE_RETURN_IF_ERROR(store->cipher_.SetKey(key));
 
@@ -340,7 +340,7 @@ Status ObliviousStore::PlanScan(std::span<const RecordId> ids,
         // Decoy: uniformly random occupied slot. Stale slots are
         // eligible — to the observer every slot is the same.
         pass.probes.push_back(
-            {probe_base + Drbg().Uniform(probe_occ), ScanPlan::kDecoy});
+            {probe_base + drbg_.Uniform(probe_occ), ScanPlan::kDecoy});
       }
       cells_.level_probe_reads.Increment();
     }
@@ -686,7 +686,7 @@ Status ObliviousStore::Remove(RecordId id) {
 Status ObliviousStore::DummyRead() {
   std::lock_guard<std::mutex> lock(mu_);
   if (present_list_.empty()) return Status::OK();
-  const RecordId id = present_list_[Drbg().Uniform(present_list_.size())];
+  const RecordId id = present_list_[drbg_.Uniform(present_list_.size())];
   Bytes payload(codec_.payload_size());
   // Count as dummy, not user read.
   cells_.dummy_reads.Increment();
@@ -883,11 +883,11 @@ Status ObliviousStore::InstallFrontJobLocked() {
   chain_->front_writes_seen = 0;
   ReorderJob& job = *front.job;
   Level& target = levels_[job.target_level()];
-  target.InstallOrderAt(job.dst_base(), job.TakeOrder(), Drbg().NextUint64());
+  target.InstallOrderAt(job.dst_base(), job.TakeOrder(), drbg_.NextUint64());
   // Strip records evicted while the snapshot was in flight: their slots
   // turn stale (decoy fodder until the next re-order), unreachable.
   for (const RecordId id : chain_tombstones_) target.index.Erase(id);
-  for (const size_t li : front.clears) levels_[li].Clear(Drbg().NextUint64());
+  for (const size_t li : front.clears) levels_[li].Clear(drbg_.NextUint64());
   if (front.is_flush) flushing_.clear();
   cells_.reorders.Increment();
   ++reorder_epoch_;

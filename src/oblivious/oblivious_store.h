@@ -14,7 +14,6 @@
 
 #include "crypto/cbc.h"
 #include "crypto/drbg.h"
-#include "crypto/drbg_streams.h"
 #include "obs/metrics.h"
 #include "obs/trace_log.h"
 #include "oblivious/level.h"
@@ -405,9 +404,6 @@ class ObliviousStore {
 
   double Clock() const { return clock_fn_ ? clock_fn_() : 0.0; }
 
-  /// This thread's DRBG stream (decoy slots, shuffle tags, IVs).
-  crypto::HashDrbg& Drbg() { return drbg_.ForThread(); }
-
   /// Registry/trace wiring, called from Create() after the levels exist.
   void ConfigureObservability();
 
@@ -628,12 +624,11 @@ class ObliviousStore {
   storage::BlockDevice* device_;
   ObliviousStoreOptions options_;
   stegfs::BlockCodec codec_;
-  /// Per-thread DRBG stream family (root + deterministic forks). All
-  /// draws happen under mu_, so this is about killing lock *handoff*
-  /// cost and draw-order coupling between dispatcher threads, not data
-  /// races; single-threaded callers always see the root stream, i.e. the
-  /// exact byte stream the shared-DRBG design produced.
-  crypto::DrbgStreams drbg_;
+  /// The store's one generator: the store key, decoy slots, index
+  /// nonces, and — through the re-order jobs and the merge sorter —
+  /// shuffle tags and run IVs. Every draw after Create() happens under
+  /// mu_, so the stream follows op order whichever thread issues the ops.
+  crypto::HashDrbg drbg_;
   crypto::CbcCipher cipher_;
   size_t io_shards_ = 1;
   std::vector<Level> levels_;  // levels_[0] is level 1 (size 2B)
@@ -648,7 +643,6 @@ class ObliviousStore {
   /// guarded by mu_; the uint64 counters live in cells_.
   ObliviousStats stats_;
   Cells cells_;
-  obs::Registration registration_;
   obs::TraceLog* trace_ = nullptr;
   uint32_t trace_track_ = 0;
   uint32_t io_track_ = 0;
@@ -690,6 +684,11 @@ class ObliviousStore {
   std::unordered_set<RecordId> chain_tombstones_;
   std::vector<LevelProjection> projection_;
   uint64_t reorder_epoch_ = 0;
+
+  /// Declared last so it is destroyed first: unregistering latches each
+  /// callback's final value, and the callbacks lock mu_ and read stats_
+  /// and cells_, which must still be alive then.
+  obs::Registration registration_;
 };
 
 }  // namespace steghide::oblivious

@@ -7,7 +7,7 @@ namespace steghide::oblivious {
 ReorderJob::ReorderJob(storage::BlockDevice* device,
                        const stegfs::BlockCodec* codec,
                        const crypto::CbcCipher* cipher,
-                       crypto::DrbgStreams* tags, ExternalMergeSorter* sorter,
+                       crypto::HashDrbg* tags, ExternalMergeSorter* sorter,
                        size_t target_level, uint64_t dst_base, Inputs inputs)
     : device_(device),
       codec_(codec),
@@ -21,7 +21,7 @@ ReorderJob::ReorderJob(storage::BlockDevice* device,
 }
 
 Status ReorderJob::Feed(const uint8_t* payload, RecordId id) {
-  return sorter_->AddInMemory(payload, tags_->ForThread().NextUint64(), id);
+  return sorter_->AddInMemory(payload, tags_->NextUint64(), id);
 }
 
 Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "crypto/cbc.h"
-#include "crypto/drbg_streams.h"
+#include "crypto/drbg.h"
 #include "oblivious/hash_index.h"
 #include "oblivious/merge_sort.h"
 #include "stegfs/block_codec.h"
@@ -37,10 +37,10 @@ namespace steghide::oblivious {
 /// reconciled by the store with tombstones at install time.
 ///
 /// Each input's random sort tag is drawn from `tags` as the job feeds it
-/// to the sorter, not at snapshot time. Run spills draw their IVs from
-/// the root stream, which a single-threaded caller's tag draws share, so
-/// feed-time draws keep tags and IVs in the order of a re-order run in
-/// one go, whatever the step sizes.
+/// to the sorter, not at snapshot time. `tags` is the store's generator,
+/// which the sorter's run spills also draw their IVs from, so feed-time
+/// draws keep tags and IVs in the order of a re-order run in one go,
+/// whatever the step sizes.
 ///
 /// Phases:
 ///   kBuildRuns — read device-input chunks (vectored, never past the
@@ -72,7 +72,7 @@ class ReorderJob {
   enum class Phase { kBuildRuns, kMerge, kDone };
 
   ReorderJob(storage::BlockDevice* device, const stegfs::BlockCodec* codec,
-             const crypto::CbcCipher* cipher, crypto::DrbgStreams* tags,
+             const crypto::CbcCipher* cipher, crypto::HashDrbg* tags,
              ExternalMergeSorter* sorter, size_t target_level,
              uint64_t dst_base, Inputs inputs);
 
@@ -121,7 +121,7 @@ class ReorderJob {
   storage::BlockDevice* device_;
   const stegfs::BlockCodec* codec_;
   const crypto::CbcCipher* cipher_;
-  crypto::DrbgStreams* tags_;
+  crypto::HashDrbg* tags_;
   ExternalMergeSorter* sorter_;
   size_t target_level_;
   uint64_t dst_base_;

@@ -157,45 +157,6 @@ Registry& Registry::Default() {
   return *instance;
 }
 
-CounterCell* Registry::OwnedCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sources_.find(name);
-  if (it != sources_.end() && it->second.counter != nullptr) {
-    return const_cast<CounterCell*>(it->second.counter);
-  }
-  owned_counters_.emplace_back();
-  Source source;
-  source.counter = &owned_counters_.back();
-  sources_[name] = std::move(source);
-  return &owned_counters_.back();
-}
-
-GaugeCell* Registry::OwnedGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sources_.find(name);
-  if (it != sources_.end() && it->second.gauge != nullptr) {
-    return const_cast<GaugeCell*>(it->second.gauge);
-  }
-  owned_gauges_.emplace_back();
-  Source source;
-  source.gauge = &owned_gauges_.back();
-  sources_[name] = std::move(source);
-  return &owned_gauges_.back();
-}
-
-HistogramCell* Registry::OwnedHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sources_.find(name);
-  if (it != sources_.end() && it->second.histogram != nullptr) {
-    return const_cast<HistogramCell*>(it->second.histogram);
-  }
-  owned_histograms_.emplace_back();
-  Source source;
-  source.histogram = &owned_histograms_.back();
-  sources_[name] = std::move(source);
-  return &owned_histograms_.back();
-}
-
 void Registry::Expand(const std::string& name, const Source& source,
                       std::map<std::string, double>* out) {
   if (source.counter != nullptr) {
@@ -229,20 +190,6 @@ void Registry::Latch() {
   for (const auto& [name, source] : sources_) {
     Expand(name, source, &latched_);
   }
-}
-
-void Registry::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  sources_.clear();
-  latched_.clear();
-  owned_counters_.clear();
-  owned_gauges_.clear();
-  owned_histograms_.clear();
-}
-
-size_t Registry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sources_.size();
 }
 
 void Registry::Register(const std::string& name, Source source) {

@@ -13,17 +13,15 @@
 // StatsSnapshotter can export one `name -> value` map without knowing the
 // component graph.
 //
-// Instrument lifetime: the registry either *owns* an instrument
-// (OwnedCounter/OwnedGauge/OwnedHistogram, stable addresses for the
-// registry's lifetime) or *borrows* a component-owned cell through a
-// `Registration` RAII token that unregisters in the component's
-// destructor. `Latch()` folds the current snapshot into owned gauges so an
+// Instrument lifetime: the registry *borrows* component-owned cells
+// through a `Registration` RAII token that unregisters in the component's
+// destructor; unregistering latches each instrument's final value.
+// `Latch()` copies the current snapshot into the latched values, so an
 // end-of-process dump survives component teardown.
 
 #include <atomic>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -216,22 +214,11 @@ class Registry {
   // Process-wide registry used by bench --metrics dumps.
   static Registry& Default();
 
-  // Owned instruments: create-or-get by name; pointers stay valid for the
-  // registry's lifetime.
-  CounterCell* OwnedCounter(const std::string& name);
-  GaugeCell* OwnedGauge(const std::string& name);
-  HistogramCell* OwnedHistogram(const std::string& name);
-
   std::map<std::string, double> Snapshot() const;
 
   // Copies the current snapshot into latched values that survive
   // unregistration, so end-of-run dumps can outlive the components.
   void Latch();
-
-  // Drops every registration, owned instrument, and latched value.
-  void Clear();
-
-  size_t size() const;
 
  private:
   friend class Registration;
@@ -251,9 +238,6 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, Source> sources_;
   std::map<std::string, double> latched_;
-  std::deque<CounterCell> owned_counters_;
-  std::deque<GaugeCell> owned_gauges_;
-  std::deque<HistogramCell> owned_histograms_;
 };
 
 }  // namespace steghide::obs

@@ -33,6 +33,60 @@ void Count(size_t nblocks, size_t payload_bytes_per_block, size_t passes = 1) {
   c.batches.Increment();
 }
 
+// The one seal loop behind SealBlocks and SealScatter: payload_at(i) is
+// sealed into the block image at block_at(i), kChainChunk chains per
+// kernel call with one IV draw per chunk.
+template <typename PayloadAt, typename BlockAt>
+Status SealChunks(const crypto::CbcCipher& cipher, crypto::HashDrbg& drbg,
+                  size_t n, size_t ps, PayloadAt payload_at,
+                  BlockAt block_at) {
+  uint8_t iv_buf[kChainChunk * kIvSize];
+  const uint8_t* ivs[kChainChunk];
+  const uint8_t* ins[kChainChunk];
+  uint8_t* outs[kChainChunk];
+  for (size_t done = 0; done < n;) {
+    const size_t take = std::min(n - done, kChainChunk);
+    // One draw for the whole chunk consumes the DRBG stream byte-for-byte
+    // as `take` single-IV draws would (the output stream is
+    // position-independent), so batching is invisible to the trace.
+    drbg.Generate(iv_buf, take * kIvSize);
+    for (size_t i = 0; i < take; ++i) {
+      uint8_t* block = block_at(done + i);
+      std::memcpy(block, iv_buf + i * kIvSize, kIvSize);
+      ivs[i] = block;
+      ins[i] = payload_at(done + i);
+      outs[i] = block + kIvSize;
+    }
+    STEGHIDE_RETURN_IF_ERROR(cipher.EncryptChains(ivs, ins, outs, ps, take));
+    done += take;
+  }
+  Count(n, ps);
+  return Status::OK();
+}
+
+// The one open loop behind OpenBlocks and OpenScatter: the block image at
+// block_at(i) is opened into payload_at(i).
+template <typename BlockAt, typename PayloadAt>
+Status OpenChunks(const crypto::CbcCipher& cipher, size_t n, size_t ps,
+                  BlockAt block_at, PayloadAt payload_at) {
+  const uint8_t* ivs[kChainChunk];
+  const uint8_t* ins[kChainChunk];
+  uint8_t* outs[kChainChunk];
+  for (size_t done = 0; done < n;) {
+    const size_t take = std::min(n - done, kChainChunk);
+    for (size_t i = 0; i < take; ++i) {
+      const uint8_t* block = block_at(done + i);
+      ivs[i] = block;
+      ins[i] = block + kIvSize;
+      outs[i] = payload_at(done + i);
+    }
+    STEGHIDE_RETURN_IF_ERROR(cipher.DecryptChains(ivs, ins, outs, ps, take));
+    done += take;
+  }
+  Count(n, ps);
+  return Status::OK();
+}
+
 }  // namespace
 
 Status BlockCodec::Seal(const crypto::CbcCipher& cipher,
@@ -57,28 +111,9 @@ Status BlockCodec::SealBlocks(const crypto::CbcCipher& cipher,
                               crypto::HashDrbg& drbg, const uint8_t* payloads,
                               size_t n, uint8_t* out_blocks) const {
   const size_t ps = payload_size();
-  uint8_t iv_buf[kChainChunk * kIvSize];
-  const uint8_t* ivs[kChainChunk];
-  const uint8_t* ins[kChainChunk];
-  uint8_t* outs[kChainChunk];
-  for (size_t done = 0; done < n;) {
-    const size_t take = std::min(n - done, kChainChunk);
-    // One draw for the whole chunk consumes the DRBG stream byte-for-byte
-    // as `take` single-IV draws would (the output stream is
-    // position-independent), so batching is invisible to the trace.
-    drbg.Generate(iv_buf, take * kIvSize);
-    for (size_t i = 0; i < take; ++i) {
-      uint8_t* block = out_blocks + (done + i) * block_size_;
-      std::memcpy(block, iv_buf + i * kIvSize, kIvSize);
-      ivs[i] = block;
-      ins[i] = payloads + (done + i) * ps;
-      outs[i] = block + kIvSize;
-    }
-    STEGHIDE_RETURN_IF_ERROR(cipher.EncryptChains(ivs, ins, outs, ps, take));
-    done += take;
-  }
-  Count(n, ps);
-  return Status::OK();
+  return SealChunks(
+      cipher, drbg, n, ps, [&](size_t i) { return payloads + i * ps; },
+      [&](size_t i) { return out_blocks + i * block_size_; });
 }
 
 Status BlockCodec::SealScatter(const crypto::CbcCipher& cipher,
@@ -88,49 +123,19 @@ Status BlockCodec::SealScatter(const crypto::CbcCipher& cipher,
   if (payloads.size() != out_blocks.size()) {
     return Status::InvalidArgument("seal batch size mismatch");
   }
-  const size_t ps = payload_size();
-  uint8_t iv_buf[kChainChunk * kIvSize];
-  const uint8_t* ivs[kChainChunk];
-  const uint8_t* ins[kChainChunk];
-  uint8_t* outs[kChainChunk];
-  const size_t n = payloads.size();
-  for (size_t done = 0; done < n;) {
-    const size_t take = std::min(n - done, kChainChunk);
-    drbg.Generate(iv_buf, take * kIvSize);
-    for (size_t i = 0; i < take; ++i) {
-      uint8_t* block = out_blocks[done + i];
-      std::memcpy(block, iv_buf + i * kIvSize, kIvSize);
-      ivs[i] = block;
-      ins[i] = payloads[done + i];
-      outs[i] = block + kIvSize;
-    }
-    STEGHIDE_RETURN_IF_ERROR(cipher.EncryptChains(ivs, ins, outs, ps, take));
-    done += take;
-  }
-  Count(n, ps);
-  return Status::OK();
+  return SealChunks(
+      cipher, drbg, payloads.size(), payload_size(),
+      [&](size_t i) { return payloads[i]; },
+      [&](size_t i) { return out_blocks[i]; });
 }
 
 Status BlockCodec::OpenBlocks(const crypto::CbcCipher& cipher,
                               const uint8_t* blocks, size_t n,
                               uint8_t* out_payloads) const {
   const size_t ps = payload_size();
-  const uint8_t* ivs[kChainChunk];
-  const uint8_t* ins[kChainChunk];
-  uint8_t* outs[kChainChunk];
-  for (size_t done = 0; done < n;) {
-    const size_t take = std::min(n - done, kChainChunk);
-    for (size_t i = 0; i < take; ++i) {
-      const uint8_t* block = blocks + (done + i) * block_size_;
-      ivs[i] = block;
-      ins[i] = block + kIvSize;
-      outs[i] = out_payloads + (done + i) * ps;
-    }
-    STEGHIDE_RETURN_IF_ERROR(cipher.DecryptChains(ivs, ins, outs, ps, take));
-    done += take;
-  }
-  Count(n, ps);
-  return Status::OK();
+  return OpenChunks(
+      cipher, n, ps, [&](size_t i) { return blocks + i * block_size_; },
+      [&](size_t i) { return out_payloads + i * ps; });
 }
 
 Status BlockCodec::OpenScatter(const crypto::CbcCipher& cipher,
@@ -139,24 +144,10 @@ Status BlockCodec::OpenScatter(const crypto::CbcCipher& cipher,
   if (blocks.size() != out_payloads.size()) {
     return Status::InvalidArgument("open batch size mismatch");
   }
-  const size_t ps = payload_size();
-  const uint8_t* ivs[kChainChunk];
-  const uint8_t* ins[kChainChunk];
-  uint8_t* outs[kChainChunk];
-  const size_t n = blocks.size();
-  for (size_t done = 0; done < n;) {
-    const size_t take = std::min(n - done, kChainChunk);
-    for (size_t i = 0; i < take; ++i) {
-      const uint8_t* block = blocks[done + i];
-      ivs[i] = block;
-      ins[i] = block + kIvSize;
-      outs[i] = out_payloads[done + i];
-    }
-    STEGHIDE_RETURN_IF_ERROR(cipher.DecryptChains(ivs, ins, outs, ps, take));
-    done += take;
-  }
-  Count(n, ps);
-  return Status::OK();
+  return OpenChunks(
+      cipher, blocks.size(), payload_size(),
+      [&](size_t i) { return blocks[i]; },
+      [&](size_t i) { return out_payloads[i]; });
 }
 
 Status BlockCodec::Refresh(const crypto::CbcCipher& cipher,

@@ -9,7 +9,7 @@ StegFsCore::StegFsCore(storage::BlockDevice* device,
                        const StegFsOptions& options)
     : device_(device),
       codec_(device->block_size()),
-      drbg_streams_(options.drbg_seed),
+      drbg_(options.drbg_seed),
       format_rng_(options.drbg_seed ^ 0x666f726d61745f5fULL),
       fast_format_(options.fast_format) {
   assert(device->block_size() >= kMinBlockSize);

@@ -7,7 +7,6 @@
 
 #include "crypto/cbc.h"
 #include "crypto/drbg.h"
-#include "crypto/drbg_streams.h"
 #include "stegfs/block_codec.h"
 #include "stegfs/header.h"
 #include "stegfs/keys.h"
@@ -41,11 +40,10 @@ struct StegFsOptions {
 /// (recursive) mutex at whole-operation granularity — a header-tree load,
 /// a vectored data-block read, a raw write each run as one critical
 /// section, which also means the underlying device keeps seeing
-/// single-issuer call sequences. drbg() returns the calling thread's
-/// stream of a DrbgStreams family (root for the first-arriving thread,
-/// deterministic forks for later ones), so concurrent draws never
-/// contend on one generator lock and never couple their byte streams;
-/// single-threaded use is byte-identical to the old shared generator.
+/// single-issuer call sequences. drbg() is the core's one generator,
+/// shared by every layer above it: its draws continue one stream in op
+/// order whichever thread issues the op, so handing the system to
+/// another thread (setup → dispatcher) changes nothing it writes.
 /// Pointers/references returned by accessors (device(), codec()) must
 /// only be used by code that already holds a higher-level serialization
 /// (the dispatcher's single I/O thread or an agent lock).
@@ -56,10 +54,8 @@ class StegFsCore {
 
   storage::BlockDevice& device() { return *device_; }
   const BlockCodec& codec() const { return codec_; }
-  /// The calling thread's DRBG stream.
-  crypto::HashDrbg& drbg() { return drbg_streams_.ForThread(); }
-  /// The whole stream family (introspection / tests).
-  crypto::DrbgStreams& drbg_streams() { return drbg_streams_; }
+  /// The core's one generator (see the class comment).
+  crypto::HashDrbg& drbg() { return drbg_; }
   uint64_t num_blocks() const { return device_->num_blocks(); }
   size_t payload_size() const { return codec_.payload_size(); }
 
@@ -129,7 +125,7 @@ class StegFsCore {
  private:
   storage::BlockDevice* device_;
   BlockCodec codec_;
-  crypto::DrbgStreams drbg_streams_;
+  crypto::HashDrbg drbg_;
   Rng format_rng_;
   bool fast_format_;
   /// Header/indirect payload staging reused across LoadFile/StoreFile

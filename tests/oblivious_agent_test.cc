@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "agent/oblivious_agent.h"
 #include "storage/mem_block_device.h"
 #include "testing/rng.h"
@@ -248,6 +250,75 @@ TEST_F(ObliviousAgentTest, GeometryErrorsSurfaceAtCreate) {
   bad.buffer_blocks = 8;
   bad.capacity_blocks = 24;  // not B * 2^k
   EXPECT_FALSE(ObliviousAgent::Create(&core_, &cache_mem_, bad).ok());
+}
+
+// ---- Issuing thread ------------------------------------------------------
+
+// The fixture's system with one 40-block hidden file. Every byte it writes
+// comes from the core's and the store's generators, in op order.
+class HandOffSystem {
+ public:
+  HandOffSystem()
+      : steg_mem_(4096, 4096),
+        cache_mem_(512, 4096),
+        core_(&steg_mem_, stegfs::StegFsOptions{91, true}) {
+    EXPECT_TRUE(core_.Format().ok());
+    oblivious::ObliviousStoreOptions opts;
+    opts.buffer_blocks = 8;
+    opts.capacity_blocks = 128;
+    opts.partition_base = 0;
+    opts.scratch_base = 2 * 128 - 2 * 8;
+    auto agent = ObliviousAgent::Create(&core_, &cache_mem_, opts);
+    EXPECT_TRUE(agent.ok()) << agent.status().ToString();
+    agent_ = std::move(agent).value();
+    EXPECT_TRUE(agent_->CreateDummyFile("u", 400).ok());
+    auto id = agent_->CreateHiddenFile("u");
+    EXPECT_TRUE(id.ok());
+    file_ = *id;
+    EXPECT_TRUE(
+        agent_->Write(file_, 0, Bytes(40 * core_.payload_size(), 0x3c)).ok());
+  }
+
+  /// Round r: a partial write, then an 8-block read elsewhere in the file.
+  void Round(int r) {
+    const size_t payload = core_.payload_size();
+    const Bytes data(300, static_cast<uint8_t>(r));
+    ASSERT_TRUE(agent_->Write(file_, (r * 7 % 40) * payload + 100, data).ok());
+    ASSERT_TRUE(agent_->Read(file_, (r * 5 % 32) * payload, 8 * payload).ok());
+  }
+
+  static Bytes Image(const storage::MemBlockDevice& dev) {
+    return Bytes(dev.BlockData(0),
+                 dev.BlockData(0) + dev.num_blocks() * dev.block_size());
+  }
+  Bytes SteganographicImage() const { return Image(steg_mem_); }
+  Bytes CacheImage() const { return Image(cache_mem_); }
+
+ private:
+  storage::MemBlockDevice steg_mem_;
+  storage::MemBlockDevice cache_mem_;
+  stegfs::StegFsCore core_;
+  std::unique_ptr<ObliviousAgent> agent_;
+  ObliviousAgent::FileId file_ = 0;
+};
+
+// Setup runs on one thread and serving on another (the dispatcher's I/O
+// thread). Handing a system over must not change what it writes: both
+// partitions end byte-identical to a twin that never changed threads.
+TEST(ObliviousAgentThreadTest, HandOffKeepsTheImages) {
+  HandOffSystem stay;
+  HandOffSystem moved;
+  for (int r = 0; r < 20; ++r) {
+    stay.Round(r);
+    moved.Round(r);
+  }
+  for (int r = 20; r < 60; ++r) stay.Round(r);
+  std::thread other([&moved] {
+    for (int r = 20; r < 60; ++r) moved.Round(r);
+  });
+  other.join();
+  EXPECT_TRUE(stay.SteganographicImage() == moved.SteganographicImage());
+  EXPECT_TRUE(stay.CacheImage() == moved.CacheImage());
 }
 
 }  // namespace

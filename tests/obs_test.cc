@@ -102,18 +102,11 @@ TEST(RegistryTest, LatchSurvivesUnregistration) {
   EXPECT_EQ(snap.at("gone.count"), 42.0);
 }
 
-TEST(RegistryTest, OwnedInstrumentsAndCallbacks) {
+TEST(RegistryTest, CallbacksAppearInSnapshot) {
   Registry registry;
-  CounterCell* c = registry.OwnedCounter("owned.count");
-  c->Add(5);
-  EXPECT_EQ(registry.OwnedCounter("owned.count"), c);  // create-or-get
-  GaugeCell* g = registry.OwnedGauge("owned.gauge");
-  g->Set(2.5);
   Registration reg(&registry);
   reg.Callback("derived.value", [] { return 7.0; });
   const auto snap = registry.Snapshot();
-  EXPECT_EQ(snap.at("owned.count"), 5.0);
-  EXPECT_EQ(snap.at("owned.gauge"), 2.5);
   EXPECT_EQ(snap.at("derived.value"), 7.0);
 }
 
@@ -414,6 +407,41 @@ TEST(LeakageNeutralityTest, InstrumentedTraceEqualsUninstrumentedTwin) {
   // ...and perturbed nothing: same ops, same blocks, same order.
   ASSERT_EQ(plain_trace.trace().size(), obs_trace.trace().size());
   EXPECT_TRUE(plain_trace.trace() == obs_trace.trace());
+}
+
+// A store's virtual-time doubles are exported through callbacks that lock
+// the store. Its registration is released in the store's destructor and
+// latches each callback once more, so the registry must still hold the
+// final values after the store is gone.
+TEST(RegistryTest, DestroyedStoreLeavesItsFinalTimes) {
+  Registry registry;
+  oblivious::ObliviousStoreOptions opts = TwinOptions(71);
+  opts.registry = &registry;
+  storage::MemBlockDevice mem(2 * (2 * 32 - 2 * 4) + 32 + 8, 4096);
+  oblivious::ObliviousStats final_stats;
+  double now = 0.0;
+  {
+    auto store = oblivious::ObliviousStore::Create(&mem, opts);
+    ASSERT_TRUE(store.ok());
+    (*store)->set_clock_fn([&now] { return now += 1.0; });
+    Bytes payload((*store)->payload_size(), 0x5a);
+    for (uint64_t id = 0; id < 24; ++id) {
+      ASSERT_TRUE((*store)->Insert(id, payload.data()).ok());
+    }
+    for (uint64_t id = 0; id < 24; ++id) {
+      ASSERT_TRUE((*store)->Read(id, payload.data()).ok());
+    }
+    bool more = true;
+    while (more) ASSERT_TRUE((*store)->StepReorder(1u << 20, &more).ok());
+    final_stats = (*store)->stats();
+  }
+  ASSERT_GT(final_stats.retrieve_ms, 0.0);
+  ASSERT_GT(final_stats.sort_ms, 0.0);
+  const auto snap = registry.Snapshot();
+  ASSERT_TRUE(snap.count("store.retrieve_ms"));
+  ASSERT_TRUE(snap.count("store.sort_ms"));
+  EXPECT_EQ(snap.at("store.retrieve_ms"), final_stats.retrieve_ms);
+  EXPECT_EQ(snap.at("store.sort_ms"), final_stats.sort_ms);
 }
 
 }  // namespace
