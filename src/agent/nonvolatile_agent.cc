@@ -68,14 +68,6 @@ Result<NonVolatileAgent::FileId> NonVolatileAgent::OpenFile(
   return id;
 }
 
-Status NonVolatileAgent::CloseFile(FileId id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  STEGHIDE_ASSIGN_OR_RETURN(HiddenFile * file, Lookup(id));
-  if (file->dirty) STEGHIDE_RETURN_IF_ERROR(Flush(id));
-  open_files_.erase(id);
-  return Status::OK();
-}
-
 Result<Bytes> NonVolatileAgent::Read(FileId id, uint64_t offset, size_t n) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   STEGHIDE_ASSIGN_OR_RETURN(HiddenFile * file, Lookup(id));

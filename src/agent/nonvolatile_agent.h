@@ -55,9 +55,6 @@ class NonVolatileAgent : public BlockRegistry {
   /// Opens the file whose header sits at fak.header_location.
   Result<FileId> OpenFile(const stegfs::FileAccessKey& fak);
 
-  /// Flushes (if dirty) and forgets the handle.
-  Status CloseFile(FileId id);
-
   Result<Bytes> Read(FileId id, uint64_t offset, size_t n);
   Status Write(FileId id, uint64_t offset, const uint8_t* data, size_t n);
   Status Write(FileId id, uint64_t offset, const Bytes& data) {

@@ -46,16 +46,6 @@ Result<Bytes> ObliviousAgent::Read(FileId id, uint64_t offset, size_t n) {
   return std::move(out.front());
 }
 
-Result<std::vector<Bytes>> ObliviousAgent::ReadBatch(
-    FileId id, std::span<const ByteRange> ranges) {
-  std::vector<ReadRequest> requests(ranges.size());
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    requests[i] = ReadRequest{id, ranges[i].offset, ranges[i].length};
-  }
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return ReadGroupImpl(requests);
-}
-
 Result<std::vector<Bytes>> ObliviousAgent::ReadGroup(
     std::span<const ReadRequest> requests) {
   std::lock_guard<std::mutex> lock(io_mu_);
@@ -142,15 +132,6 @@ Status ObliviousAgent::Write(FileId id, uint64_t offset, const uint8_t* data,
   const WriteView view{id, offset, std::span<const uint8_t>(data, n)};
   std::lock_guard<std::mutex> lock(io_mu_);
   return WriteGroupImpl(std::span<const WriteView>(&view, 1));
-}
-
-Status ObliviousAgent::WriteBatch(FileId id, std::span<const WriteOp> ops) {
-  std::vector<WriteView> views(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    views[i] = WriteView{id, ops[i].offset, ops[i].data};
-  }
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return WriteGroupImpl(views);
 }
 
 Status ObliviousAgent::WriteGroup(std::span<const WriteRequest> requests) {

@@ -26,10 +26,10 @@ namespace steghide::agent {
 /// The two partitions may live on the same device (disjoint block ranges)
 /// or on separate devices; the constructor takes them independently.
 ///
-/// Thread safety: hidden-access I/O (Read/Write, the batch and group
-/// entry points, IdleDummyOp) serializes on one internal I/O mutex at
-/// group granularity — the cross-file ReadGroup/WriteGroup seam is where
-/// the RequestDispatcher commits k concurrent user requests as one
+/// Thread safety: hidden-access I/O (Read/Write, ReadGroup/WriteGroup,
+/// IdleDummyOp) serializes on one internal I/O mutex at group
+/// granularity — the cross-file ReadGroup/WriteGroup seam is where the
+/// RequestDispatcher commits k concurrent user requests as one
 /// level-scan group. Session calls forward to the (internally locked)
 /// volatile agent and may run concurrently with I/O; logging out a user
 /// with in-flight I/O on their files is a caller error (the dispatcher
@@ -70,16 +70,6 @@ class ObliviousAgent {
 
   // ---- Hidden-access I/O -------------------------------------------------
 
-  /// One byte range of a batched hidden access.
-  struct ByteRange {
-    uint64_t offset = 0;
-    uint64_t length = 0;
-  };
-  /// One write of a batched hidden update.
-  struct WriteOp {
-    uint64_t offset = 0;
-    Bytes data;
-  };
   /// One read of a cross-file group (dispatcher aggregation unit).
   struct ReadRequest {
     FileId file = 0;
@@ -94,15 +84,8 @@ class ObliviousAgent {
   };
 
   /// Oblivious read: buffer/levels of the cache, with first-time fetches
-  /// randomised per Figure 8(a). Equivalent to a one-range ReadBatch.
+  /// randomised per Figure 8(a). The one-request case of ReadGroup.
   Result<Bytes> Read(FileId id, uint64_t offset, size_t n);
-
-  /// Batched oblivious read: serves every range through one miss-fill
-  /// pass and one cached MultiRead group per covered block set, so k
-  /// ranges cost one level-scan pass per store-buffer-size chunk instead
-  /// of one per block.
-  Result<std::vector<Bytes>> ReadBatch(FileId id,
-                                       std::span<const ByteRange> ranges);
 
   /// Cross-file batched oblivious read: requests[i] may address any mix
   /// of files; the union of covered blocks across *all* files is served
@@ -113,24 +96,18 @@ class ObliviousAgent {
   Result<std::vector<Bytes>> ReadGroup(std::span<const ReadRequest> requests);
 
   /// Hidden write: cache write (read-shaped on the wire) + Figure-6
-  /// relocating update on the StegFS partition. Equivalent to a one-op
-  /// WriteBatch.
+  /// relocating update on the StegFS partition. The one-request case of
+  /// WriteGroup.
   Status Write(FileId id, uint64_t offset, const uint8_t* data, size_t n);
   Status Write(FileId id, uint64_t offset, const Bytes& data) {
     return Write(id, offset, data.data(), data.size());
   }
 
-  /// Batched hidden write: read-modify-write fetches are batched through
-  /// the oblivious read path, the StegFS-partition persistence runs per
-  /// block (Figure-6 relocating updates are inherently sequential), and
-  /// the cache refreshes land in one MultiWrite group. Ops apply in
-  /// order; overlapping writes resolve last-wins.
-  Status WriteBatch(FileId id, std::span<const WriteOp> ops);
-
   /// Cross-file batched hidden write (dispatcher group commit): the RMW
   /// prefetches of every request share one oblivious read group, the
-  /// per-block Figure-6 relocating updates run in request order, and all
-  /// cache refreshes land in one MultiWrite group.
+  /// per-block Figure-6 relocating updates run in request order
+  /// (they are inherently sequential), and all cache refreshes land in
+  /// one MultiWrite group. Overlapping writes resolve last-wins.
   Status WriteGroup(std::span<const WriteRequest> requests);
 
   /// One idle-time dummy op on every traffic surface: a dummy update on
@@ -157,8 +134,8 @@ class ObliviousAgent {
   ObliviousAgent(stegfs::StegFsCore* core,
                  std::unique_ptr<oblivious::ObliviousStore> store);
 
-  /// One write of a group, with the data borrowed from the caller so the
-  /// single-file WriteBatch path stays copy-free.
+  /// One write of a group, with the data borrowed from the caller so
+  /// Write stays copy-free.
   struct WriteView {
     FileId file = 0;
     uint64_t offset = 0;

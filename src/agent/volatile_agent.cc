@@ -431,14 +431,6 @@ Status VolatileAgent::Logout(const UserId& user) {
   return Status::OK();
 }
 
-Status VolatileAgent::FlushAll() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  for (auto& [id, of] : files_) {
-    if (of->file.dirty) STEGHIDE_RETURN_IF_ERROR(Flush(id));
-  }
-  return Status::OK();
-}
-
 Result<FileAccessKey> VolatileAgent::GetFak(FileId id) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   STEGHIDE_ASSIGN_OR_RETURN(const OpenFile* of, Lookup(id));

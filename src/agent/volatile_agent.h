@@ -72,10 +72,6 @@ class VolatileAgent : public BlockRegistry {
   /// agent retains no knowledge of those files.
   Status Logout(const UserId& user);
 
-  /// Flushes every dirty file of every user (e.g. before taking a
-  /// defender-side snapshot in an experiment).
-  Status FlushAll();
-
   // ---- File lifecycle ----------------------------------------------------
 
   /// Creates an empty hidden file for `user` with a fresh random FAK.

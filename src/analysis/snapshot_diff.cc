@@ -29,11 +29,6 @@ Status UpdateAnalysisObserver::ObserveDiff(const storage::Snapshot& before,
   return Status::OK();
 }
 
-std::vector<uint64_t> UpdateAnalysisObserver::BinnedCounts(
-    size_t num_bins) const {
-  return BinCounts(counts_, num_bins);
-}
-
 std::vector<uint64_t> BinCounts(const std::vector<uint64_t>& counts,
                                 size_t num_bins) {
   std::vector<uint64_t> bins(num_bins, 0);

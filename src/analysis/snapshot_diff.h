@@ -32,17 +32,14 @@ class UpdateAnalysisObserver {
   uint64_t total_updates() const { return total_; }
   uint64_t num_blocks() const { return counts_.size(); }
 
-  /// Aggregates per-block counts into `num_bins` contiguous ranges, the
-  /// granularity at which the chi-square test is run (per-block expected
-  /// counts are usually below the test's validity threshold).
-  std::vector<uint64_t> BinnedCounts(size_t num_bins) const;
-
  private:
   std::vector<uint64_t> counts_;
   uint64_t total_ = 0;
 };
 
-/// Bins arbitrary per-position counts into `num_bins` contiguous ranges.
+/// Bins arbitrary per-position counts into `num_bins` contiguous ranges,
+/// the granularity at which the chi-square test is run (per-block
+/// expected counts are usually below the test's validity threshold).
 std::vector<uint64_t> BinCounts(const std::vector<uint64_t>& counts,
                                 size_t num_bins);
 

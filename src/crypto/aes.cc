@@ -3,21 +3,8 @@
 #include <cstring>
 
 #include "crypto/cpu_features.h"
-#if defined(__aarch64__)
-#include "crypto/aes_armv8.h"
-#else
-#include "crypto/aes_ni.h"
-#endif
 
 namespace steghide::crypto {
-
-namespace {
-#if defined(__aarch64__)
-namespace hw = aesarm;
-#else
-namespace hw = aesni;
-#endif
-}  // namespace
 
 namespace {
 
@@ -205,10 +192,6 @@ Status Aes::SetKey(const uint8_t* key, size_t key_len) {
 
 void Aes::EncryptBlock(const uint8_t in[kBlockSize],
                        uint8_t out[kBlockSize]) const {
-  if (accel_) {
-    hw::EncryptBlock(enc_rk_, rounds_, in, out);
-    return;
-  }
   uint32_t s0 = LoadBigEndian32(in) ^ enc_keys_[0];
   uint32_t s1 = LoadBigEndian32(in + 4) ^ enc_keys_[1];
   uint32_t s2 = LoadBigEndian32(in + 8) ^ enc_keys_[2];
@@ -252,10 +235,6 @@ void Aes::EncryptBlock(const uint8_t in[kBlockSize],
 
 void Aes::DecryptBlock(const uint8_t in[kBlockSize],
                        uint8_t out[kBlockSize]) const {
-  if (accel_) {
-    hw::DecryptBlock(dec_rk_, rounds_, in, out);
-    return;
-  }
   uint32_t s0 = LoadBigEndian32(in) ^ dec_keys_[0];
   uint32_t s1 = LoadBigEndian32(in + 4) ^ dec_keys_[1];
   uint32_t s2 = LoadBigEndian32(in + 8) ^ dec_keys_[2];

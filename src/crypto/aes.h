@@ -13,13 +13,15 @@ namespace steghide::crypto {
 /// block cipher the paper specifies for encrypting every storage block
 /// (Section 6.1).
 ///
-/// The key schedule is always expanded by the portable 32-bit-table code;
-/// per-block work dispatches to AES-NI / ARMv8 kernels when SetKey ran
-/// while the accelerated path was active (cpu_features.h), with the
-/// table-based implementation as the pinned fallback. The serialized
-/// schedules below are byte-for-byte what the hardware units consume —
-/// `dec_rk_` is the equivalent-inverse-cipher layout (FIPS 197 §5.3.5)
-/// that `aesdec`/`aesd+aesimc` expect.
+/// The key schedule is always expanded by the portable 32-bit-table code,
+/// and EncryptBlock/DecryptBlock always run the table-based rounds: they
+/// are the portable reference and CbcCipher's scalar path. When SetKey
+/// ran while the accelerated path was active (cpu_features.h),
+/// accelerated() is set and CbcCipher runs its modes on the AES-NI /
+/// ARMv8 kernels instead. The serialized schedules below are
+/// byte-for-byte what the hardware units consume — `dec_rk_` is the
+/// equivalent-inverse-cipher layout (FIPS 197 §5.3.5) that
+/// `aesdec`/`aesd+aesimc` expect.
 ///
 /// The class only exposes single-block ECB primitives; modes of operation
 /// live in cbc.h.

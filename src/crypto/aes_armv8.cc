@@ -45,20 +45,6 @@ inline uint8x16_t DecryptOne(const uint8x16_t* k, int rounds, uint8x16_t x) {
 
 bool Compiled() { return true; }
 
-void EncryptBlock(const uint8_t* rk, int rounds, const uint8_t* in,
-                  uint8_t* out) {
-  uint8x16_t k[kMaxRounds + 1] = {};
-  LoadKeys(rk, rounds, k);
-  vst1q_u8(out, EncryptOne(k, rounds, vld1q_u8(in)));
-}
-
-void DecryptBlock(const uint8_t* dk, int rounds, const uint8_t* in,
-                  uint8_t* out) {
-  uint8x16_t k[kMaxRounds + 1] = {};
-  LoadKeys(dk, rounds, k);
-  vst1q_u8(out, DecryptOne(k, rounds, vld1q_u8(in)));
-}
-
 void CbcEncrypt(const uint8_t* rk, int rounds, const uint8_t iv[16],
                 const uint8_t* in, uint8_t* out, size_t nblocks) {
   uint8x16_t k[kMaxRounds + 1] = {};
@@ -134,12 +120,6 @@ void CbcEncryptChains(const uint8_t* rk, int rounds,
 
 bool Compiled() { return false; }
 
-void EncryptBlock(const uint8_t*, int, const uint8_t*, uint8_t*) {
-  std::abort();
-}
-void DecryptBlock(const uint8_t*, int, const uint8_t*, uint8_t*) {
-  std::abort();
-}
 void CbcEncrypt(const uint8_t*, int, const uint8_t[16], const uint8_t*,
                 uint8_t*, size_t) {
   std::abort();

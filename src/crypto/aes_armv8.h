@@ -5,8 +5,8 @@
 #include <cstdint>
 
 // ARMv8 crypto-extension kernels (AES + SHA2), mirror images of the
-// aesni/shani interfaces so the dispatch sites in aes.cc/cbc.cc/sha256.cc
-// pick a namespace per architecture and stay otherwise identical. The
+// aesni/shani interfaces so the dispatch sites in cbc.cc/sha256.cc pick a
+// namespace per architecture and stay otherwise identical. The
 // round-key layout is the same serialized scalar schedule: ARM `aesd` +
 // `aesimc` consume the equivalent-inverse-cipher keys exactly like x86
 // `aesdec`.
@@ -14,11 +14,6 @@
 namespace steghide::crypto::aesarm {
 
 bool Compiled();
-
-void EncryptBlock(const uint8_t* rk, int rounds, const uint8_t* in,
-                  uint8_t* out);
-void DecryptBlock(const uint8_t* dk, int rounds, const uint8_t* in,
-                  uint8_t* out);
 
 void CbcEncrypt(const uint8_t* rk, int rounds, const uint8_t iv[16],
                 const uint8_t* in, uint8_t* out, size_t nblocks);

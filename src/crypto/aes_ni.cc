@@ -110,24 +110,6 @@ __attribute__((target("vaes,avx2,aes"))) void EncryptChains8Vaes(
 
 bool Compiled() { return true; }
 
-void EncryptBlock(const uint8_t* rk, int rounds, const uint8_t* in,
-                  uint8_t* out) {
-  __m128i k[kMaxRounds + 1] = {};
-  LoadKeys(rk, rounds, k);
-  const __m128i x = EncryptOne(
-      k, rounds, _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), x);
-}
-
-void DecryptBlock(const uint8_t* dk, int rounds, const uint8_t* in,
-                  uint8_t* out) {
-  __m128i k[kMaxRounds + 1] = {};
-  LoadKeys(dk, rounds, k);
-  const __m128i x = DecryptOne(
-      k, rounds, _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), x);
-}
-
 void CbcEncrypt(const uint8_t* rk, int rounds, const uint8_t iv[16],
                 const uint8_t* in, uint8_t* out, size_t nblocks) {
   __m128i k[kMaxRounds + 1] = {};
@@ -201,12 +183,6 @@ void CbcEncryptChains(const uint8_t* rk, int rounds,
 
 bool Compiled() { return false; }
 
-void EncryptBlock(const uint8_t*, int, const uint8_t*, uint8_t*) {
-  std::abort();
-}
-void DecryptBlock(const uint8_t*, int, const uint8_t*, uint8_t*) {
-  std::abort();
-}
 void CbcEncrypt(const uint8_t*, int, const uint8_t[16], const uint8_t*,
                 uint8_t*, size_t) {
   std::abort();

@@ -20,11 +20,6 @@ namespace steghide::crypto::aesni {
 /// True when this translation unit was built with real AES-NI kernels.
 bool Compiled();
 
-void EncryptBlock(const uint8_t* rk, int rounds, const uint8_t* in,
-                  uint8_t* out);
-void DecryptBlock(const uint8_t* dk, int rounds, const uint8_t* in,
-                  uint8_t* out);
-
 /// One CBC chain of `nblocks` 16-byte blocks. Encryption is inherently
 /// serial within the chain; decryption pipelines 8 blocks across the AES
 /// units. `in` and `out` may alias exactly.

@@ -19,16 +19,6 @@ HashDrbg::HashDrbg(uint64_t seed) : HashDrbg([&] {
       return b;
     }()) {}
 
-void HashDrbg::Reseed(const Bytes& seed) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Sha256 h;
-  h.Update("steghide-drbg-reseed");
-  h.Update(v_.data(), v_.size());
-  h.Update(seed);
-  v_ = h.Finish();
-  block_offset_ = Sha256::kDigestSize;
-}
-
 void HashDrbg::Ratchet() {
   // block_i = H(V || i), the counter-mode output stage of Hash_DRBG.
   uint8_t ctr[8];
@@ -85,10 +75,6 @@ uint64_t HashDrbg::Uniform(uint64_t bound) {
     const uint64_t r = NextUint64Locked();
     if (r >= threshold) return r % bound;
   }
-}
-
-double HashDrbg::NextDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
 }  // namespace steghide::crypto

@@ -13,7 +13,7 @@ namespace steghide::crypto {
 /// paper's construction (Section 6.1: "the pseudo-random number generator
 /// is constructed from SHA256"). Structure follows the Hash_DRBG outline of
 /// NIST SP 800-90A: a secret state V is hashed with a counter to produce
-/// output, and reseeded by hashing in new material.
+/// output.
 ///
 /// Security-relevant randomness in the reproduction — IVs, target-block
 /// selection in the update engine, dummy-read choices, shuffle tags — is
@@ -37,9 +37,6 @@ class HashDrbg {
   explicit HashDrbg(const Bytes& seed);
   explicit HashDrbg(uint64_t seed);
 
-  /// Mixes additional entropy into the state.
-  void Reseed(const Bytes& seed);
-
   /// Fills `out` with `n` pseudo-random bytes.
   void Generate(uint8_t* out, size_t n);
   Bytes Generate(size_t n);
@@ -49,9 +46,6 @@ class HashDrbg {
 
   /// Uniform integer in [0, bound), bound > 0, rejection-sampled.
   uint64_t Uniform(uint64_t bound);
-
-  /// Uniform double in [0, 1).
-  double NextDouble();
 
  private:
   void Ratchet();

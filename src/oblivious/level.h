@@ -50,12 +50,6 @@ struct Level {
     return !s.has_value() || *s != slot;
   }
 
-  /// Registers a record appended at the next free slot.
-  void AppendSlot(RecordId id) {
-    index.Put(id, slot_ids.size());
-    slot_ids.push_back(id);
-  }
-
   /// Installs a post-re-order layout: `order` lists the record ids slot by
   /// slot (all authoritative, no duplicates).
   void InstallOrder(std::vector<RecordId> order, uint64_t index_nonce);

@@ -34,8 +34,7 @@ void ExternalMergeSorter::Reset() {
   runs_.clear();
   scratch_used_ = 0;
   item_count_ = 0;
-  cells_.reads.Reset();
-  cells_.writes.Reset();
+  stats_ = Stats();
   merging_ = false;
   merge_done_ = false;
   mem_merge_ = false;
@@ -103,7 +102,7 @@ Status ExternalMergeSorter::SpillRun() {
   STEGHIDE_RETURN_IF_ERROR(
       codec_->SealScatter(*cipher_, *drbg_, batch_in_, batch_out_));
   STEGHIDE_RETURN_IF_ERROR(device_->WriteBlocks(ids, seal_scratch_.data()));
-  cells_.writes.Add(ids.size());
+  stats_.writes += ids.size();
   scratch_used_ += ids.size();
   runs_.push_back(std::move(run));
   pending_.clear();
@@ -159,7 +158,7 @@ Status ExternalMergeSorter::RefillCursor(Cursor& c) {
   }
   Bytes blocks;
   STEGHIDE_RETURN_IF_ERROR(device_->ReadBlocks(ids, blocks));
-  cells_.reads.Add(ids.size());
+  stats_.reads += ids.size();
   // One batched open for the whole look-ahead chunk.
   batch_in_.clear();
   batch_out_.clear();
@@ -189,7 +188,7 @@ Status ExternalMergeSorter::FlushOutput() {
   STEGHIDE_RETURN_IF_ERROR(
       codec_->SealScatter(*cipher_, *drbg_, batch_in_, batch_out_));
   STEGHIDE_RETURN_IF_ERROR(device_->WriteBlocks(ids, seal_scratch_.data()));
-  cells_.writes.Add(ids.size());
+  stats_.writes += ids.size();
   out_pos_ += ids.size();
   out_chunk_.clear();
   return Status::OK();

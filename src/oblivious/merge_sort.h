@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics.h"
-
 #include "crypto/cbc.h"
 #include "crypto/drbg.h"
 #include "stegfs/block_codec.h"
@@ -36,8 +34,9 @@ namespace steghide::oblivious {
 /// MergeStep issues whole run/output chunks, never per-block I/O.
 class ExternalMergeSorter {
  public:
-  /// Snapshot view assembled from atomic cells, so re-order progress can
-  /// be polled from monitoring threads while a chain step is mid-merge.
+  /// Device blocks the sorter has read and written since the last
+  /// Reset(). Plain counters: the sorter is driven and read only under
+  /// its owner's lock (the oblivious store's).
   struct Stats {
     uint64_t reads = 0;
     uint64_t writes = 0;
@@ -100,12 +99,7 @@ class ExternalMergeSorter {
   void Reset();
 
   uint64_t item_count() const { return item_count_; }
-  Stats stats() const {
-    Stats s;
-    s.reads = cells_.reads.value();
-    s.writes = cells_.writes.value();
-    return s;
-  }
+  const Stats& stats() const { return stats_; }
 
  private:
   struct Item {
@@ -140,11 +134,7 @@ class ExternalMergeSorter {
   std::vector<Item> pending_;
   std::vector<Run> runs_;
   uint64_t item_count_ = 0;
-  struct Cells {
-    obs::CounterCell reads;
-    obs::CounterCell writes;
-  };
-  Cells cells_;
+  Stats stats_;
 
   // Merge-phase state (valid while merging_).
   bool merging_ = false;

@@ -60,10 +60,8 @@ Result<std::unique_ptr<ObliviousStore>> ObliviousStore::Create(
   }
   std::unique_ptr<ObliviousStore> store(new ObliviousStore(device, options));
 
-  Bytes key = options.store_key.empty()
-                  ? store->drbg_.Generate(crypto::kDefaultKeyLen)
-                  : options.store_key;
-  STEGHIDE_RETURN_IF_ERROR(store->cipher_.SetKey(key));
+  STEGHIDE_RETURN_IF_ERROR(store->cipher_.SetKey(
+      store->drbg_.Generate(crypto::kDefaultKeyLen)));
 
   uint64_t base = options.partition_base;
   for (uint64_t cap = 2 * b; cap <= n; cap *= 2) {
@@ -156,6 +154,8 @@ void ObliviousStore::ConfigureObservability() {
     registration_.Counter(p + ".deferred_flushes",
                           &cells_.deferred_flushes);
     registration_.Histogram(p + ".stall_ms", &cells_.stall);
+    registration_.Callback(p + ".stall_total_ms",
+                           [this] { return cells_.stall.sum(); });
     registration_.Gauge(p + ".chain_pending_steps",
                         &cells_.chain_pending_steps);
     registration_.Gauge(p + ".chain_remaining_blocks",
@@ -168,10 +168,6 @@ void ObliviousStore::ConfigureObservability() {
     registration_.Callback(p + ".sort_ms", [this] {
       std::lock_guard<std::mutex> lock(mu_);
       return stats_.sort_ms;
-    });
-    registration_.Callback(p + ".stall_total_ms", [this] {
-      std::lock_guard<std::mutex> lock(mu_);
-      return stats_.stall_ms;
     });
     registration_.Counter("io.drains", &cells_.io_drains);
     registration_.Counter("io.physical_reads", &cells_.io_physical_reads);
@@ -201,6 +197,8 @@ ObliviousStats ObliviousStore::stats() const {
   s.probes_saved = cells_.probes_saved.value();
   s.reorder_steps = cells_.reorder_steps.value();
   s.deferred_flushes = cells_.deferred_flushes.value();
+  s.stall_ms = cells_.stall.sum();
+  s.max_stall_ms = cells_.stall.max();
   s.stall_p99_ms = cells_.stall.Percentile(99.0);
   return s;
 }
@@ -621,11 +619,7 @@ Status ObliviousStore::MultiWriteLocked(std::span<const RecordId> ids,
 
 Status ObliviousStore::Insert(RecordId id, const uint8_t* payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
-  STEGHIDE_RETURN_IF_ERROR(RegisterPresent(id));
-  BufferStage(id, payload);
-  STEGHIDE_RETURN_IF_ERROR(MaybeFlush());
-  return PaceChainLocked(1);
+  return MultiInsertLocked(std::span<const RecordId>(&id, 1), payload);
 }
 
 Status ObliviousStore::MultiInsert(std::span<const RecordId> ids,
@@ -936,11 +930,7 @@ Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
   span.AddArg("used", static_cast<int64_t>(used));
   const double dt = Clock() - t0;
   stats_.sort_ms += dt;
-  if (stall) {
-    stats_.stall_ms += dt;
-    stats_.max_stall_ms = std::max(stats_.max_stall_ms, dt);
-    cells_.stall.Record(dt);
-  }
+  if (stall) cells_.stall.Record(dt);
   UpdateChainGaugesLocked();
   return Status::OK();
 }

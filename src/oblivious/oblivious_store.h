@@ -62,9 +62,8 @@ struct ObliviousStoreOptions {
   /// First device block of the sort (scratch) partition; needs
   /// capacity_blocks blocks and must not overlap the hierarchy.
   uint64_t scratch_base = 0;
-  /// Key sealing every record in the store; empty draws a random key.
-  Bytes store_key;
-  /// Seed for the store's DRBG (IVs, shuffle tags, dummy-probe slots).
+  /// Seed for the store's DRBG (the key sealing every record, IVs,
+  /// shuffle tags, dummy-probe slots).
   uint64_t drbg_seed = 7;
   /// Ablation: model the §5.1.2 variant whose per-level hash indices are
   /// too big for agent memory and live, encrypted, "in the front of the
@@ -164,15 +163,14 @@ struct ObliviousStats {
   /// Per-level re-order time (reorder_ms[i] is level i+1), summing to
   /// sort_ms. Sized to the hierarchy height.
   std::vector<double> reorder_ms;
-  /// Longest single serving stall attributable to re-order work: a
-  /// blocking flush/dump, a hard drain backstop, or one serving tax
-  /// slice. The deamortization headline — blocking mode reports the full
-  /// largest-rebuild time here.
+  /// Serving stalls attributable to re-order work: a blocking
+  /// flush/dump, a hard drain backstop, or one serving tax slice. Each is
+  /// one sample of the store's stall histogram cell (virtual ms); these
+  /// three fields are its max, sum and p99. max_stall_ms is the
+  /// deamortization headline — blocking mode reports the full
+  /// largest-rebuild time there.
   double max_stall_ms = 0.0;
-  /// Total serving-attributable re-order stall time.
   double stall_ms = 0.0;
-  /// Distribution of individual stall events (virtual ms), from the
-  /// store's stall histogram cell.
   double stall_p99_ms = 0.0;
 
   uint64_t TotalIo() const {
@@ -296,7 +294,7 @@ class ObliviousStore {
 
   /// First-time insertion of a record fetched from the StegFS partition.
   /// Buffer-only; no level touches (the fetch itself was the observable
-  /// I/O).
+  /// I/O). Equivalent to MultiInsert of a single-id group.
   Status Insert(RecordId id, const uint8_t* payload);
 
   /// Batched first-time insertion (miss-fill): buffer-only like Insert,
@@ -348,9 +346,9 @@ class ObliviousStore {
     return reorder_epoch_;
   }
 
-  /// Snapshot: counters come from atomic cells (torn-read-free even
-  /// against a concurrent scan), virtual-time doubles are copied under
-  /// the store lock.
+  /// Snapshot: counters and stall figures come from atomic cells
+  /// (torn-read-free even against a concurrent scan), the other
+  /// virtual-time doubles are copied under the store lock.
   ObliviousStats stats() const;
   void ResetStats();
 

@@ -185,9 +185,6 @@ class Registration {
   Registration(const Registration&) = delete;
   Registration& operator=(const Registration&) = delete;
 
-  bool attached() const { return registry_ != nullptr; }
-  Registry* registry() const { return registry_; }
-
   void Counter(const std::string& name, const CounterCell* cell);
   void Gauge(const std::string& name, const GaugeCell* cell);
   void Histogram(const std::string& name, const HistogramCell* cell);

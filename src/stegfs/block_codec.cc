@@ -150,11 +150,6 @@ Status BlockCodec::OpenScatter(const crypto::CbcCipher& cipher,
       [&](size_t i) { return out_payloads[i]; });
 }
 
-Status BlockCodec::Refresh(const crypto::CbcCipher& cipher,
-                           crypto::HashDrbg& drbg, uint8_t* block) const {
-  return RefreshBlocks(cipher, drbg, block, 1);
-}
-
 Status BlockCodec::RefreshBlocks(const crypto::CbcCipher& cipher,
                                  crypto::HashDrbg& drbg, uint8_t* blocks,
                                  size_t n, Bytes* scratch) const {

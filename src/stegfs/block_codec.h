@@ -64,16 +64,13 @@ class BlockCodec {
                      std::span<const uint8_t* const> blocks,
                      std::span<uint8_t* const> out_payloads) const;
 
-  /// Dummy update on a block image: decrypts, draws a fresh IV, and
-  /// re-encrypts in place, leaving the plaintext untouched. Every
-  /// ciphertext byte changes, exactly like a real content update.
-  Status Refresh(const crypto::CbcCipher& cipher, crypto::HashDrbg& drbg,
-                 uint8_t* block) const;
-
-  /// Refreshes `n` consecutive block images in place. `scratch` (when
-  /// given) holds the transient plaintext between open and re-seal and is
-  /// resized as needed — callers on the dummy-update hot path keep one
-  /// across calls so a refresh allocates nothing.
+  /// Dummy update on `n` consecutive block images: decrypts each, draws
+  /// a fresh IV, and re-encrypts in place, leaving the plaintext
+  /// untouched. Every ciphertext byte changes, exactly like a real
+  /// content update. `scratch` (when given) holds the transient plaintext
+  /// between open and re-seal and is resized as needed — callers on the
+  /// dummy-update hot path keep one across calls so a refresh allocates
+  /// nothing.
   Status RefreshBlocks(const crypto::CbcCipher& cipher,
                        crypto::HashDrbg& drbg, uint8_t* blocks, size_t n,
                        Bytes* scratch = nullptr) const;

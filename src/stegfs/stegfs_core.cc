@@ -118,21 +118,8 @@ Status StegFsCore::StoreFile(HiddenFile& file) {
 
 Status StegFsCore::ReadFileBlock(const HiddenFile& file, uint64_t logical,
                                  uint8_t* out_payload) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (logical >= file.num_data_blocks()) {
-    return Status::OutOfRange("logical block beyond end of file");
-  }
-  const uint64_t physical = file.block_ptrs[logical];
-  Bytes block;
-  STEGHIDE_RETURN_IF_ERROR(ReadRaw(physical, block));
-  if (file.is_dummy) {
-    // Dummy content is unkeyed randomness; hand back the raw data field.
-    std::memcpy(out_payload, block.data() + kIvSize, codec_.payload_size());
-    return Status::OK();
-  }
-  STEGHIDE_ASSIGN_OR_RETURN(const crypto::CbcCipher* cipher,
-                            CipherFor(file.fak.content_key));
-  return codec_.Open(*cipher, block.data(), out_payload);
+  return ReadFileBlockSet(file, std::span<const uint64_t>(&logical, 1),
+                          out_payload);
 }
 
 Status StegFsCore::ReadFileBlockSet(const HiddenFile& file,

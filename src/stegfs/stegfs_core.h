@@ -86,7 +86,7 @@ class StegFsCore {
 
   /// Reads logical block `logical` of `file` into `out_payload`
   /// (payload_size() bytes). For dummy files the "payload" is the raw
-  /// (meaningless) data field.
+  /// (meaningless) data field. The one-block case of ReadFileBlockSet.
   Status ReadFileBlock(const HiddenFile& file, uint64_t logical,
                        uint8_t* out_payload);
 

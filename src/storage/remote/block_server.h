@@ -39,7 +39,6 @@ class BlockServer {
   /// as encoded Status replies and do NOT stop the loop.
   void Serve(Transport* transport);
 
-  uint64_t requests_served() const { return cells_.requests.value(); }
   void RegisterMetrics(obs::Registry* registry, const std::string& prefix);
 
  private:

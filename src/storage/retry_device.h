@@ -61,9 +61,6 @@ class RetryingBlockDevice : public BlockDevice {
   size_t block_size() const override { return backing_->block_size(); }
   Status Flush() override;
 
-  const RetryPolicy& policy() const { return policy_; }
-  void set_policy(const RetryPolicy& policy) { policy_ = policy; }
-
   /// Sink for backoff charges (typically DiskModel::AdvanceClock).
   void set_latency_fn(std::function<void(double)> fn) {
     latency_fn_ = std::move(fn);

@@ -150,11 +150,11 @@ TEST_F(ObliviousAgentTest, ReadBatchServesMultipleRanges) {
   const Bytes data = Pattern(40000, 3);
   ASSERT_TRUE(agent_->Write(*id, 0, data).ok());
 
-  const std::vector<ObliviousAgent::ByteRange> ranges = {
-      {100, 500}, {19000, 2500}, {100, 500}, {39990, 100}};
-  auto out = agent_->ReadBatch(*id, ranges);
+  const std::vector<ObliviousAgent::ReadRequest> requests = {
+      {*id, 100, 500}, {*id, 19000, 2500}, {*id, 100, 500}, {*id, 39990, 100}};
+  auto out = agent_->ReadGroup(requests);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_EQ(out->size(), ranges.size());
+  ASSERT_EQ(out->size(), requests.size());
   EXPECT_EQ((*out)[0], Bytes(data.begin() + 100, data.begin() + 600));
   EXPECT_EQ((*out)[1], Bytes(data.begin() + 19000, data.begin() + 21500));
   EXPECT_EQ((*out)[2], (*out)[0]);
@@ -171,9 +171,11 @@ TEST_F(ObliviousAgentTest, ReadBatchGroupsObliviousScans) {
   ASSERT_TRUE(agent_->Read(*id, 0, payload * 12).ok());
 
   agent_->store().ResetStats();
-  std::vector<ObliviousAgent::ByteRange> ranges;
-  for (uint64_t b = 0; b < 12; ++b) ranges.push_back({b * payload, payload});
-  auto out = agent_->ReadBatch(*id, ranges);
+  std::vector<ObliviousAgent::ReadRequest> requests;
+  for (uint64_t b = 0; b < 12; ++b) {
+    requests.push_back({*id, b * payload, payload});
+  }
+  auto out = agent_->ReadGroup(requests);
   ASSERT_TRUE(out.ok());
   // 12 cached blocks with an 8-block store buffer: at most 2 scan passes
   // (the one-at-a-time path would pay up to 12).
@@ -187,14 +189,11 @@ TEST_F(ObliviousAgentTest, WriteBatchAppliesOpsInOrder) {
   ASSERT_TRUE(agent_->Write(*id, 0, base).ok());
   ASSERT_TRUE(agent_->Read(*id, 0, base.size()).ok());  // prime cache
 
-  std::vector<ObliviousAgent::WriteOp> ops(3);
-  ops[0].offset = 1000;
-  ops[0].data = Bytes(3000, 0x11);
-  ops[1].offset = 2500;
-  ops[1].data = Bytes(200, 0x22);  // overlaps op 0; must win
-  ops[2].offset = 19990;
-  ops[2].data = Bytes(120, 0x33);  // grows the file by 110 bytes
-  ASSERT_TRUE(agent_->WriteBatch(*id, ops).ok());
+  std::vector<ObliviousAgent::WriteRequest> ops(3);
+  ops[0] = {*id, 1000, Bytes(3000, 0x11)};
+  ops[1] = {*id, 2500, Bytes(200, 0x22)};  // overlaps op 0; must win
+  ops[2] = {*id, 19990, Bytes(120, 0x33)};  // grows the file by 110 bytes
+  ASSERT_TRUE(agent_->WriteGroup(ops).ok());
 
   const auto back = agent_->Read(*id, 0, 30000);
   ASSERT_TRUE(back.ok());
@@ -219,23 +218,24 @@ TEST_F(ObliviousAgentTest, BatchSoakMatchesMirrorProperty) {
   for (int round = 0; round < 60; ++round) {
     const size_t k = 1 + rng.Uniform(4);
     if (rng.Bernoulli(0.5)) {
-      std::vector<ObliviousAgent::WriteOp> ops(k);
+      std::vector<ObliviousAgent::WriteRequest> ops(k);
       for (size_t i = 0; i < k; ++i) {
         const uint64_t b = rng.Uniform(kBlocks);
+        ops[i].file = *id;
         ops[i].offset = b * payload;
         ops[i].data.resize(payload);
         rng.Fill(ops[i].data.data(), payload);
         mirror[b] = ops[i].data;
       }
-      ASSERT_TRUE(agent_->WriteBatch(*id, ops).ok()) << "round " << round;
+      ASSERT_TRUE(agent_->WriteGroup(ops).ok()) << "round " << round;
     } else {
-      std::vector<ObliviousAgent::ByteRange> ranges(k);
+      std::vector<ObliviousAgent::ReadRequest> requests(k);
       std::vector<uint64_t> blocks(k);
       for (size_t i = 0; i < k; ++i) {
         blocks[i] = rng.Uniform(kBlocks);
-        ranges[i] = {blocks[i] * payload, payload};
+        requests[i] = {*id, blocks[i] * payload, payload};
       }
-      auto out = agent_->ReadBatch(*id, ranges);
+      auto out = agent_->ReadGroup(requests);
       ASSERT_TRUE(out.ok()) << "round " << round;
       for (size_t i = 0; i < k; ++i) {
         ASSERT_EQ((*out)[i], mirror[blocks[i]])

@@ -641,5 +641,47 @@ TEST(ObliviousStoreIndexIoTest, ChargedRebuildsKeepEveryRecordReadable) {
   }
 }
 
+// Every serving stall is one sample of the store's stall histogram;
+// stats() and the registry read the stall total and maximum from it.
+TEST(ObliviousStoreStallTest, StallFiguresAgreeWithSortTimeAndRegistry) {
+  for (const bool deamortize : {false, true}) {
+    SCOPED_TRACE(deamortize ? "deamortized" : "blocking");
+    ObliviousStoreOptions opts = SmallOptions();
+    opts.deamortize_reorders = deamortize;
+    opts.shadow_base = 92;  // past the scratch partition [60, 92)
+    obs::Registry registry;
+    opts.registry = &registry;
+    storage::MemBlockDevice mem(148, 4096);
+    storage::SimBlockDevice sim(&mem, storage::DiskModelParams{});
+    auto store = ObliviousStore::Create(&sim, opts);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_EQ((*store)->deamortized(), deamortize);
+    (*store)->set_clock_fn([&sim] { return sim.clock_ms(); });
+
+    Bytes payload((*store)->payload_size(), 0x5a);
+    for (RecordId id = 0; id < 24; ++id) {
+      ASSERT_TRUE((*store)->Insert(id, payload.data()).ok());
+    }
+    Rng rng(2024);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE((*store)->Read(rng.Uniform(24), payload.data()).ok());
+    }
+
+    const ObliviousStats stats = (*store)->stats();
+    EXPECT_GT(stats.reorders, 0u);
+    if (deamortize) {
+      EXPECT_LE(stats.stall_ms, stats.sort_ms);
+    } else {
+      // A blocking re-order runs whole inside the op that triggered it.
+      EXPECT_EQ(stats.stall_ms, stats.sort_ms);
+    }
+    EXPECT_GT(stats.max_stall_ms, 0.0);
+    EXPECT_LE(stats.max_stall_ms, stats.stall_ms);
+    const auto snap = registry.Snapshot();
+    EXPECT_EQ(snap.at("store.stall_total_ms"), stats.stall_ms);
+    EXPECT_EQ(snap.at("store.stall_ms.max"), stats.max_stall_ms);
+  }
+}
+
 }  // namespace
 }  // namespace steghide::oblivious

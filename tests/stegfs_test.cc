@@ -145,7 +145,7 @@ TEST_F(BlockCodecTest, RefreshPreservesPlaintextChangesCiphertext) {
   Bytes block(codec_.block_size());
   ASSERT_TRUE(codec_.Seal(cipher_, drbg_, payload.data(), block.data()).ok());
   const Bytes before = block;
-  ASSERT_TRUE(codec_.Refresh(cipher_, drbg_, block.data()).ok());
+  ASSERT_TRUE(codec_.RefreshBlocks(cipher_, drbg_, block.data(), 1).ok());
   EXPECT_NE(block, before);
   // Every 16-byte unit must change — the dummy-update indistinguishability
   // property.
