@@ -14,23 +14,6 @@ Status BlockDevice::WriteBlock(uint64_t block_id, const Bytes& data) {
   return WriteBlock(block_id, data.data());
 }
 
-Status BlockDevice::ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) {
-  const size_t bs = block_size();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    STEGHIDE_RETURN_IF_ERROR(ReadBlock(ids[i], out + i * bs));
-  }
-  return Status::OK();
-}
-
-Status BlockDevice::WriteBlocks(std::span<const uint64_t> ids,
-                                const uint8_t* data) {
-  const size_t bs = block_size();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    STEGHIDE_RETURN_IF_ERROR(WriteBlock(ids[i], data + i * bs));
-  }
-  return Status::OK();
-}
-
 Status BlockDevice::ReadBlocks(std::span<const uint64_t> ids, Bytes& out) {
   out.resize(ids.size() * block_size());
   return ReadBlocks(ids, out.data());

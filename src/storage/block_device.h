@@ -14,7 +14,9 @@ namespace steghide::storage {
 inline constexpr size_t kDefaultBlockSize = 4096;
 
 /// Abstract fixed-block-size random-access storage volume — the "raw
-/// storage" of the paper's system model (Figure 3). Implementations:
+/// storage" of the paper's system model (Figure 3). Every device
+/// implements one vectored read and one vectored write; a single-block
+/// call is a batch of one id. Implementations:
 ///
 ///  * MemBlockDevice   — RAM-backed, for tests and simulation.
 ///  * FileBlockDevice  — backed by a host file.
@@ -50,27 +52,34 @@ class BlockDevice {
  public:
   virtual ~BlockDevice() = default;
 
-  /// Reads block `block_id` into `out` (block_size() bytes).
-  virtual Status ReadBlock(uint64_t block_id, uint8_t* out) = 0;
-
-  /// Writes block_size() bytes of `data` to block `block_id`.
-  virtual Status WriteBlock(uint64_t block_id, const uint8_t* data) = 0;
-
   /// Vectored read: block `ids[i]` lands at `out + i * block_size()`.
   /// `out` must hold ids.size() * block_size() bytes. No implementation
   /// may drop, coalesce or reorder the blocks that reach one backing
   /// device, duplicates included: the oblivious store reads each scan
   /// sweep with one call, and its probe sequence is the attacker-visible
-  /// pattern. The default issues the single-block calls in submission
-  /// order, so decorators that do not override it (tracing, timing) keep
-  /// their per-block semantics bit-for-bit; fan-out, retry and RPC layers
-  /// override it to move the whole call at once.
-  virtual Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out);
+  /// pattern. Timing, tracing and fault decorators forward one block at a
+  /// time in submission order, so a batch that fails at block i has
+  /// charged, recorded and faulted only the blocks before i; fan-out,
+  /// retry and RPC layers move the whole call at once.
+  virtual Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) = 0;
 
   /// Vectored write: block `ids[i]` is written from
   /// `data + i * block_size()`. Same ordering contract as ReadBlocks.
   virtual Status WriteBlocks(std::span<const uint64_t> ids,
-                             const uint8_t* data);
+                             const uint8_t* data) = 0;
+
+  /// Reads block `block_id` into `out` (block_size() bytes): ReadBlocks
+  /// of one id. Virtual only so a wrapper can count single-block calls
+  /// apart (perfbench's TimingBlockDevice); no device overrides it.
+  virtual Status ReadBlock(uint64_t block_id, uint8_t* out) {
+    return ReadBlocks(std::span<const uint64_t>(&block_id, 1), out);
+  }
+
+  /// Writes block_size() bytes of `data` to block `block_id`: WriteBlocks
+  /// of one id.
+  virtual Status WriteBlock(uint64_t block_id, const uint8_t* data) {
+    return WriteBlocks(std::span<const uint64_t>(&block_id, 1), data);
+  }
 
   virtual uint64_t num_blocks() const = 0;
   virtual size_t block_size() const = 0;

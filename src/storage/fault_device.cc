@@ -42,6 +42,7 @@ uint64_t FaultInjectionBlockDevice::Mix(uint64_t op_index,
 
 Status FaultInjectionBlockDevice::Op(uint64_t block_id, uint8_t* out,
                                      const uint8_t* data) {
+  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
   const bool is_write = data != nullptr;
   const uint64_t index = op_index_++;
   cells_.ops.Increment();
@@ -64,11 +65,10 @@ Status FaultInjectionBlockDevice::Op(uint64_t block_id, uint8_t* out,
       cells_.injected_errors.Increment();
       return Status::IoError("fault injection: sticky error");
     }
-    if (!in_range || !DirectionMatches(spec.ops, is_write)) continue;
-    if (index < spec.start_after) continue;
-    const uint64_t nth = spec.every_nth == 0 ? 1 : spec.every_nth;
-    if ((index - spec.start_after) % nth != 0) continue;
-    if (spec.max_fires != 0 && state.fires >= spec.max_fires) continue;
+    if (!in_range || !DirectionMatches(spec.ops, is_write) ||
+        !spec.Triggers(index, state.fires)) {
+      continue;
+    }
     ++state.fires;
 
     switch (spec.kind) {
@@ -134,36 +134,20 @@ Status FaultInjectionBlockDevice::Op(uint64_t block_id, uint8_t* out,
   return Status::OK();
 }
 
-Status FaultInjectionBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  return Op(block_id, out, nullptr);
-}
-
-Status FaultInjectionBlockDevice::WriteBlock(uint64_t block_id,
-                                             const uint8_t* data) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  return Op(block_id, nullptr, data);
-}
-
 Status FaultInjectionBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
                                              uint8_t* out) {
-  // Per-block issue in submission order, like the BlockDevice default:
-  // every block consumes its own op index, so "every Nth op" plans see
-  // vectored and single-block traffic identically.
   const size_t bs = backing_->block_size();
   for (size_t i = 0; i < ids.size(); ++i) {
-    STEGHIDE_RETURN_IF_ERROR(ReadBlock(ids[i], out + i * bs));
+    STEGHIDE_RETURN_IF_ERROR(Op(ids[i], out + i * bs, nullptr));
   }
   return Status::OK();
 }
 
 Status FaultInjectionBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
                                               const uint8_t* data) {
-  // A mid-batch failure leaves the earlier blocks durable — the torn
-  // *batch* the retry/replication layers must cope with.
   const size_t bs = backing_->block_size();
   for (size_t i = 0; i < ids.size(); ++i) {
-    STEGHIDE_RETURN_IF_ERROR(WriteBlock(ids[i], data + i * bs));
+    STEGHIDE_RETURN_IF_ERROR(Op(ids[i], nullptr, data + i * bs));
   }
   return Status::OK();
 }

@@ -72,6 +72,14 @@ struct FaultSpec {
   uint64_t max_fires = 0;
   /// Extra virtual milliseconds for kLatency.
   double latency_ms = 0.0;
+
+  /// Whether op (or frame) `index` fires the spec, which has fired
+  /// `fires` times so far.
+  bool Triggers(uint64_t index, uint64_t fires) const {
+    const uint64_t nth = every_nth == 0 ? 1 : every_nth;
+    return index >= start_after && (index - start_after) % nth == 0 &&
+           (max_fires == 0 || fires < max_fires);
+  }
 };
 
 /// A seeded, scriptable fault schedule.
@@ -106,11 +114,11 @@ class FaultInjectionBlockDevice : public BlockDevice {
   explicit FaultInjectionBlockDevice(BlockDevice* backing,
                                      FaultPlan plan = {});
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
-
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override;
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override;
+  /// Per-block issue in submission order: every block consumes its own
+  /// op index, so "every Nth op" plans see a batch of n blocks and n
+  /// one-block calls identically. A mid-batch failure leaves the earlier
+  /// blocks done — for writes, the torn *batch* the retry and replication
+  /// layers must cope with.
   Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override;
   Status WriteBlocks(std::span<const uint64_t> ids,
                      const uint8_t* data) override;
@@ -157,9 +165,9 @@ class FaultInjectionBlockDevice : public BlockDevice {
     obs::CounterCell latency_events;
   };
 
-  /// One physical block op: consumes an op index, evaluates the plan,
-  /// forwards to the backing device when allowed. Exactly one of
-  /// out/data is non-null.
+  /// One physical block op: checks the range, consumes an op index,
+  /// evaluates the plan, forwards to the backing device when allowed.
+  /// Exactly one of out/data is non-null.
   Status Op(uint64_t block_id, uint8_t* out, const uint8_t* data);
   /// Deterministic per-(seed, op, block) byte stream for corruption and
   /// torn lengths.

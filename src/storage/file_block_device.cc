@@ -80,8 +80,7 @@ FileBlockDevice::~FileBlockDevice() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status FileBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "FileBlockDevice");
+Status FileBlockDevice::PreadBlock(uint64_t block_id, uint8_t* out) {
   STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
   const off_t off = static_cast<off_t>(block_id * block_size_);
   size_t done = 0;
@@ -98,8 +97,7 @@ Status FileBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
   return Status::OK();
 }
 
-Status FileBlockDevice::WriteBlock(uint64_t block_id, const uint8_t* data) {
-  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "FileBlockDevice");
+Status FileBlockDevice::PwriteBlock(uint64_t block_id, const uint8_t* data) {
   STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
   const off_t off = static_cast<off_t>(block_id * block_size_);
   size_t done = 0;
@@ -121,13 +119,19 @@ Status FileBlockDevice::WriteBlock(uint64_t block_id, const uint8_t* data) {
 Status FileBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
                                    uint8_t* out) {
   STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "FileBlockDevice");
-  return BlockDevice::ReadBlocks(ids, out);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    STEGHIDE_RETURN_IF_ERROR(PreadBlock(ids[i], out + i * block_size_));
+  }
+  return Status::OK();
 }
 
 Status FileBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
                                     const uint8_t* data) {
   STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "FileBlockDevice");
-  return BlockDevice::WriteBlocks(ids, data);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    STEGHIDE_RETURN_IF_ERROR(PwriteBlock(ids[i], data + i * block_size_));
+  }
+  return Status::OK();
 }
 
 Status FileBlockDevice::Flush() {

@@ -35,15 +35,11 @@ class FileBlockDevice : public BlockDevice {
   FileBlockDevice& operator=(const FileBlockDevice&) = delete;
   ~FileBlockDevice() override;
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
   using BlockDevice::ReadBlocks;
 
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override;
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override;
-  /// Vectored overrides guard the *whole* call, so two interleaved
-  /// batches from different threads trip the checker even when their
-  /// per-block steps happen not to overlap.
+  /// Each call takes one serial-call guard over the *whole* batch, so
+  /// two interleaved batches from different threads trip the checker
+  /// even when their per-block steps happen not to overlap.
   Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override;
   Status WriteBlocks(std::span<const uint64_t> ids,
                      const uint8_t* data) override;
@@ -54,6 +50,10 @@ class FileBlockDevice : public BlockDevice {
  private:
   FileBlockDevice(int fd, uint64_t num_blocks, size_t block_size)
       : fd_(fd), num_blocks_(num_blocks), block_size_(block_size) {}
+
+  /// One block through pread/pwrite, resuming short transfers.
+  Status PreadBlock(uint64_t block_id, uint8_t* out);
+  Status PwriteBlock(uint64_t block_id, const uint8_t* data);
 
   int fd_ = -1;
   uint64_t num_blocks_ = 0;

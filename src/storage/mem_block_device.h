@@ -19,13 +19,9 @@ class MemBlockDevice : public BlockDevice {
  public:
   MemBlockDevice(uint64_t num_blocks, size_t block_size = kDefaultBlockSize);
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
   using BlockDevice::ReadBlocks;
 
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override;
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override;
-  /// Vectored overrides guard the whole call (see file_block_device.h).
+  /// Each call takes one serial-call guard (see file_block_device.h).
   Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override;
   Status WriteBlocks(std::span<const uint64_t> ids,
                      const uint8_t* data) override;

@@ -166,18 +166,6 @@ Status RemoteBlockDevice::Rpc(FrameType type, std::span<const uint64_t> ids,
   return last;
 }
 
-Status RemoteBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  const uint64_t ids[1] = {block_id};
-  return Rpc(FrameType::kRead, ids, nullptr, out);
-}
-
-Status RemoteBlockDevice::WriteBlock(uint64_t block_id, const uint8_t* data) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  const uint64_t ids[1] = {block_id};
-  return Rpc(FrameType::kWrite, ids, data, nullptr);
-}
-
 Status RemoteBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
                                      uint8_t* out) {
   for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));

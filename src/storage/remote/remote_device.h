@@ -70,11 +70,6 @@ class RemoteBlockDevice : public BlockDevice {
   static Result<std::unique_ptr<RemoteBlockDevice>> Create(
       ConnectFn connect, RemoteDeviceOptions options = {});
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
-
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override;
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override;
   Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override;
   Status WriteBlocks(std::span<const uint64_t> ids,
                      const uint8_t* data) override;

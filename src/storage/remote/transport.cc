@@ -250,11 +250,8 @@ Status TransportFaultController::OnClientSend(const uint8_t* frame, size_t n,
     const FaultSpec& spec = plan_.faults[i];
     if (!IsTransportKind(spec.kind)) continue;  // block-layer spec
     if (!FrameDirectionMatches(spec.ops, type)) continue;
-    if (index < spec.start_after) continue;
-    const uint64_t nth = spec.every_nth == 0 ? 1 : spec.every_nth;
-    if ((index - spec.start_after) % nth != 0) continue;
     SpecState& state = states_[i];
-    if (spec.max_fires != 0 && state.fires >= spec.max_fires) continue;
+    if (!spec.Triggers(index, state.fires)) continue;
     ++state.fires;
 
     switch (spec.kind) {

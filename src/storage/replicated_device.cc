@@ -150,8 +150,10 @@ void ReplicatedBlockDevice::MaybePromote(size_t r) {
 // ---------------------------------------------------------------------------
 // Serving
 
-Status ReplicatedBlockDevice::WriteTo(std::span<const uint64_t> ids,
-                                      const uint8_t* data) {
+Status ReplicatedBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
+                                          const uint8_t* data) {
+  if (ids.empty()) return Status::OK();
+  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
   cells_.writes.Add(ids.size());
   const uint64_t seq = ++write_seq_;
   size_t acks = 0;
@@ -186,8 +188,10 @@ Status ReplicatedBlockDevice::WriteTo(std::span<const uint64_t> ids,
              : first_error;
 }
 
-Status ReplicatedBlockDevice::ReadFrom(std::span<const uint64_t> ids,
-                                       uint8_t* out) {
+Status ReplicatedBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
+                                         uint8_t* out) {
+  if (ids.empty()) return Status::OK();
+  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
   cells_.reads.Add(ids.size());
   std::vector<size_t> order;
   if (!ServingOrder(&order)) {
@@ -303,34 +307,6 @@ void ReplicatedBlockDevice::ReadRepair(std::span<const uint64_t> ids,
       NoteWriteFailure(r);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Entry points
-
-Status ReplicatedBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  return ReadFrom(std::span<const uint64_t>(&block_id, 1), out);
-}
-
-Status ReplicatedBlockDevice::WriteBlock(uint64_t block_id,
-                                         const uint8_t* data) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  return WriteTo(std::span<const uint64_t>(&block_id, 1), data);
-}
-
-Status ReplicatedBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
-                                         uint8_t* out) {
-  if (ids.empty()) return Status::OK();
-  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
-  return ReadFrom(ids, out);
-}
-
-Status ReplicatedBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
-                                          const uint8_t* data) {
-  if (ids.empty()) return Status::OK();
-  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
-  return WriteTo(ids, data);
 }
 
 Status ReplicatedBlockDevice::Flush() {

@@ -119,11 +119,6 @@ class ReplicatedBlockDevice : public BlockDevice {
   explicit ReplicatedBlockDevice(std::vector<BlockDevice*> replicas,
                                  ReplicationOptions options = {});
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
-
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override;
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override;
   Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override;
   Status WriteBlocks(std::span<const uint64_t> ids,
                      const uint8_t* data) override;
@@ -207,8 +202,6 @@ class ReplicatedBlockDevice : public BlockDevice {
   /// Demotion ladder for a failed write/flush on replica `r`.
   void NoteWriteFailure(size_t r);
   void MaybePromote(size_t r);
-  Status ReadFrom(std::span<const uint64_t> ids, uint8_t* out);
-  Status WriteTo(std::span<const uint64_t> ids, const uint8_t* data);
   /// Pushes the (current) blocks just read back to reachable lagging
   /// replicas. `served_current[i]` guards against propagating a stale
   /// fallback.

@@ -27,15 +27,6 @@ Status RetryingBlockDevice::Retry(size_t blocks,
   return status;
 }
 
-Status RetryingBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  return Retry(1, [&] { return backing_->ReadBlock(block_id, out); });
-}
-
-Status RetryingBlockDevice::WriteBlock(uint64_t block_id,
-                                       const uint8_t* data) {
-  return Retry(1, [&] { return backing_->WriteBlock(block_id, data); });
-}
-
 Status RetryingBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
                                        uint8_t* out) {
   return Retry(ids.size(), [&] { return backing_->ReadBlocks(ids, out); });

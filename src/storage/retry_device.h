@@ -49,11 +49,6 @@ class RetryingBlockDevice : public BlockDevice {
   explicit RetryingBlockDevice(BlockDevice* backing, RetryPolicy policy = {})
       : backing_(backing), policy_(policy) {}
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
-
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override;
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override;
   Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override;
   Status WriteBlocks(std::span<const uint64_t> ids,
                      const uint8_t* data) override;

@@ -17,17 +17,25 @@ void SimBlockDevice::Charge(uint64_t block_id) {
   }
 }
 
-Status SimBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  STEGHIDE_RETURN_IF_ERROR(backing_->ReadBlock(block_id, out));
-  Charge(block_id);
-  cells_.reads.Increment();
+Status SimBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
+                                  uint8_t* out) {
+  const size_t bs = block_size();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    STEGHIDE_RETURN_IF_ERROR(backing_->ReadBlock(ids[i], out + i * bs));
+    Charge(ids[i]);
+    cells_.reads.Increment();
+  }
   return Status::OK();
 }
 
-Status SimBlockDevice::WriteBlock(uint64_t block_id, const uint8_t* data) {
-  STEGHIDE_RETURN_IF_ERROR(backing_->WriteBlock(block_id, data));
-  Charge(block_id);
-  cells_.writes.Increment();
+Status SimBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
+                                   const uint8_t* data) {
+  const size_t bs = block_size();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    STEGHIDE_RETURN_IF_ERROR(backing_->WriteBlock(ids[i], data + i * bs));
+    Charge(ids[i]);
+    cells_.writes.Increment();
+  }
   return Status::OK();
 }
 

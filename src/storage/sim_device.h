@@ -29,11 +29,13 @@ class SimBlockDevice : public BlockDevice {
   /// Does not take ownership of `backing`, which must outlive this object.
   SimBlockDevice(BlockDevice* backing, const DiskModelParams& params);
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
+  using BlockDevice::ReadBlocks;
 
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override;
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override;
+  /// Forwards one block at a time and charges it once it succeeds, so a
+  /// failed block and the blocks after it cost nothing.
+  Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override;
+  Status WriteBlocks(std::span<const uint64_t> ids,
+                     const uint8_t* data) override;
   uint64_t num_blocks() const override { return backing_->num_blocks(); }
   size_t block_size() const override { return backing_->block_size(); }
   Status Flush() override { return backing_->Flush(); }

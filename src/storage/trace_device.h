@@ -29,18 +29,25 @@ class TraceBlockDevice : public BlockDevice {
   /// Does not take ownership of `backing`.
   explicit TraceBlockDevice(BlockDevice* backing) : backing_(backing) {}
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
+  using BlockDevice::ReadBlocks;
 
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override {
-    STEGHIDE_RETURN_IF_ERROR(backing_->ReadBlock(block_id, out));
-    if (enabled_) trace_.push_back({TraceEvent::Kind::kRead, block_id});
+  /// Forwards one block at a time and records it once it succeeds.
+  Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override {
+    const size_t bs = block_size();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      STEGHIDE_RETURN_IF_ERROR(backing_->ReadBlock(ids[i], out + i * bs));
+      if (enabled_) trace_.push_back({TraceEvent::Kind::kRead, ids[i]});
+    }
     return Status::OK();
   }
 
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override {
-    STEGHIDE_RETURN_IF_ERROR(backing_->WriteBlock(block_id, data));
-    if (enabled_) trace_.push_back({TraceEvent::Kind::kWrite, block_id});
+  Status WriteBlocks(std::span<const uint64_t> ids,
+                     const uint8_t* data) override {
+    const size_t bs = block_size();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      STEGHIDE_RETURN_IF_ERROR(backing_->WriteBlock(ids[i], data + i * bs));
+      if (enabled_) trace_.push_back({TraceEvent::Kind::kWrite, ids[i]});
+    }
     return Status::OK();
   }
 

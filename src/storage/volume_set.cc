@@ -33,25 +33,6 @@ void ShardedBlockDevice::set_trace(obs::TraceLog* log) {
   }
 }
 
-Status ShardedBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  const size_t shard = static_cast<size_t>(ShardOf(block_id));
-  return RunOnShards([&](size_t k) {
-    return k == shard ? shards_[k]->ReadBlock(LocalBlock(block_id), out)
-                      : Status::OK();
-  });
-}
-
-Status ShardedBlockDevice::WriteBlock(uint64_t block_id,
-                                      const uint8_t* data) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  const size_t shard = static_cast<size_t>(ShardOf(block_id));
-  return RunOnShards([&](size_t k) {
-    return k == shard ? shards_[k]->WriteBlock(LocalBlock(block_id), data)
-                      : Status::OK();
-  });
-}
-
 Status ShardedBlockDevice::FanOut(std::span<const uint64_t> ids, uint8_t* out,
                                   const uint8_t* data) {
   const size_t bs = block_size_;
@@ -121,8 +102,9 @@ VolumeSet::VolumeSet(const Options& options) {
     // Per-replica stack, bottom up: Mem -> [Fault] -> [Trace] -> Sim.
     // The fault layer sits below the trace so the per-replica attacker
     // view records exactly the ops that reached the platter; the sim
-    // sits on top so failed attempts still cost virtual time upstream
-    // retries can measure. A remote replica keeps that whole stack —
+    // sits on top, so a failed attempt costs the virtual time of the
+    // blocks served before the failure, and the failing block costs
+    // nothing. A remote replica keeps that whole stack —
     // it becomes the server side behind a loopback endpoint, with the
     // endpoint's thread as its sole issuer — and contributes a
     // RemoteBlockDevice client as its top instead.

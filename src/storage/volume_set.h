@@ -29,9 +29,9 @@ namespace steghide::storage {
 /// preserves the rotational-disk locality the elevator schedule creates.
 ///
 /// Every call runs each involved shard's part on the calling thread, in
-/// shard order: a vectored call is split by stripe, each shard sees its
-/// part as one call in submission order, every involved shard is issued
-/// even after one fails, and the first error in shard order is returned.
+/// shard order: a call is split by stripe, each shard sees its part as
+/// one call in submission order, every involved shard is issued even
+/// after one fails, and the first error in shard order is returned.
 /// The facade follows the single-issuer contract of block_device.h, and
 /// its caller is the sole issuer of every shard below it.
 ///
@@ -46,12 +46,8 @@ class ShardedBlockDevice : public BlockDevice {
   /// object, share one block size, and be non-empty.
   explicit ShardedBlockDevice(std::vector<BlockDevice*> shards);
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
   using BlockDevice::ReadBlocks;
 
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override;
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override;
   Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override;
   Status WriteBlocks(std::span<const uint64_t> ids,
                      const uint8_t* data) override;
@@ -106,10 +102,10 @@ class ShardedBlockDevice : public BlockDevice {
     return first;
   }
 
-  /// Attaches a trace log: the part of every vectored call that reaches
-  /// shard k is one "io.drain" span (arg `reqs`: its block count) on
-  /// track "io/shard<k>", so the shards of one sweep render as separate
-  /// lanes. Null detaches. Call before any I/O.
+  /// Attaches a trace log: the part of every call, single-block calls
+  /// included, that reaches shard k is one "io.drain" span (arg `reqs`:
+  /// its block count) on track "io/shard<k>", so the shards of one sweep
+  /// render as separate lanes. Null detaches. Call before any I/O.
   void set_trace(obs::TraceLog* log);
 
  private:

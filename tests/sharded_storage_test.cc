@@ -216,8 +216,8 @@ TEST(ShardedBlockDeviceTest, IssuesEveryShardOnTheCallingThread) {
   ASSERT_TRUE(fx.device->Flush().ok());
   for (size_t k = 0; k < 4; ++k) {
     std::vector<std::string> expected = {"writev", "readv", "flush"};
-    if (k == 2) expected.insert(expected.begin(), "read");
-    if (k == 1) expected.insert(expected.begin(), "write");
+    if (k == 2) expected.insert(expected.begin(), "readv");
+    if (k == 1) expected.insert(expected.begin(), "writev");
     EXPECT_EQ(fx.shards[k].ops, expected) << "shard " << k;
     for (const std::thread::id& id : fx.shards[k].threads) {
       EXPECT_EQ(id, std::this_thread::get_id()) << "shard " << k;
@@ -253,7 +253,7 @@ TEST(ShardedBlockDeviceTest, UntouchedShardsSeeNothing) {
   ASSERT_TRUE(fx.device->ReadBlock(2, buf.data()).ok());
   EXPECT_TRUE(fx.shards[0].ops.empty());
   EXPECT_EQ(fx.shards[1].ops, std::vector<std::string>{"readv"});
-  EXPECT_EQ(fx.shards[2].ops, std::vector<std::string>{"read"});
+  EXPECT_EQ(fx.shards[2].ops, std::vector<std::string>{"readv"});
   EXPECT_EQ(fx.shards[3].ops, std::vector<std::string>{"readv"});
 }
 

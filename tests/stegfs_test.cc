@@ -428,6 +428,42 @@ TEST_F(StegFsCoreTest, CipherCacheReturnsSameInstance) {
   EXPECT_EQ(*a, *b);
 }
 
+TEST(StegFsFormatTest, DrbgFormatIsSeededAndHoldsFiles) {
+  // fast_format = false is the DRBG fill a deployment would format with.
+  constexpr uint64_t kBlocks = 64;
+  auto image = [](const storage::MemBlockDevice& dev) {
+    return Bytes(dev.BlockData(0), dev.BlockData(0) + kBlocks * 4096);
+  };
+  storage::MemBlockDevice a(kBlocks, 4096), b(kBlocks, 4096);
+  storage::MemBlockDevice fast(kBlocks, 4096), reseeded(kBlocks, 4096);
+  StegFsCore core_a(&a, StegFsOptions{7, false});
+  StegFsCore core_b(&b, StegFsOptions{7, false});
+  StegFsCore core_fast(&fast, StegFsOptions{7, true});
+  StegFsCore core_reseeded(&reseeded, StegFsOptions{8, false});
+  for (StegFsCore* core : {&core_a, &core_b, &core_fast, &core_reseeded}) {
+    ASSERT_TRUE(core->Format().ok());
+  }
+  EXPECT_EQ(image(a), image(b));
+  EXPECT_NE(image(a), image(fast));
+  EXPECT_NE(image(a), image(reseeded));
+
+  // A hidden file written over the DRBG-formatted volume reads back.
+  HiddenFile file;
+  file.fak = FileAccessKey::Random(core_a.drbg(), kBlocks);
+  const uint64_t data_block = (file.fak.header_location + 1) % kBlocks;
+  const Bytes payload = core_a.drbg().Generate(core_a.payload_size());
+  ASSERT_TRUE(core_a.WriteDataBlockAt(file, data_block, payload.data()).ok());
+  file.block_ptrs.push_back(data_block);
+  file.file_size = core_a.payload_size();
+  ASSERT_TRUE(core_a.StoreFile(file).ok());
+  const auto loaded = core_a.LoadFile(file.fak);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->block_ptrs, file.block_ptrs);
+  Bytes back(core_a.payload_size());
+  ASSERT_TRUE(core_a.ReadFileBlock(*loaded, 0, back.data()).ok());
+  EXPECT_EQ(back, payload);
+}
+
 TEST_F(StegFsCoreTest, DummyFileReadsRawRandomness) {
   HiddenFile dummy;
   dummy.is_dummy = true;

@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "../perfbench/timing_device.h"
 #include "storage/disk_model.h"
+#include "storage/fault_device.h"
 #include "storage/file_block_device.h"
 #include "storage/mem_block_device.h"
 #include "storage/sim_device.h"
@@ -210,9 +212,33 @@ TEST(SimBlockDeviceTest, ErrorsAreNotCharged) {
   EXPECT_EQ(sim.stats().reads, 0u);
 }
 
-// ---- Vectored BlockDevice fallback ------------------------------------
+TEST(SimBlockDeviceTest, FailedBatchChargesOnlyTheBlocksBeforeTheFailure) {
+  // Mem -> Fault -> Sim: the third block of the batch fails once.
+  MemBlockDevice mem(8, 4096);
+  FaultSpec spec;
+  spec.kind = FaultSpec::Kind::kTransientError;
+  spec.ops = FaultSpec::OpFilter::kRead;
+  spec.start_after = 2;
+  spec.max_fires = 1;
+  FaultInjectionBlockDevice fault(&mem, FaultPlan{{spec}});
+  SimBlockDevice sim(&fault, DiskModelParams{});
+  const std::vector<uint64_t> ids = {0, 1, 2, 3};
+  Bytes out;
+  EXPECT_EQ(sim.ReadBlocks(ids, out).code(), StatusCode::kIoError);
+  EXPECT_EQ(sim.stats().reads, 2u);
 
-TEST(VectoredIoTest, DefaultReadBlocksPreservesSubmissionOrder) {
+  // The failed batch costs what its two served blocks cost on a clean
+  // device.
+  MemBlockDevice clean_mem(8, 4096);
+  SimBlockDevice twin(&clean_mem, DiskModelParams{});
+  const std::vector<uint64_t> served = {0, 1};
+  ASSERT_TRUE(twin.ReadBlocks(served, out).ok());
+  EXPECT_DOUBLE_EQ(sim.clock_ms(), twin.clock_ms());
+}
+
+// ---- Vectored I/O through a per-block decorator -----------------------
+
+TEST(VectoredIoTest, TracedReadBlocksPreservesSubmissionOrder) {
   TracedMemDevice dev(16, 512);
   ASSERT_TRUE(FillGolden(dev.mem(), /*seed=*/3).ok());
   const std::vector<uint64_t> ids = {9, 2, 9, 0};
@@ -232,7 +258,7 @@ TEST(VectoredIoTest, DefaultReadBlocksPreservesSubmissionOrder) {
   EXPECT_EQ(dev.trace(), expected);
 }
 
-TEST(VectoredIoTest, DefaultWriteBlocksPreservesSubmissionOrder) {
+TEST(VectoredIoTest, TracedWriteBlocksPreservesSubmissionOrder) {
   TracedMemDevice dev(8, 512);
   const std::vector<uint64_t> ids = {5, 1, 6};
   Bytes data;
@@ -256,6 +282,24 @@ TEST(VectoredIoTest, OutOfRangeIdFailsWholeBatch) {
   const std::vector<uint64_t> ids = {1, 99};
   Bytes out;
   EXPECT_EQ(mem.ReadBlocks(ids, out).code(), StatusCode::kOutOfRange);
+}
+
+// ---- perfbench's TimingBlockDevice ------------------------------------
+
+TEST(TimingBlockDeviceTest, CountsCallsAndBlocksAndForwardsBytes) {
+  MemBlockDevice mem(8, 512);
+  perfbench::TimingBlockDevice timing(&mem, /*record_bursts=*/false);
+  const Bytes block = GoldenBlock(5, 6, 512);
+  ASSERT_TRUE(timing.WriteBlock(6, block.data()).ok());
+  const std::vector<uint64_t> ids = {6, 0, 6, 3};
+  Bytes out;
+  ASSERT_TRUE(timing.ReadBlocks(ids, out).ok());
+  EXPECT_EQ(timing.calls(), 2u);
+  EXPECT_EQ(timing.blocks(), 5u);
+  EXPECT_EQ(Bytes(out.begin(), out.begin() + 512), block);
+  EXPECT_EQ(Bytes(out.begin() + 1024, out.begin() + 1536), block);
+  EXPECT_EQ(Bytes(out.begin() + 512, out.begin() + 1024), Bytes(512, 0));
+  EXPECT_TRUE(steghide::testing::BlockEquals(mem, 6, block));
 }
 
 // TraceBlockDevice and Snapshot have dedicated suites now:

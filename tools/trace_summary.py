@@ -11,7 +11,7 @@ device work?" without opening a UI.
 Span names follow "<component>.<phase>" ("store.scan",
 "dispatch.commit", "io.drain"); per-shard lanes are tracks named
 "io/shard<k>", where a ShardedBlockDevice records one "io.drain" span for
-each shard's part of every vectored call (ShardedBlockDevice::set_trace).
+each shard's part of every call (ShardedBlockDevice::set_trace).
 Attribute args (level, shards, reqs, stall) are aggregated where
 present. Nested spans overlap by construction (a store.scan contains its
 io.drain), so rows are per-(track, name) and do not sum to wall totals;
