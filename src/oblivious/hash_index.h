@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 namespace steghide::oblivious {
 
@@ -13,7 +13,8 @@ using RecordId = uint64_t;
 inline constexpr RecordId kNullRecord = ~RecordId{0};
 
 /// Per-level secondary hash index: logical record id -> slot within the
-/// level.
+/// level. The store also uses one as the dedup set of a re-order
+/// snapshot (slot 0 for every id).
 ///
 /// Following §5.1.2, the lookup key is a keyed hash of the logical address
 /// and a nonce "generated when the hash index is rebuilt", so even if the
@@ -22,31 +23,70 @@ inline constexpr RecordId kNullRecord = ~RecordId{0};
 /// configuration) but preserve the nonce-keyed structure; the I/O cost of
 /// the spilled variant can be charged via
 /// ObliviousStoreOptions::charge_index_io.
+///
+/// The table is flat: linear probing over a power-of-two array of
+/// (keyed hash, slot) pairs, at most half full, with backward-shift
+/// erase so no tombstones build up. It keeps its capacity across
+/// Rebuild(): a level refills to about the same size at every re-order,
+/// so a rebuilt index reaches steady state without allocating. The table
+/// is never iterated, so its layout cannot order anything observable.
 class HashIndex {
  public:
   HashIndex() = default;
 
-  /// Clears all entries and installs a fresh nonce.
+  /// Clears all entries and installs a fresh nonce. Keeps the capacity;
+  /// the clear costs the entries put since the last clear, not the
+  /// capacity, while the table is sparse.
   void Rebuild(uint64_t nonce);
 
-  /// Inserts or overwrites the slot for `id`.
-  void Put(RecordId id, uint64_t slot);
+  /// Makes room for `n` entries, so that many puts never grow the table.
+  void Reserve(size_t n);
+
+  /// Inserts or overwrites the slot for `id`; true when `id` was absent.
+  /// `slot` must not be ~0 (the empty marker).
+  bool Put(RecordId id, uint64_t slot);
 
   /// Slot of `id`, if present.
   std::optional<uint64_t> Get(RecordId id) const;
 
   void Erase(RecordId id);
-  size_t size() const { return map_.size(); }
+  size_t size() const { return size_; }
   uint64_t nonce() const { return nonce_; }
 
+  /// Table entries: a power of two, or 0 before the first put or
+  /// reserve.
+  size_t capacity() const { return table_.size(); }
+  /// Entry where a probe for `id` starts (capacity() > 0); lets tests
+  /// build probe clusters.
+  size_t HomeOf(RecordId id) const {
+    return HashKey(id) & (table_.size() - 1);
+  }
+
  private:
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+  struct Entry {
+    uint64_t key = 0;
+    uint64_t slot = kEmpty;
+  };
+
   uint64_t HashKey(RecordId id) const;
+  /// Position of `key`, or of the empty entry that ends its probe run.
+  size_t Find(uint64_t key) const;
+  /// Rehashes every entry into a table of `capacity` entries.
+  void Regrow(size_t capacity);
+  void NoteFilled(size_t pos);
 
   uint64_t nonce_ = 0;
-  // Keyed-hash -> slot. A 64-bit keyed hash makes collisions negligible at
-  // cache scale (<= 2^24 records); Get() re-verifies nothing because ids
-  // are agent-internal and trusted.
-  std::unordered_map<uint64_t, uint64_t> map_;
+  // Keyed hash -> slot. HashKey is a bijection of the id for a fixed
+  // nonce, so distinct ids never share a key and Get() needs no id.
+  std::vector<Entry> table_;
+  size_t size_ = 0;
+  // Positions filled since the last clear, so Rebuild() of a sparse
+  // table resets only those (an erase's backward shift only moves
+  // entries into positions filled before). Recording stops once it
+  // would pass an eighth of the table; Rebuild() then clears it all.
+  std::vector<size_t> filled_;
+  bool filled_complete_ = true;
 };
 
 }  // namespace steghide::oblivious

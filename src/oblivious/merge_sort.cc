@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 namespace steghide::oblivious {
 
@@ -31,6 +32,7 @@ ExternalMergeSorter::ExternalMergeSorter(storage::BlockDevice* device,
 
 void ExternalMergeSorter::Reset() {
   pending_.clear();
+  opened_ = 0;
   runs_.clear();
   scratch_used_ = 0;
   item_count_ = 0;
@@ -43,8 +45,26 @@ void ExternalMergeSorter::Reset() {
   chunk_ = 0;
   mem_next_ = 0;
   cursors_.clear();
+  heap_.clear();
   out_chunk_.clear();
   order_.clear();
+}
+
+void ExternalMergeSorter::ReserveSlots(uint64_t slots) {
+  const size_t ps = codec_->payload_size();
+  // One allocation of a whole run on first use. Only an add after a
+  // failed spill (the run then holds run_blocks_ + 1 items) grows it
+  // further.
+  if (arena_.size() < slots * ps) {
+    arena_.resize(std::max(slots, run_blocks_) * ps);
+  }
+}
+
+Status ExternalMergeSorter::Push(uint64_t tag, uint64_t label) {
+  pending_.push_back(Key{tag, label, pending_.size()});
+  ++item_count_;
+  if (pending_.size() >= run_blocks_) STEGHIDE_RETURN_IF_ERROR(SpillRun());
+  return Status::OK();
 }
 
 Status ExternalMergeSorter::AddInMemory(const uint8_t* payload, uint64_t tag,
@@ -52,58 +72,74 @@ Status ExternalMergeSorter::AddInMemory(const uint8_t* payload, uint64_t tag,
   if (merging_) {
     return Status::FailedPrecondition("sorter is already merging");
   }
-  pending_.push_back(
-      Item{tag, label, Bytes(payload, payload + codec_->payload_size())});
-  ++item_count_;
-  if (pending_.size() >= run_blocks_) STEGHIDE_RETURN_IF_ERROR(SpillRun());
-  return Status::OK();
+  opened_ = 0;
+  ReserveSlots(pending_.size() + 1);
+  std::memcpy(Slot(pending_.size()), payload, codec_->payload_size());
+  return Push(tag, label);
 }
 
 Status ExternalMergeSorter::AddInMemory(const Bytes& payload, uint64_t tag,
                                         uint64_t label) {
-  if (merging_) {
-    return Status::FailedPrecondition("sorter is already merging");
-  }
   if (payload.size() != codec_->payload_size()) {
     return Status::InvalidArgument("sorter payload size mismatch");
   }
-  pending_.push_back(Item{tag, label, payload});
-  ++item_count_;
-  if (pending_.size() >= run_blocks_) STEGHIDE_RETURN_IF_ERROR(SpillRun());
+  return AddInMemory(payload.data(), tag, label);
+}
+
+Status ExternalMergeSorter::OpenIntoRun(const uint8_t* blocks, size_t n) {
+  if (merging_) {
+    return Status::FailedPrecondition("sorter is already merging");
+  }
+  if (n > std::max<uint64_t>(1, run_room())) {
+    return Status::InvalidArgument("open reaches past the next run spill");
+  }
+  opened_ = 0;
+  ReserveSlots(pending_.size() + n);
+  STEGHIDE_RETURN_IF_ERROR(
+      codec_->OpenBlocks(*cipher_, blocks, n, Slot(pending_.size())));
+  opened_ = n;
   return Status::OK();
+}
+
+Status ExternalMergeSorter::AddOpened(uint64_t tag, uint64_t label) {
+  if (opened_ == 0) return Status::FailedPrecondition("no opened item to add");
+  --opened_;
+  return Push(tag, label);
 }
 
 Status ExternalMergeSorter::SpillRun() {
   if (pending_.empty()) return Status::OK();
   std::sort(pending_.begin(), pending_.end(),
-            [](const Item& a, const Item& b) { return a.tag < b.tag; });
+            [](const Key& a, const Key& b) { return a.tag < b.tag; });
   Run run;
   run.base = scratch_base_ + scratch_used_;
   run.tags.reserve(pending_.size());
   run.labels.reserve(pending_.size());
-  // Seal the whole run, then write it with one vectored request — a
-  // sequential sweep of the scratch region. State (scratch_used_, runs_,
-  // pending_) commits only after the write succeeds, so a failed slice
-  // of a re-order can be re-driven: the retry re-seals the same items
-  // into the same scratch positions.
-  seal_scratch_.resize(pending_.size() * codec_->block_size());
-  std::vector<uint64_t> ids;
-  ids.reserve(pending_.size());
+  // Seal the whole run from its arena slots, then write it with one
+  // vectored request — a sequential sweep of the scratch region. State
+  // (scratch_used_, runs_, pending_) commits only after the write
+  // succeeds, so a failed slice of a re-order can be re-driven: the retry
+  // re-seals the same items into the same scratch positions.
+  const size_t bs = codec_->block_size();
+  if (seal_scratch_.size() < pending_.size() * bs) {
+    seal_scratch_.resize(pending_.size() * bs);
+  }
+  ids_.clear();
   batch_in_.clear();
   batch_out_.clear();
   for (size_t i = 0; i < pending_.size(); ++i) {
-    const Item& item = pending_[i];
-    batch_in_.push_back(item.payload.data());
-    batch_out_.push_back(seal_scratch_.data() + i * codec_->block_size());
-    ids.push_back(run.base + i);
-    run.tags.push_back(item.tag);
-    run.labels.push_back(item.label);
+    const Key& key = pending_[i];
+    batch_in_.push_back(Slot(key.slot));
+    batch_out_.push_back(seal_scratch_.data() + i * bs);
+    ids_.push_back(run.base + i);
+    run.tags.push_back(key.tag);
+    run.labels.push_back(key.label);
   }
   STEGHIDE_RETURN_IF_ERROR(
       codec_->SealScatter(*cipher_, *drbg_, batch_in_, batch_out_));
-  STEGHIDE_RETURN_IF_ERROR(device_->WriteBlocks(ids, seal_scratch_.data()));
-  stats_.writes += ids.size();
-  scratch_used_ += ids.size();
+  STEGHIDE_RETURN_IF_ERROR(device_->WriteBlocks(ids_, seal_scratch_.data()));
+  stats_.writes += ids_.size();
+  scratch_used_ += ids_.size();
   runs_.push_back(std::move(run));
   pending_.clear();
   return Status::OK();
@@ -111,6 +147,7 @@ Status ExternalMergeSorter::SpillRun() {
 
 Status ExternalMergeSorter::BeginMerge(uint64_t dst_base) {
   if (merging_) return Status::FailedPrecondition("merge already begun");
+  opened_ = 0;
 
   if (runs_.empty()) {
     // Everything fits in the in-memory run: sort in place and stream the
@@ -121,7 +158,7 @@ Status ExternalMergeSorter::BeginMerge(uint64_t dst_base) {
     mem_merge_ = true;
     chunk_ = kMinChunkBlocks;
     std::sort(pending_.begin(), pending_.end(),
-              [](const Item& a, const Item& b) { return a.tag < b.tag; });
+              [](const Key& a, const Key& b) { return a.tag < b.tag; });
     merge_done_ = pending_.empty();
     return Status::OK();
   }
@@ -140,34 +177,56 @@ Status ExternalMergeSorter::BeginMerge(uint64_t dst_base) {
   const size_t fanin = runs_.size();
   chunk_ = std::max<uint64_t>(kMinChunkBlocks, run_blocks_ / (fanin + 1));
   cursors_.clear();
-  cursors_.reserve(fanin);
-  for (size_t r = 0; r < fanin; ++r) cursors_.push_back(Cursor{r, 0, 0, {}});
+  cursors_.resize(fanin);
+  heap_.clear();
+  for (size_t r = 0; r < fanin; ++r) {
+    cursors_[r].run = r;
+    heap_.push_back(Head{runs_[r].tags[0], r});
+  }
+  std::make_heap(heap_.begin(), heap_.end(), HeadAfter);
   merge_done_ = item_count_ == 0;
   return Status::OK();
 }
 
+void ExternalMergeSorter::DetachOutput(const Bytes& buf) {
+  if (buf.empty()) return;
+  const size_t ps = codec_->payload_size();
+  const std::less<const uint8_t*> before;
+  const uint8_t* lo = buf.data();
+  const uint8_t* hi = lo + buf.size();
+  for (size_t i = 0; i < out_chunk_.size(); ++i) {
+    const uint8_t* p = out_chunk_[i];
+    if (before(p, lo) || !before(p, hi)) continue;
+    // Moving Bytes never moves their storage, so growing held_ keeps
+    // earlier copies where out_chunk_ points.
+    if (held_.size() <= i) held_.resize(i + 1);
+    Bytes& copy = held_[i];
+    copy.resize(ps);
+    std::memcpy(copy.data(), p, ps);
+    out_chunk_[i] = copy.data();
+  }
+}
+
 Status ExternalMergeSorter::RefillCursor(Cursor& c) {
   const Run& run = runs_[c.run];
-  c.chunk_begin = c.next;
   const uint64_t end = std::min<uint64_t>(c.next + chunk_, run.tags.size());
-  c.chunk_payloads.clear();
-  std::vector<uint64_t> ids;
-  ids.reserve(end - c.chunk_begin);
-  for (uint64_t i = c.chunk_begin; i < end; ++i) {
-    ids.push_back(run.base + i);
-  }
-  Bytes blocks;
-  STEGHIDE_RETURN_IF_ERROR(device_->ReadBlocks(ids, blocks));
-  stats_.reads += ids.size();
-  // One batched open for the whole look-ahead chunk.
-  batch_in_.clear();
-  batch_out_.clear();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    c.chunk_payloads.emplace_back(codec_->payload_size());
-    batch_in_.push_back(blocks.data() + i * codec_->block_size());
-    batch_out_.push_back(c.chunk_payloads.back().data());
-  }
-  return codec_->OpenScatter(*cipher_, batch_in_, batch_out_);
+  const size_t n = end - c.next;
+  DetachOutput(c.payloads);
+  ids_.clear();
+  for (uint64_t i = c.next; i < end; ++i) ids_.push_back(run.base + i);
+  const size_t bs = codec_->block_size();
+  if (read_scratch_.size() < n * bs) read_scratch_.resize(n * bs);
+  STEGHIDE_RETURN_IF_ERROR(device_->ReadBlocks(ids_, read_scratch_.data()));
+  stats_.reads += n;
+  // One batched open for the whole look-ahead chunk, into the cursor's
+  // buffer. A failed open leaves chunk_end behind next, so the next step
+  // refills again.
+  if (c.payloads.empty()) c.payloads.resize(chunk_ * codec_->payload_size());
+  STEGHIDE_RETURN_IF_ERROR(
+      codec_->OpenBlocks(*cipher_, read_scratch_.data(), n, c.payloads.data()));
+  c.chunk_begin = c.next;
+  c.chunk_end = end;
+  return Status::OK();
 }
 
 Status ExternalMergeSorter::FlushOutput() {
@@ -175,21 +234,21 @@ Status ExternalMergeSorter::FlushOutput() {
   // out_pos_ advances only after the vectored write succeeds (and
   // out_chunk_ stays intact on failure), so a re-driven MergeStep
   // re-writes the same chunk at the same destination offsets.
-  seal_scratch_.resize(out_chunk_.size() * codec_->block_size());
-  std::vector<uint64_t> ids;
-  ids.reserve(out_chunk_.size());
-  batch_in_.clear();
+  const size_t bs = codec_->block_size();
+  if (seal_scratch_.size() < out_chunk_.size() * bs) {
+    seal_scratch_.resize(out_chunk_.size() * bs);
+  }
+  ids_.clear();
   batch_out_.clear();
   for (size_t i = 0; i < out_chunk_.size(); ++i) {
-    batch_in_.push_back(out_chunk_[i].data());
-    batch_out_.push_back(seal_scratch_.data() + i * codec_->block_size());
-    ids.push_back(dst_base_ + out_pos_ + i);
+    batch_out_.push_back(seal_scratch_.data() + i * bs);
+    ids_.push_back(dst_base_ + out_pos_ + i);
   }
   STEGHIDE_RETURN_IF_ERROR(
-      codec_->SealScatter(*cipher_, *drbg_, batch_in_, batch_out_));
-  STEGHIDE_RETURN_IF_ERROR(device_->WriteBlocks(ids, seal_scratch_.data()));
-  stats_.writes += ids.size();
-  out_pos_ += ids.size();
+      codec_->SealScatter(*cipher_, *drbg_, out_chunk_, batch_out_));
+  STEGHIDE_RETURN_IF_ERROR(device_->WriteBlocks(ids_, seal_scratch_.data()));
+  stats_.writes += ids_.size();
+  out_pos_ += ids_.size();
   out_chunk_.clear();
   return Status::OK();
 }
@@ -199,17 +258,19 @@ Status ExternalMergeSorter::MergeStep(uint64_t budget_blocks, bool* done,
   if (!merging_) return Status::FailedPrecondition("BeginMerge not called");
   uint64_t used = 0;
   const auto charge = [&](uint64_t blocks) { used += blocks; };
+  const size_t ps = codec_->payload_size();
 
   while (!merge_done_) {
     if (mem_merge_) {
       // Stream the sorted in-memory run to the destination, one sealed
-      // vectored chunk at a time.
+      // vectored chunk at a time, straight from the arena.
       const uint64_t left = pending_.size() - mem_next_;
       uint64_t n = std::min<uint64_t>(chunk_, left);
       if (used > 0 && used + n > budget_blocks) break;
       for (uint64_t i = 0; i < n; ++i) {
-        out_chunk_.push_back(std::move(pending_[mem_next_].payload));
-        order_.push_back(pending_[mem_next_].label);
+        const Key& key = pending_[mem_next_];
+        out_chunk_.push_back(Slot(key.slot));
+        order_.push_back(key.label);
         ++mem_next_;
       }
       STEGHIDE_RETURN_IF_ERROR(FlushOutput());
@@ -219,37 +280,38 @@ Status ExternalMergeSorter::MergeStep(uint64_t budget_blocks, bool* done,
       continue;
     }
 
-    // Pick the cursor with the smallest pending tag.
-    Cursor* best = nullptr;
-    for (Cursor& c : cursors_) {
-      if (c.next >= runs_[c.run].tags.size()) continue;
-      if (best == nullptr ||
-          runs_[c.run].tags[c.next] < runs_[best->run].tags[best->next]) {
-        best = &c;
-      }
-    }
-    if (best == nullptr) {
+    if (heap_.empty()) {
       const uint64_t tail = out_chunk_.size();
       STEGHIDE_RETURN_IF_ERROR(FlushOutput());
       charge(tail);
       merge_done_ = true;
+      cursors_.clear();  // releases the look-ahead buffers
       break;
     }
 
-    if (best->next >= best->chunk_begin + best->chunk_payloads.size() ||
-        best->chunk_payloads.empty()) {
-      const uint64_t need = std::min<uint64_t>(
-          chunk_, runs_[best->run].tags.size() - best->next);
+    // The cursor with the smallest pending tag (lowest run on ties).
+    Cursor& best = cursors_[heap_.front().run];
+    const Run& run = runs_[best.run];
+    if (best.next >= best.chunk_end) {
+      const uint64_t need =
+          std::min<uint64_t>(chunk_, run.tags.size() - best.next);
       // A refill is a whole-chunk read; stop at the budget boundary
       // unless nothing has been done yet (progress guarantee).
       if (used > 0 && used + need > budget_blocks) break;
-      STEGHIDE_RETURN_IF_ERROR(RefillCursor(*best));
+      STEGHIDE_RETURN_IF_ERROR(RefillCursor(best));
       charge(need);
     }
-    order_.push_back(runs_[best->run].labels[best->next]);
-    out_chunk_.push_back(
-        std::move(best->chunk_payloads[best->next - best->chunk_begin]));
-    ++best->next;
+    order_.push_back(run.labels[best.next]);
+    out_chunk_.push_back(best.payloads.data() +
+                         (best.next - best.chunk_begin) * ps);
+    ++best.next;
+    std::pop_heap(heap_.begin(), heap_.end(), HeadAfter);
+    if (best.next < run.tags.size()) {
+      heap_.back().tag = run.tags[best.next];
+      std::push_heap(heap_.begin(), heap_.end(), HeadAfter);
+    } else {
+      heap_.pop_back();
+    }
     if (out_chunk_.size() >= chunk_) {
       const uint64_t tail = out_chunk_.size();
       if (used > 0 && used + tail > budget_blocks) break;

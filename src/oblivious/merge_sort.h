@@ -15,17 +15,26 @@ namespace steghide::oblivious {
 /// External merge sort over sealed blocks, the re-order primitive of
 /// §5.1.2 ("we apply the external merge sort algorithm").
 ///
-/// Usage: feed payloads with AddInMemory(), each with the caller's 64-bit
-/// sort tag (a random tag yields a uniformly random concealed
-/// permutation). The sorter buffers up to `run_blocks` payloads in memory
-/// (the agent's buffer), spilling sorted, re-encrypted runs to the
-/// scratch region. BeginMerge() then arms a single chunked multi-way pass
-/// into the destination region, MergeStep(budget) advances it by a
-/// bounded number of device I/Os — so a deamortized re-order can
-/// interleave merge chunks with serving, and a blocking one runs it to
-/// completion — and TakeOrder() returns the caller-supplied labels in
-/// final order. Reset() then recycles the sorter — including its
-/// in-memory run and seal scratch allocations — for the next re-order.
+/// Usage: feed payloads with AddInMemory() (or open sealed images straight
+/// into the pending run with OpenIntoRun() and add them with AddOpened()),
+/// each with the caller's 64-bit sort tag (a random tag yields a
+/// uniformly random concealed permutation). The sorter buffers up to
+/// `run_blocks` payloads in memory (the agent's buffer), spilling sorted,
+/// re-encrypted runs to the scratch region. BeginMerge() then arms a
+/// single chunked multi-way pass into the destination region,
+/// MergeStep(budget) advances it by a bounded number of device I/Os — so
+/// a deamortized re-order can interleave merge chunks with serving, and a
+/// blocking one runs it to completion — and TakeOrder() returns the
+/// caller-supplied labels in final order. Reset() then recycles the
+/// sorter for the next re-order.
+///
+/// Memory: the pending run lives in one payload arena of `run_blocks`
+/// payload slots, allocated at the first add and kept across Reset(), so
+/// adds, spills and the in-memory merge copy each payload once (into its
+/// slot) and allocate nothing per item. The external merge gives each
+/// run's cursor one decrypted look-ahead buffer of a merge chunk, refilled
+/// in place and released when the merge finishes; the output chunk holds
+/// pointers into the look-ahead buffers or the arena and seals from them.
 ///
 /// I/O pattern matters more than the sort itself here: run formation and
 /// the merge read/write chunks sequentially, which is why the paper's
@@ -51,15 +60,25 @@ class ExternalMergeSorter {
                       const crypto::CbcCipher* cipher, crypto::HashDrbg* drbg,
                       uint64_t scratch_base, uint64_t run_blocks);
 
-  /// Adds an item whose payload is in memory (a flush-set record, or a
-  /// level record its re-order job has already read and decrypted),
+  /// Adds an item whose payload is in memory (a flush-set record),
   /// attaching `tag` (sort key) and `label` (opaque, returned in final
-  /// order). No device read; a full run spills to scratch.
+  /// order). Copies the payload into the pending run's next slot; no
+  /// device read. A full run spills to scratch.
   Status AddInMemory(const Bytes& payload, uint64_t tag, uint64_t label);
-  /// Same, from a raw payload_size()-byte pointer (batch-decrypt callers
-  /// slice one contiguous plaintext buffer instead of materializing a
-  /// Bytes per item).
+  /// Same, from a raw payload_size()-byte pointer.
   Status AddInMemory(const uint8_t* payload, uint64_t tag, uint64_t label);
+
+  /// Opens `n` sealed block images, consecutive at `blocks`, straight
+  /// into the pending run's next `n` free slots without adding them;
+  /// AddOpened() then adds them one at a time, in order. Draws nothing
+  /// from the DRBG and adds nothing, so a failed open leaves the sorter
+  /// as it was. `n` may not exceed max(1, run_room()): no spill falls
+  /// between an open and its adds. A later open or AddInMemory() drops
+  /// the opened items not yet added.
+  Status OpenIntoRun(const uint8_t* blocks, size_t n);
+  /// Adds the next opened item under `tag` and `label`: AddInMemory()
+  /// without the copy.
+  Status AddOpened(uint64_t tag, uint64_t label);
 
   /// Items the pending run still takes before it spills: a caller that
   /// reads its inputs in chunks stops each chunk here, so every input read
@@ -93,19 +112,22 @@ class ExternalMergeSorter {
   uint64_t merge_remaining_blocks() const;
 
   /// Recycles the sorter for the next re-order: clears items, runs and
-  /// merge state and zeroes stats(), but keeps the run buffer and seal
-  /// scratch allocations — re-orders are hot enough that reconstructing
-  /// them per call shows up in the profile.
+  /// merge state and zeroes stats(), but keeps the payload arena and the
+  /// read and seal staging buffers — re-orders are hot enough that
+  /// reallocating them per call shows up in the profile.
   void Reset();
 
   uint64_t item_count() const { return item_count_; }
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Item {
+  /// A pending-run item; its payload sits in arena slot `slot`. The
+  /// pending run always occupies slots 0 .. pending_.size() - 1, in
+  /// some order (a spill sorts the keys, not the payloads).
+  struct Key {
     uint64_t tag;
     uint64_t label;
-    Bytes payload;
+    uint64_t slot;
   };
   struct Run {
     uint64_t base;  // first scratch block
@@ -114,14 +136,35 @@ class ExternalMergeSorter {
   };
   /// Chunked look-ahead into one run during the merge.
   struct Cursor {
-    size_t run = 0;           // index into runs_
-    uint64_t next = 0;        // next item index within the run
-    uint64_t chunk_begin = 0; // run index of chunk_payloads[0]
-    std::vector<Bytes> chunk_payloads;  // decrypted look-ahead
+    size_t run = 0;            // index into runs_
+    uint64_t next = 0;         // next item index within the run
+    uint64_t chunk_begin = 0;  // run index of the first buffered payload
+    uint64_t chunk_end = 0;    // one past the last buffered payload
+    Bytes payloads;            // decrypted look-ahead, chunk_ slots
   };
+  /// Merge-heap entry: the next tag of run `run`. The heap pops the
+  /// smallest (tag, run), so equal tags leave the lowest run first.
+  struct Head {
+    uint64_t tag;
+    size_t run;
+  };
+  /// Heap order: true when `a` pops after `b`.
+  static bool HeadAfter(const Head& a, const Head& b) {
+    return a.tag != b.tag ? a.tag > b.tag : a.run > b.run;
+  }
 
+  uint8_t* Slot(uint64_t slot) {
+    return arena_.data() + slot * codec_->payload_size();
+  }
+  /// Grows the arena to at least `slots` payload slots.
+  void ReserveSlots(uint64_t slots);
+  /// Appends the key of the payload already in slot pending_.size().
+  Status Push(uint64_t tag, uint64_t label);
   Status SpillRun();
   Status RefillCursor(Cursor& c);
+  /// Gives every unflushed output payload that still points into `buf`
+  /// a copy of its own, before a refill overwrites `buf`.
+  void DetachOutput(const Bytes& buf);
   Status FlushOutput();
 
   storage::BlockDevice* device_;
@@ -131,7 +174,9 @@ class ExternalMergeSorter {
   uint64_t scratch_base_;
   uint64_t scratch_used_ = 0;
   uint64_t run_blocks_;
-  std::vector<Item> pending_;
+  std::vector<Key> pending_;
+  Bytes arena_;              // pending-run payload slots
+  uint64_t opened_ = 0;      // opened slots past pending_ not yet added
   std::vector<Run> runs_;
   uint64_t item_count_ = 0;
   Stats stats_;
@@ -145,11 +190,19 @@ class ExternalMergeSorter {
   uint64_t chunk_ = 0;        // per-run / output chunk size in blocks
   uint64_t mem_next_ = 0;     // next pending_ index (mem_merge_ case)
   std::vector<Cursor> cursors_;
-  std::vector<Bytes> out_chunk_;
+  std::vector<Head> heap_;    // runs with items left, min-heap on (tag, run)
+  /// Payloads of the output chunk awaiting its flush, in order.
+  std::vector<const uint8_t*> out_chunk_;
+  /// held_[i]: the copy out_chunk_[i] points to once DetachOutput moved
+  /// it out of a look-ahead buffer; allocated on first use and kept.
+  std::vector<Bytes> held_;
   std::vector<uint64_t> order_;
-  Bytes seal_scratch_;        // sealed-images staging, reused across calls
-  // Pointer tables feeding the codec's scattered batch seal/open, reused
-  // across spill/refill/flush calls.
+  // Staging reused across calls: sealed images for spills and flushes,
+  // sealed images read by refills, block ids, and the pointer tables of
+  // the codec's scattered batch seal.
+  Bytes seal_scratch_;
+  Bytes read_scratch_;
+  std::vector<uint64_t> ids_;
   std::vector<const uint8_t*> batch_in_;
   std::vector<uint8_t*> batch_out_;
 };

@@ -43,8 +43,8 @@ ObliviousStore::ObliviousStore(storage::BlockDevice* device,
   if (auto* sharded = dynamic_cast<storage::ShardedBlockDevice*>(device)) {
     io_shards_ = sharded->shard_count();
   }
-  // One persistent sorter per store: its run buffer and seal scratch are
-  // recycled across re-orders instead of reconstructed per call.
+  // One persistent sorter per store: its payload arena and seal scratch
+  // are recycled across re-orders instead of reconstructed per call.
   sorter_ = std::make_unique<ExternalMergeSorter>(
       device_, &codec_, &cipher_, &drbg_, options_.scratch_base,
       std::max<uint64_t>(options_.buffer_blocks, kReorderRunFloor));
@@ -797,7 +797,7 @@ Status ObliviousStore::StartFlushChainLocked() {
     for (uint64_t slot = 0; slot < level.occupied(); ++slot) {
       const RecordId id = level.slot_ids[slot];
       if (level.IsStale(slot)) continue;
-      if (!reorder_added_.insert(id).second) continue;
+      if (!reorder_added_.Put(id, 0)) continue;
       inputs.device.push_back({level.base + slot, id});
     }
   };
@@ -822,8 +822,8 @@ Status ObliviousStore::StartFlushChainLocked() {
 
   for (size_t j = 0; j < dump_sources.size(); ++j) {
     const size_t s = dump_sources[j];
-    reorder_added_.clear();
-    reorder_added_.reserve(levels_[s + 1].capacity);
+    reorder_added_.Rebuild(0);
+    reorder_added_.Reserve(levels_[s + 1].capacity);
     ReorderJob::Inputs inputs;
     sweep_level(s, inputs);
     if (j == 0) sweep_level(s + 1, inputs);  // deepest target keeps its live set
@@ -831,13 +831,13 @@ Status ObliviousStore::StartFlushChainLocked() {
         make_job(s + 1, std::move(inputs), {s}, /*is_flush=*/false));
   }
 
-  reorder_added_.clear();
-  reorder_added_.reserve(levels_[t].capacity);
+  reorder_added_.Rebuild(0);
+  reorder_added_.Reserve(levels_[t].capacity);
   ReorderJob::Inputs flush_inputs;
   flush_inputs.memory.reserve(flush_size);
   for (const auto& [id, payload] : buffer_) {
     flush_inputs.memory.push_back({id, payload});
-    reorder_added_.insert(id);
+    reorder_added_.Put(id, 0);
   }
   // Move the nodes, not the table: buffer_ keeps its buckets, whose
   // layout orders every later flush set.

@@ -665,10 +665,11 @@ class ObliviousStore {
   std::vector<uint8_t> dup_scratch_;
   std::vector<uint8_t> ghost_scratch_;
 
-  /// Persistent re-order scratch: the external sorter (run buffer + seal
-  /// staging reused across re-orders) and the planner's dedup set.
+  /// Persistent re-order scratch: the external sorter (payload arena and
+  /// seal staging reused across re-orders) and the planner's dedup set
+  /// (a flat table that keeps its capacity across chain starts).
   std::unique_ptr<ExternalMergeSorter> sorter_;
-  std::unordered_set<RecordId> reorder_added_;
+  HashIndex reorder_added_;
 
   // ---- Re-order chain state (guarded by mu_) ------------------------------
 

@@ -20,15 +20,12 @@ ReorderJob::ReorderJob(storage::BlockDevice* device,
   if (record_count() == 0) phase_ = Phase::kDone;
 }
 
-Status ReorderJob::Feed(const uint8_t* payload, RecordId id) {
-  return sorter_->AddInMemory(payload, tags_->NextUint64(), id);
-}
-
 Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
   // The flush set first: it carries the newest copies, so it goes in
   // ahead of the device sweep (in-memory > source > target). Memory adds
   // cost no reads, but a full run spills sequentially through the
-  // sorter, which we charge.
+  // sorter, which we charge. Each input's sort tag is drawn as it is
+  // added.
   const auto sorter_io = [&] {
     return sorter_->stats().reads + sorter_->stats().writes;
   };
@@ -40,7 +37,8 @@ Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
     // re-spills), so re-adding it would duplicate the record.
     ++next_memory_;
     const uint64_t before = sorter_io();
-    STEGHIDE_RETURN_IF_ERROR(Feed(in.payload.data(), in.id));
+    STEGHIDE_RETURN_IF_ERROR(
+        sorter_->AddInMemory(in.payload.data(), tags_->NextUint64(), in.id));
     used += sorter_io() - before;
   }
 
@@ -53,29 +51,29 @@ Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
     const uint64_t take = std::min<uint64_t>(
         {kInputChunkBlocks, left, std::max<uint64_t>(1, budget_blocks - used),
          std::max<uint64_t>(1, sorter_->run_room())});
-    std::vector<uint64_t> ids;
-    ids.reserve(take);
+    ids_.clear();
     for (uint64_t i = 0; i < take; ++i) {
-      ids.push_back(inputs_.device[next_device_ + i].block);
+      ids_.push_back(inputs_.device[next_device_ + i].block);
     }
-    STEGHIDE_RETURN_IF_ERROR(device_->ReadBlocks(ids, read_scratch_));
+    const size_t bytes = take * codec_->block_size();
+    if (read_scratch_.size() < bytes) read_scratch_.resize(bytes);
+    STEGHIDE_RETURN_IF_ERROR(device_->ReadBlocks(ids_, read_scratch_.data()));
     input_reads_ += take;
     used += take;
-    // Decrypt the whole chunk in one multi-chain batch (side-effect
-    // free, so a re-driven step simply decrypts its fresh read again),
-    // then feed the sorter from the contiguous plaintext.
-    payload_scratch_.resize(take * codec_->payload_size());
-    STEGHIDE_RETURN_IF_ERROR(codec_->OpenBlocks(
-        *cipher_, read_scratch_.data(), take, payload_scratch_.data()));
+    // Decrypt the whole chunk in one multi-chain batch straight into the
+    // sorter's pending run. The open consumes nothing, so a failed one
+    // leaves a re-driven step to read and open the chunk again.
+    STEGHIDE_RETURN_IF_ERROR(sorter_->OpenIntoRun(read_scratch_.data(), take));
     for (uint64_t i = 0; i < take; ++i) {
       const DeviceInput& in = inputs_.device[next_device_];
       // Consumed before the fallible add — see the memory loop above.
-      // A re-driven step then re-reads any not-yet-added tail of this
-      // chunk through a fresh vectored read, never re-adds this item.
+      // Only the chunk's last add can spill (take never exceeds
+      // max(1, run_room())), so a failed add leaves nothing of this chunk
+      // unadded.
       ++next_device_;
       const uint64_t before = sorter_io();
       STEGHIDE_RETURN_IF_ERROR(
-          Feed(payload_scratch_.data() + i * codec_->payload_size(), in.id));
+          sorter_->AddOpened(tags_->NextUint64(), in.id));
       used += sorter_io() - before;
     }
   }

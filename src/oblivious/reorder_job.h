@@ -43,8 +43,11 @@ namespace steghide::oblivious {
 /// whatever the step sizes.
 ///
 /// Phases:
-///   kBuildRuns — read device-input chunks (vectored, never past the
-///                sorter's next run spill), decrypt, feed the sorter;
+///   kBuildRuns — add the memory inputs (the sorter copies each payload
+///                into its pending run), then read device-input chunks
+///                (vectored, never past the sorter's next run spill),
+///                open each chunk straight into the pending run
+///                (ExternalMergeSorter::OpenIntoRun) and add its items;
 ///                full runs spill to scratch sequentially.
 ///   kMerge     — the sorter's chunked multi-way merge into dst_base.
 ///   kDone      — slot order available via TakeOrder(); the store
@@ -115,8 +118,6 @@ class ReorderJob {
   static constexpr uint64_t kInputChunkBlocks = 48;
 
   Status StepBuildRuns(uint64_t budget_blocks, uint64_t& used);
-  /// Feeds one decrypted input to the sorter under a fresh sort tag.
-  Status Feed(const uint8_t* payload, RecordId id);
 
   storage::BlockDevice* device_;
   const stegfs::BlockCodec* codec_;
@@ -133,8 +134,9 @@ class ReorderJob {
   size_t next_device_ = 0;  // next device input to read
   uint64_t input_reads_ = 0;
 
-  Bytes read_scratch_;      // vectored input staging
-  Bytes payload_scratch_;
+  // Vectored input staging: block ids and sealed images of one chunk.
+  std::vector<uint64_t> ids_;
+  Bytes read_scratch_;
 };
 
 }  // namespace steghide::oblivious

@@ -156,6 +156,99 @@ TEST_F(ResumableMergeTest, ChunkedMergeStepsMatchBlockingFinish) {
   EXPECT_EQ(*again, (std::vector<uint64_t>{3, 2, 1, 0}));
 }
 
+TEST_F(ResumableMergeTest, MultiChunkRunsMergeAlikeUnderEveryBudget) {
+  // Runs of 144 items span three 48-block look-ahead chunks, so a refill
+  // overwrites a cursor buffer that the unflushed output chunk may still
+  // point into. Budgets 1, 7 and unbounded slice the merge differently;
+  // each must put the same payloads in tag order at the destination and
+  // read and write the same block ids in the same order.
+  constexpr uint64_t kRun = 144;
+  const size_t ps = codec_.payload_size();
+  Rng rng = testing::MakeTestRng();
+  for (uint64_t fanin = 2; fanin <= 4; ++fanin) {
+    const uint64_t items = kRun * fanin;
+    std::vector<Bytes> payloads(items, Bytes(ps));
+    std::vector<uint64_t> tags(items);
+    // Every eighth position of a run shares its tag with the same
+    // position of the other runs: the merge must emit such ties lower
+    // run first.
+    std::vector<uint64_t> shared(kRun);
+    for (uint64_t& tag : shared) tag = rng.Next();
+    for (uint64_t i = 0; i < items; ++i) {
+      rng.Fill(payloads[i].data(), ps);
+      tags[i] = i % 8 == 0 ? shared[i % kRun] : rng.Next();
+    }
+
+    struct Outcome {
+      std::vector<uint64_t> order;
+      std::vector<uint64_t> reads;
+      std::vector<uint64_t> writes;
+      std::vector<Bytes> slots;
+    };
+    const auto merge = [&](uint64_t budget) {
+      Outcome out;
+      storage::MemBlockDevice mem(2 * items, 4096);
+      storage::TraceBlockDevice dev(&mem);
+      crypto::HashDrbg drbg(uint64_t{7});
+      ExternalMergeSorter sorter(&dev, &codec_, &cipher_, &drbg,
+                                 /*scratch_base=*/0, kRun);
+      for (uint64_t i = 0; i < items; ++i) {
+        EXPECT_TRUE(sorter.AddInMemory(payloads[i], tags[i], i).ok());
+      }
+      EXPECT_TRUE(sorter.BeginMerge(/*dst_base=*/items).ok());
+      bool done = false;
+      for (int steps = 0; !done && steps < 100000; ++steps) {
+        EXPECT_TRUE(sorter.MergeStep(budget, &done).ok());
+      }
+      EXPECT_TRUE(done) << "budget " << budget;
+      out.order = sorter.TakeOrder();
+      for (const storage::TraceEvent& e : dev.trace()) {
+        (e.kind == storage::TraceEvent::Kind::kRead ? out.reads : out.writes)
+            .push_back(e.block_id);
+      }
+      Bytes block(4096);
+      for (uint64_t s = 0; s < items; ++s) {
+        out.slots.emplace_back(ps);
+        EXPECT_TRUE(mem.ReadBlock(items + s, block.data()).ok());
+        EXPECT_TRUE(
+            codec_.Open(cipher_, block.data(), out.slots.back().data()).ok());
+      }
+      return out;
+    };
+
+    const Outcome whole = merge(std::numeric_limits<uint64_t>::max());
+    ASSERT_EQ(whole.order.size(), items) << "fan-in " << fanin;
+    size_t ties = 0;
+    for (uint64_t s = 0; s < items; ++s) {
+      const uint64_t label = whole.order[s];
+      EXPECT_EQ(whole.slots[s], payloads[label])
+          << "fan-in " << fanin << " slot " << s;
+      if (s == 0) continue;
+      const uint64_t prev = whole.order[s - 1];
+      EXPECT_LE(tags[prev], tags[label]);
+      if (tags[prev] == tags[label]) {
+        ++ties;
+        EXPECT_LT(prev / kRun, label / kRun) << "fan-in " << fanin;
+      }
+    }
+    EXPECT_EQ(ties, (kRun / 8) * (fanin - 1));
+    // Runs spill as one sequential scratch sweep, then the destination is
+    // written as another.
+    std::vector<uint64_t> sweeps(2 * items);
+    for (uint64_t b = 0; b < 2 * items; ++b) sweeps[b] = b;
+    EXPECT_EQ(whole.writes, sweeps);
+    EXPECT_EQ(whole.reads.size(), items);
+
+    for (const uint64_t budget : {uint64_t{1}, uint64_t{7}}) {
+      const Outcome sliced = merge(budget);
+      EXPECT_EQ(sliced.order, whole.order) << "budget " << budget;
+      EXPECT_EQ(sliced.reads, whole.reads) << "budget " << budget;
+      EXPECT_EQ(sliced.writes, whole.writes) << "budget " << budget;
+      EXPECT_TRUE(sliced.slots == whole.slots) << "budget " << budget;
+    }
+  }
+}
+
 // ---- Deamortized store ---------------------------------------------------
 
 TEST(DeamortizedStoreTest, ShadowGeometryValidated) {
@@ -367,6 +460,77 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SoakParam{4, 32, false}, SoakParam{4, 32, true},
                       SoakParam{4, 64, false}, SoakParam{8, 64, true},
                       SoakParam{1, 16, false}, SoakParam{16, 32, false}));
+
+// Only a level above the 256-record run floor spills runs longer than the
+// 48-block merge chunk, so only there does a merge refill a cursor whose
+// earlier payloads may still wait in the output chunk. Soak a store whose
+// bottom level re-orders more than 512 records (fan-in 3 and up) against
+// a mirror, under both schedules.
+class LargeReorderSoakTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LargeReorderSoakTest, MatchesMirrorProperty) {
+  const bool deamortize = GetParam();
+  constexpr uint64_t kB = 16, kN = 1024;
+  ObliviousStoreOptions opts = DeamortOptions(kB, kN, false, 5150);
+  opts.deamortize_reorders = deamortize;
+  opts.reorder_step_blocks = 64;
+  storage::MemBlockDevice dev(DeviceBlocksFor(opts), 4096);
+  auto store = ObliviousStore::Create(&dev, opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  std::vector<uint8_t> mirror(kN, 0);
+  std::vector<uint8_t> present(kN, 0);
+  Bytes payload((*store)->payload_size());
+  Bytes out((*store)->payload_size());
+  uint64_t bottom_max = 0;
+  const auto insert = [&](RecordId id, uint8_t v) {
+    std::fill(payload.begin(), payload.end(), v);
+    ASSERT_TRUE((*store)->Insert(id, payload.data()).ok()) << "id " << id;
+    mirror[id] = v;
+    present[id] = 1;
+  };
+  for (RecordId id = 0; id < 900; ++id) {
+    insert(id, static_cast<uint8_t>(id * 7));
+    bottom_max = std::max(bottom_max, (*store)->LevelOccupancy().back());
+  }
+  Rng rng(opts.drbg_seed);
+  for (int op = 0; op < 1500; ++op) {
+    const RecordId id = rng.Uniform(kN);
+    const int action = static_cast<int>(rng.Uniform(6));
+    if (action == 5) {
+      ASSERT_TRUE((*store)->StepReorder(1 + rng.Uniform(256)).ok());
+    } else if (action == 4 && present[id]) {
+      ASSERT_TRUE((*store)->Remove(id).ok());
+      present[id] = 0;
+    } else if (!present[id]) {
+      insert(id, static_cast<uint8_t>(rng.Next()));
+    } else if (action == 3) {
+      const uint8_t v = static_cast<uint8_t>(rng.Next());
+      std::fill(payload.begin(), payload.end(), v);
+      ASSERT_TRUE((*store)->Write(id, payload.data()).ok()) << "op " << op;
+      mirror[id] = v;
+    } else {
+      ASSERT_TRUE((*store)->Read(id, out.data()).ok()) << "op " << op;
+      ASSERT_EQ(out[0], mirror[id]) << "op " << op << " id " << id;
+      ASSERT_EQ(out.back(), mirror[id]) << "op " << op << " id " << id;
+    }
+    bottom_max = std::max(bottom_max, (*store)->LevelOccupancy().back());
+  }
+  DrainStore(**store);
+  for (RecordId id = 0; id < kN; ++id) {
+    if (!present[id]) continue;
+    ASSERT_TRUE((*store)->Read(id, out.data()).ok()) << "final id " << id;
+    ASSERT_EQ(out[0], mirror[id]) << "final id " << id;
+    ASSERT_EQ(out.back(), mirror[id]) << "final id " << id;
+  }
+  EXPECT_GT(bottom_max, 512u) << "the bottom level never re-ordered > 512";
+  if (deamortize) EXPECT_GT((*store)->stats().reorder_steps, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedules, LargeReorderSoakTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Deamortized" : "Blocking";
+                         });
 
 TEST(DeamortizedStoreTest, DeferralCoalescesFlushes) {
   // Same grouped churn (the dispatcher's shape: MultiRead groups of B)

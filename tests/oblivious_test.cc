@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "oblivious/hash_index.h"
 #include "oblivious/merge_sort.h"
@@ -41,6 +44,126 @@ TEST(HashIndexTest, RebuildClearsAndRekeys) {
   EXPECT_EQ(idx.size(), 0u);
   EXPECT_EQ(idx.nonce(), 2u);
   EXPECT_EQ(idx.Get(5), std::nullopt);
+}
+
+TEST(HashIndexTest, RebuildKeepsCapacity) {
+  HashIndex idx;
+  idx.Reserve(100);
+  const size_t capacity = idx.capacity();
+  EXPECT_GE(capacity, 200u);
+  for (RecordId id = 0; id < 100; ++id) idx.Put(id, id);
+  EXPECT_EQ(idx.capacity(), capacity) << "Reserve(100) must cover 100 puts";
+  idx.Rebuild(9);
+  EXPECT_EQ(idx.capacity(), capacity);
+  EXPECT_EQ(idx.size(), 0u);
+  for (RecordId id = 0; id < 100; ++id) EXPECT_EQ(idx.Get(id), std::nullopt);
+}
+
+// Ids whose probes start at `home`, drawn from a running counter.
+std::vector<RecordId> IdsHomedAt(const HashIndex& idx, size_t home, size_t n,
+                                 RecordId& next) {
+  std::vector<RecordId> ids;
+  while (ids.size() < n) {
+    const RecordId id = next++;
+    if (idx.HomeOf(id) == home) ids.push_back(id);
+  }
+  return ids;
+}
+
+// Differential check against std::unordered_map: seeded random Put, Get,
+// Erase, Rebuild and Reserve sequences. Most ids are homed on the last two
+// and the first two entries of the current table, so probe runs wrap
+// round its end and erases land inside such clusters, where a wrong
+// backward shift strands the entries behind the hole.
+TEST(HashIndexTest, MatchesUnorderedMapProperty) {
+  Rng rng = testing::MakeTestRng();
+  for (int round = 0; round < 20; ++round) {
+    HashIndex idx;
+    std::unordered_map<RecordId, uint64_t> ref;
+    RecordId next_id = 1000000;
+    idx.Rebuild(rng.Next());
+    idx.Reserve(1 + rng.Uniform(48));
+    std::vector<RecordId> pool;
+    size_t pool_capacity = 0;
+    const auto refill_pool = [&] {
+      // Wrap-around clusters for the current table, plus a few plain ids.
+      // Ids of an earlier pool stay in `ref` and are still checked.
+      const size_t cap = idx.capacity();
+      pool.clear();
+      for (const size_t home : {cap - 2, cap - 1, size_t{0}, size_t{1}}) {
+        for (const RecordId id : IdsHomedAt(idx, home, 3, next_id)) {
+          pool.push_back(id);
+        }
+      }
+      for (int i = 0; i < 8; ++i) pool.push_back(rng.Uniform(64));
+      pool_capacity = cap;
+    };
+    refill_pool();
+    for (int op = 0; op < 400; ++op) {
+      const uint64_t action = rng.Uniform(100);
+      const RecordId id = pool[rng.Uniform(pool.size())];
+      if (action < 45) {
+        const uint64_t slot = rng.Uniform(1u << 20);
+        ASSERT_EQ(idx.Put(id, slot), ref.count(id) == 0) << "op " << op;
+        ref[id] = slot;
+      } else if (action < 80) {
+        idx.Erase(id);
+        ref.erase(id);
+      } else if (action < 97) {
+        const auto it = ref.find(id);
+        ASSERT_EQ(idx.Get(id), it == ref.end()
+                                   ? std::nullopt
+                                   : std::optional<uint64_t>(it->second));
+      } else if (action < 99) {
+        const uint64_t nonce = rng.Next();
+        idx.Rebuild(nonce);
+        ref.clear();
+        EXPECT_EQ(idx.nonce(), nonce);
+      } else {
+        idx.Reserve(rng.Uniform(128));
+      }
+      // A grown table re-homes every id: build clusters for the new one.
+      if (idx.capacity() != pool_capacity) refill_pool();
+      ASSERT_EQ(idx.size(), ref.size()) << "round " << round << " op " << op;
+      for (const auto& [ref_id, slot] : ref) {
+        ASSERT_EQ(idx.Get(ref_id), std::optional<uint64_t>(slot))
+            << "round " << round << " op " << op << " id " << ref_id;
+      }
+      for (const RecordId pool_id : pool) {
+        if (ref.count(pool_id) == 0) {
+          ASSERT_EQ(idx.Get(pool_id), std::nullopt)
+              << "round " << round << " op " << op << " id " << pool_id;
+        }
+      }
+    }
+  }
+}
+
+TEST(HashIndexTest, EraseInsideWrappedClusterKeepsTheRestReachable) {
+  HashIndex idx;
+  idx.Rebuild(3);
+  idx.Reserve(8);  // 16 entries; the 8 puts below fit without growth
+  const size_t cap = idx.capacity();
+  ASSERT_EQ(cap, 16u);
+  RecordId next_id = 0;
+  // Four ids homed on the last entry fill positions 15, 0, 1, 2; two
+  // homed on 0 and two on 1 are pushed behind them to 3..6.
+  std::vector<RecordId> cluster = IdsHomedAt(idx, cap - 1, 4, next_id);
+  for (const RecordId id : IdsHomedAt(idx, 0, 2, next_id)) cluster.push_back(id);
+  for (const RecordId id : IdsHomedAt(idx, 1, 2, next_id)) cluster.push_back(id);
+  for (size_t i = 0; i < cluster.size(); ++i) idx.Put(cluster[i], i);
+  ASSERT_EQ(idx.capacity(), cap);
+  // Erase from the middle of the run first, then across the wrap.
+  for (const size_t victim : {size_t{5}, size_t{1}, size_t{0}, size_t{6}}) {
+    idx.Erase(cluster[victim]);
+    cluster[victim] = kNullRecord;
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      if (cluster[i] == kNullRecord) continue;
+      EXPECT_EQ(idx.Get(cluster[i]), std::optional<uint64_t>(i))
+          << "after erasing entry " << victim << ", id at " << i;
+    }
+  }
+  EXPECT_EQ(idx.size(), 4u);
 }
 
 // ---- ExternalMergeSorter -------------------------------------------------

@@ -160,15 +160,6 @@ class RecordingDevice : public BlockDevice {
  public:
   RecordingDevice() : mem_(16, 512) {}
 
-  using BlockDevice::ReadBlock;
-  using BlockDevice::WriteBlock;
-
-  Status ReadBlock(uint64_t block_id, uint8_t* out) override {
-    return Record("read", mem_.ReadBlock(block_id, out));
-  }
-  Status WriteBlock(uint64_t block_id, const uint8_t* data) override {
-    return Record("write", mem_.WriteBlock(block_id, data));
-  }
   Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override {
     return Record("readv", mem_.ReadBlocks(ids, out));
   }
