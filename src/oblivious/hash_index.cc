@@ -6,27 +6,15 @@
 namespace steghide::oblivious {
 
 namespace {
-// Smallest table a put allocates, in entries.
+// Smallest table a put or rebuild sizes, in entries.
 constexpr size_t kMinTable = 16;
 }  // namespace
 
-void HashIndex::Rebuild(uint64_t nonce) {
+void HashIndex::Rebuild(uint64_t nonce, size_t expected) {
   nonce_ = nonce;
-  if (size_ != 0) {
-    if (filled_complete_) {
-      for (const size_t pos : filled_) table_[pos] = Entry{};
-    } else {
-      std::fill(table_.begin(), table_.end(), Entry{});
-    }
-  }
   size_ = 0;
-  filled_.clear();
-  filled_complete_ = true;
-}
-
-void HashIndex::Reserve(size_t n) {
-  const size_t capacity = std::bit_ceil(std::max(kMinTable, 2 * n));
-  if (capacity > table_.size()) Regrow(capacity);
+  // assign() reuses the vector's storage whenever it is large enough.
+  table_.assign(std::bit_ceil(std::max(kMinTable, 2 * expected)), Entry{});
 }
 
 uint64_t HashIndex::HashKey(RecordId id) const {
@@ -47,26 +35,11 @@ size_t HashIndex::Find(uint64_t key) const {
   }
 }
 
-void HashIndex::NoteFilled(size_t pos) {
-  if (!filled_complete_) return;
-  if (filled_.size() >= table_.size() / 8) {
-    filled_complete_ = false;
-    filled_.clear();
-    return;
-  }
-  filled_.push_back(pos);
-}
-
 void HashIndex::Regrow(size_t capacity) {
   std::vector<Entry> old = std::move(table_);
   table_.assign(capacity, Entry{});
-  filled_.clear();
-  filled_complete_ = true;
   for (const Entry& e : old) {
-    if (e.slot == kEmpty) continue;
-    const size_t pos = Find(e.key);
-    table_[pos] = e;
-    NoteFilled(pos);
+    if (e.slot != kEmpty) table_[Find(e.key)] = e;
   }
 }
 
@@ -75,13 +48,11 @@ bool HashIndex::Put(RecordId id, uint64_t slot) {
     Regrow(std::max(kMinTable, 2 * table_.size()));
   }
   const uint64_t key = HashKey(id);
-  const size_t pos = Find(key);
-  Entry& e = table_[pos];
+  Entry& e = table_[Find(key)];
   const bool fresh = e.slot == kEmpty;
   if (fresh) {
     e.key = key;
     ++size_;
-    NoteFilled(pos);
   }
   e.slot = slot;
   return fresh;

@@ -26,21 +26,20 @@ inline constexpr RecordId kNullRecord = ~RecordId{0};
 ///
 /// The table is flat: linear probing over a power-of-two array of
 /// (keyed hash, slot) pairs, at most half full, with backward-shift
-/// erase so no tombstones build up. It keeps its capacity across
-/// Rebuild(): a level refills to about the same size at every re-order,
-/// so a rebuilt index reaches steady state without allocating. The table
-/// is never iterated, so its layout cannot order anything observable.
+/// erase so no tombstones build up. Rebuild() sizes the table for the
+/// entries to come but keeps its storage: a level refills to about the
+/// same size at every re-order, so a rebuilt index reaches steady state
+/// without allocating, and a clear writes only the table it sizes. The
+/// table is never iterated, so its layout cannot order anything
+/// observable.
 class HashIndex {
  public:
   HashIndex() = default;
 
-  /// Clears all entries and installs a fresh nonce. Keeps the capacity;
-  /// the clear costs the entries put since the last clear, not the
-  /// capacity, while the table is sparse.
-  void Rebuild(uint64_t nonce);
-
-  /// Makes room for `n` entries, so that many puts never grow the table.
-  void Reserve(size_t n);
+  /// Clears all entries, installs a fresh nonce and sizes the table for
+  /// `expected` entries, so that many puts never grow it. Allocates only
+  /// when the table outgrows every earlier size.
+  void Rebuild(uint64_t nonce, size_t expected = 0);
 
   /// Inserts or overwrites the slot for `id`; true when `id` was absent.
   /// `slot` must not be ~0 (the empty marker).
@@ -54,7 +53,7 @@ class HashIndex {
   uint64_t nonce() const { return nonce_; }
 
   /// Table entries: a power of two, or 0 before the first put or
-  /// reserve.
+  /// rebuild.
   size_t capacity() const { return table_.size(); }
   /// Entry where a probe for `id` starts (capacity() > 0); lets tests
   /// build probe clusters.
@@ -74,19 +73,12 @@ class HashIndex {
   size_t Find(uint64_t key) const;
   /// Rehashes every entry into a table of `capacity` entries.
   void Regrow(size_t capacity);
-  void NoteFilled(size_t pos);
 
   uint64_t nonce_ = 0;
   // Keyed hash -> slot. HashKey is a bijection of the id for a fixed
   // nonce, so distinct ids never share a key and Get() needs no id.
   std::vector<Entry> table_;
   size_t size_ = 0;
-  // Positions filled since the last clear, so Rebuild() of a sparse
-  // table resets only those (an erase's backward shift only moves
-  // entries into positions filled before). Recording stops once it
-  // would pass an eighth of the table; Rebuild() then clears it all.
-  std::vector<size_t> filled_;
-  bool filled_complete_ = true;
 };
 
 }  // namespace steghide::oblivious

@@ -6,8 +6,7 @@ namespace steghide::oblivious {
 
 void Level::InstallOrder(std::vector<RecordId> order, uint64_t index_nonce) {
   slot_ids = std::move(order);
-  index.Rebuild(index_nonce);
-  index.Reserve(slot_ids.size());
+  index.Rebuild(index_nonce, slot_ids.size());
   for (uint64_t slot = 0; slot < slot_ids.size(); ++slot) {
     index.Put(slot_ids[slot], slot);
   }

@@ -32,7 +32,6 @@ ExternalMergeSorter::ExternalMergeSorter(storage::BlockDevice* device,
 
 void ExternalMergeSorter::Reset() {
   pending_.clear();
-  opened_ = 0;
   runs_.clear();
   scratch_used_ = 0;
   item_count_ = 0;
@@ -52,9 +51,8 @@ void ExternalMergeSorter::Reset() {
 
 void ExternalMergeSorter::ReserveSlots(uint64_t slots) {
   const size_t ps = codec_->payload_size();
-  // One allocation of a whole run on first use. Only an add after a
-  // failed spill (the run then holds run_blocks_ + 1 items) grows it
-  // further.
+  // One allocation of a whole run on first use. Only adds after a failed
+  // spill (the run then holds run_blocks_ items or more) grow it further.
   if (arena_.size() < slots * ps) {
     arena_.resize(std::max(slots, run_blocks_) * ps);
   }
@@ -72,7 +70,6 @@ Status ExternalMergeSorter::AddInMemory(const uint8_t* payload, uint64_t tag,
   if (merging_) {
     return Status::FailedPrecondition("sorter is already merging");
   }
-  opened_ = 0;
   ReserveSlots(pending_.size() + 1);
   std::memcpy(Slot(pending_.size()), payload, codec_->payload_size());
   return Push(tag, label);
@@ -86,25 +83,26 @@ Status ExternalMergeSorter::AddInMemory(const Bytes& payload, uint64_t tag,
   return AddInMemory(payload.data(), tag, label);
 }
 
-Status ExternalMergeSorter::OpenIntoRun(const uint8_t* blocks, size_t n) {
+Status ExternalMergeSorter::AddSealed(const uint8_t* blocks,
+                                      std::span<const uint64_t> tags,
+                                      std::span<const uint64_t> labels) {
   if (merging_) {
     return Status::FailedPrecondition("sorter is already merging");
   }
-  if (n > std::max<uint64_t>(1, run_room())) {
-    return Status::InvalidArgument("open reaches past the next run spill");
+  const size_t n = tags.size();
+  if (labels.size() != n) {
+    return Status::InvalidArgument("sealed add tag/label count mismatch");
   }
-  opened_ = 0;
+  if (n > std::max<uint64_t>(1, run_room())) {
+    return Status::InvalidArgument("sealed add reaches past the next spill");
+  }
   ReserveSlots(pending_.size() + n);
   STEGHIDE_RETURN_IF_ERROR(
       codec_->OpenBlocks(*cipher_, blocks, n, Slot(pending_.size())));
-  opened_ = n;
+  for (size_t i = 0; i < n; ++i) {
+    STEGHIDE_RETURN_IF_ERROR(Push(tags[i], labels[i]));
+  }
   return Status::OK();
-}
-
-Status ExternalMergeSorter::AddOpened(uint64_t tag, uint64_t label) {
-  if (opened_ == 0) return Status::FailedPrecondition("no opened item to add");
-  --opened_;
-  return Push(tag, label);
 }
 
 Status ExternalMergeSorter::SpillRun() {
@@ -147,7 +145,6 @@ Status ExternalMergeSorter::SpillRun() {
 
 Status ExternalMergeSorter::BeginMerge(uint64_t dst_base) {
   if (merging_) return Status::FailedPrecondition("merge already begun");
-  opened_ = 0;
 
   if (runs_.empty()) {
     // Everything fits in the in-memory run: sort in place and stream the

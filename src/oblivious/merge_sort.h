@@ -2,6 +2,7 @@
 #define STEGHIDE_OBLIVIOUS_MERGE_SORT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/cbc.h"
@@ -15,9 +16,9 @@ namespace steghide::oblivious {
 /// External merge sort over sealed blocks, the re-order primitive of
 /// §5.1.2 ("we apply the external merge sort algorithm").
 ///
-/// Usage: feed payloads with AddInMemory() (or open sealed images straight
-/// into the pending run with OpenIntoRun() and add them with AddOpened()),
-/// each with the caller's 64-bit sort tag (a random tag yields a
+/// Usage: feed payloads with AddInMemory() (or sealed images with
+/// AddSealed(), which opens them straight into the pending run), each
+/// with the caller's 64-bit sort tag (a random tag yields a
 /// uniformly random concealed permutation). The sorter buffers up to
 /// `run_blocks` payloads in memory (the agent's buffer), spilling sorted,
 /// re-encrypted runs to the scratch region. BeginMerge() then arms a
@@ -68,17 +69,15 @@ class ExternalMergeSorter {
   /// Same, from a raw payload_size()-byte pointer.
   Status AddInMemory(const uint8_t* payload, uint64_t tag, uint64_t label);
 
-  /// Opens `n` sealed block images, consecutive at `blocks`, straight
-  /// into the pending run's next `n` free slots without adding them;
-  /// AddOpened() then adds them one at a time, in order. Draws nothing
-  /// from the DRBG and adds nothing, so a failed open leaves the sorter
-  /// as it was. `n` may not exceed max(1, run_room()): no spill falls
-  /// between an open and its adds. A later open or AddInMemory() drops
-  /// the opened items not yet added.
-  Status OpenIntoRun(const uint8_t* blocks, size_t n);
-  /// Adds the next opened item under `tag` and `label`: AddInMemory()
-  /// without the copy.
-  Status AddOpened(uint64_t tag, uint64_t label);
+  /// Opens tags.size() sealed block images, consecutive at `blocks`,
+  /// straight into the pending run's next free slots and adds them in
+  /// order, image i under tags[i] and labels[i]: AddInMemory() without
+  /// the copy. The count may not exceed max(1, run_room()), so only the
+  /// last add can spill. A failed open adds nothing; a failed spill
+  /// leaves every image added, as a failed AddInMemory() spill does
+  /// (item_count() tells the two apart).
+  Status AddSealed(const uint8_t* blocks, std::span<const uint64_t> tags,
+                   std::span<const uint64_t> labels);
 
   /// Items the pending run still takes before it spills: a caller that
   /// reads its inputs in chunks stops each chunk here, so every input read
@@ -176,7 +175,6 @@ class ExternalMergeSorter {
   uint64_t run_blocks_;
   std::vector<Key> pending_;
   Bytes arena_;              // pending-run payload slots
-  uint64_t opened_ = 0;      // opened slots past pending_ not yet added
   std::vector<Run> runs_;
   uint64_t item_count_ = 0;
   Stats stats_;

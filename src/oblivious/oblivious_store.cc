@@ -822,8 +822,7 @@ Status ObliviousStore::StartFlushChainLocked() {
 
   for (size_t j = 0; j < dump_sources.size(); ++j) {
     const size_t s = dump_sources[j];
-    reorder_added_.Rebuild(0);
-    reorder_added_.Reserve(levels_[s + 1].capacity);
+    reorder_added_.Rebuild(0, levels_[s + 1].capacity);
     ReorderJob::Inputs inputs;
     sweep_level(s, inputs);
     if (j == 0) sweep_level(s + 1, inputs);  // deepest target keeps its live set
@@ -831,8 +830,7 @@ Status ObliviousStore::StartFlushChainLocked() {
         make_job(s + 1, std::move(inputs), {s}, /*is_flush=*/false));
   }
 
-  reorder_added_.Rebuild(0);
-  reorder_added_.Reserve(levels_[t].capacity);
+  reorder_added_.Rebuild(0, levels_[t].capacity);
   ReorderJob::Inputs flush_inputs;
   flush_inputs.memory.reserve(flush_size);
   for (const auto& [id, payload] : buffer_) {

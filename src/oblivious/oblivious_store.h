@@ -667,7 +667,7 @@ class ObliviousStore {
 
   /// Persistent re-order scratch: the external sorter (payload arena and
   /// seal staging reused across re-orders) and the planner's dedup set
-  /// (a flat table that keeps its capacity across chain starts).
+  /// (a flat table whose storage is kept across chain starts).
   std::unique_ptr<ExternalMergeSorter> sorter_;
   HashIndex reorder_added_;
 

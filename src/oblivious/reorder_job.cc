@@ -60,22 +60,28 @@ Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
     STEGHIDE_RETURN_IF_ERROR(device_->ReadBlocks(ids_, read_scratch_.data()));
     input_reads_ += take;
     used += take;
-    // Decrypt the whole chunk in one multi-chain batch straight into the
-    // sorter's pending run. The open consumes nothing, so a failed one
-    // leaves a re-driven step to read and open the chunk again.
-    STEGHIDE_RETURN_IF_ERROR(sorter_->OpenIntoRun(read_scratch_.data(), take));
+    // Draw the chunk's tags up front: only its last add can spill (take
+    // never exceeds max(1, run_room())), so the tag draws and the spill's
+    // IVs keep the order of per-item adds.
+    chunk_tags_.clear();
+    chunk_labels_.clear();
     for (uint64_t i = 0; i < take; ++i) {
-      const DeviceInput& in = inputs_.device[next_device_];
-      // Consumed before the fallible add — see the memory loop above.
-      // Only the chunk's last add can spill (take never exceeds
-      // max(1, run_room())), so a failed add leaves nothing of this chunk
-      // unadded.
-      ++next_device_;
-      const uint64_t before = sorter_io();
-      STEGHIDE_RETURN_IF_ERROR(
-          sorter_->AddOpened(tags_->NextUint64(), in.id));
-      used += sorter_io() - before;
+      chunk_tags_.push_back(tags_->NextUint64());
+      chunk_labels_.push_back(inputs_.device[next_device_ + i].id);
     }
+    // Decrypt the whole chunk in one multi-chain batch straight into the
+    // sorter's pending run, then add it. Consume exactly what the sorter
+    // took, before returning its error: a failed open takes nothing (a
+    // re-driven step reads and opens the chunk again), a failed spill has
+    // taken the whole chunk (the retry re-spills it), as in the memory
+    // loop above.
+    const uint64_t items = sorter_->item_count();
+    const uint64_t before = sorter_io();
+    const Status added =
+        sorter_->AddSealed(read_scratch_.data(), chunk_tags_, chunk_labels_);
+    next_device_ += sorter_->item_count() - items;
+    used += sorter_io() - before;
+    STEGHIDE_RETURN_IF_ERROR(added);
   }
 
   STEGHIDE_RETURN_IF_ERROR(sorter_->BeginMerge(dst_base_));

@@ -45,9 +45,9 @@ namespace steghide::oblivious {
 /// Phases:
 ///   kBuildRuns — add the memory inputs (the sorter copies each payload
 ///                into its pending run), then read device-input chunks
-///                (vectored, never past the sorter's next run spill),
-///                open each chunk straight into the pending run
-///                (ExternalMergeSorter::OpenIntoRun) and add its items;
+///                (vectored, never past the sorter's next run spill) and
+///                add each chunk sealed, so the sorter opens it straight
+///                into the pending run (ExternalMergeSorter::AddSealed);
 ///                full runs spill to scratch sequentially.
 ///   kMerge     — the sorter's chunked multi-way merge into dst_base.
 ///   kDone      — slot order available via TakeOrder(); the store
@@ -134,9 +134,12 @@ class ReorderJob {
   size_t next_device_ = 0;  // next device input to read
   uint64_t input_reads_ = 0;
 
-  // Vectored input staging: block ids and sealed images of one chunk.
+  // Vectored input staging: block ids, sealed images, sort tags and
+  // record ids of one chunk.
   std::vector<uint64_t> ids_;
   Bytes read_scratch_;
+  std::vector<uint64_t> chunk_tags_;
+  std::vector<uint64_t> chunk_labels_;
 };
 
 }  // namespace steghide::oblivious

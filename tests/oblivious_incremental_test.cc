@@ -13,6 +13,8 @@
 
 #include "oblivious/merge_sort.h"
 #include "oblivious/oblivious_store.h"
+#include "oblivious/reorder_job.h"
+#include "storage/fault_device.h"
 #include "storage/mem_block_device.h"
 #include "storage/sim_device.h"
 #include "storage/trace_device.h"
@@ -246,6 +248,64 @@ TEST_F(ResumableMergeTest, MultiChunkRunsMergeAlikeUnderEveryBudget) {
       EXPECT_EQ(sliced.writes, whole.writes) << "budget " << budget;
       EXPECT_TRUE(sliced.slots == whole.slots) << "budget " << budget;
     }
+  }
+}
+
+TEST_F(ResumableMergeTest, JobRedrivesAFailedSpillWithoutReaddingItsChunk) {
+  // Run size 8 after three memory inputs: the job's first device chunk is
+  // five sealed images, and the spill its last add triggers fails once.
+  // The failed add has taken the whole chunk, so the re-driven step
+  // re-spills it and reads none of it again: every record reaches the
+  // destination once, and the job reads each input once.
+  constexpr uint64_t kDevice = 20;
+  constexpr uint64_t kMemory = 3;
+  constexpr uint64_t kRun = 8;
+  constexpr uint64_t kScratch = 64;
+  constexpr uint64_t kDst = 128;
+  storage::FaultSpec fail;
+  fail.kind = storage::FaultSpec::Kind::kTransientError;
+  fail.ops = storage::FaultSpec::OpFilter::kWrite;
+  fail.max_fires = 1;
+  storage::FaultInjectionBlockDevice faulty(&dev_, storage::FaultPlan{{fail}});
+
+  Rng rng = testing::MakeTestRng();
+  std::map<RecordId, Bytes> payloads;
+  ReorderJob::Inputs inputs;
+  Bytes block(4096);
+  for (uint64_t i = 0; i < kDevice + kMemory; ++i) {
+    Bytes p(codec_.payload_size());
+    rng.Fill(p.data(), p.size());
+    const RecordId id = 1000 + i;
+    payloads[id] = p;
+    if (i < kDevice) {
+      ASSERT_TRUE(codec_.Seal(cipher_, drbg_, p.data(), block.data()).ok());
+      ASSERT_TRUE(dev_.WriteBlock(i, block.data()).ok());
+      inputs.device.push_back({i, id});
+    } else {
+      inputs.memory.push_back({id, p});
+    }
+  }
+  ExternalMergeSorter sorter(&faulty, &codec_, &cipher_, &drbg_, kScratch,
+                             kRun);
+  ReorderJob job(&faulty, &codec_, &cipher_, &drbg_, &sorter,
+                 /*target_level=*/0, kDst, std::move(inputs));
+  const uint64_t unbounded = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(job.Step(unbounded).code(), StatusCode::kIoError);
+  EXPECT_EQ(sorter.item_count(), kMemory + 5);
+  for (int steps = 0; !job.done() && steps < 100; ++steps) {
+    ASSERT_TRUE(job.Step(unbounded).ok());
+  }
+  ASSERT_TRUE(job.done());
+  EXPECT_EQ(faulty.stats().injected_errors, 1u);
+  // Inputs once, then every spilled item once by the merge.
+  EXPECT_EQ(job.reads(), kDevice + (kDevice + kMemory));
+
+  const std::vector<RecordId> order = job.TakeOrder();
+  ASSERT_EQ(order.size(), kDevice + kMemory);
+  std::set<RecordId> seen(order.begin(), order.end());
+  EXPECT_EQ(seen.size(), order.size());
+  for (uint64_t slot = 0; slot < order.size(); ++slot) {
+    EXPECT_EQ(GetBlock(kDst + slot), payloads[order[slot]]) << "slot " << slot;
   }
 }
 
@@ -524,7 +584,9 @@ TEST_P(LargeReorderSoakTest, MatchesMirrorProperty) {
     ASSERT_EQ(out.back(), mirror[id]) << "final id " << id;
   }
   EXPECT_GT(bottom_max, 512u) << "the bottom level never re-ordered > 512";
-  if (deamortize) EXPECT_GT((*store)->stats().reorder_steps, 0u);
+  if (deamortize) {
+    EXPECT_GT((*store)->stats().reorder_steps, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedules, LargeReorderSoakTest, ::testing::Bool(),

@@ -5,12 +5,14 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "oblivious/hash_index.h"
 #include "oblivious/merge_sort.h"
 #include "oblivious/oblivious_store.h"
+#include "storage/fault_device.h"
 #include "storage/mem_block_device.h"
 #include "storage/sim_device.h"
 #include "testing/rng.h"
@@ -46,17 +48,26 @@ TEST(HashIndexTest, RebuildClearsAndRekeys) {
   EXPECT_EQ(idx.Get(5), std::nullopt);
 }
 
-TEST(HashIndexTest, RebuildKeepsCapacity) {
+TEST(HashIndexTest, RebuildSizesTheTable) {
   HashIndex idx;
-  idx.Reserve(100);
+  idx.Rebuild(1, 100);
   const size_t capacity = idx.capacity();
   EXPECT_GE(capacity, 200u);
   for (RecordId id = 0; id < 100; ++id) idx.Put(id, id);
-  EXPECT_EQ(idx.capacity(), capacity) << "Reserve(100) must cover 100 puts";
-  idx.Rebuild(9);
+  EXPECT_EQ(idx.capacity(), capacity) << "Rebuild(_, 100) must cover 100 puts";
+  idx.Rebuild(9, 100);
   EXPECT_EQ(idx.capacity(), capacity);
   EXPECT_EQ(idx.size(), 0u);
   for (RecordId id = 0; id < 100; ++id) EXPECT_EQ(idx.Get(id), std::nullopt);
+  // A smaller rebuild shrinks the table it clears; puts past its size
+  // grow it again and lose nothing.
+  idx.Rebuild(10, 3);
+  EXPECT_EQ(idx.capacity(), 16u);
+  for (RecordId id = 0; id < 100; ++id) idx.Put(id, 2 * id);
+  EXPECT_EQ(idx.size(), 100u);
+  for (RecordId id = 0; id < 100; ++id) {
+    EXPECT_EQ(idx.Get(id), std::optional<uint64_t>(2 * id));
+  }
 }
 
 // Ids whose probes start at `home`, drawn from a running counter.
@@ -71,23 +82,24 @@ std::vector<RecordId> IdsHomedAt(const HashIndex& idx, size_t home, size_t n,
 }
 
 // Differential check against std::unordered_map: seeded random Put, Get,
-// Erase, Rebuild and Reserve sequences. Most ids are homed on the last two
-// and the first two entries of the current table, so probe runs wrap
-// round its end and erases land inside such clusters, where a wrong
-// backward shift strands the entries behind the hole.
+// Erase and Rebuild sequences, each rebuild sizing the table anew. Most
+// ids are homed on the last two and the first two entries of the current
+// table, so probe runs wrap round its end and erases land inside such
+// clusters, where a wrong backward shift strands the entries behind the
+// hole.
 TEST(HashIndexTest, MatchesUnorderedMapProperty) {
   Rng rng = testing::MakeTestRng();
   for (int round = 0; round < 20; ++round) {
     HashIndex idx;
     std::unordered_map<RecordId, uint64_t> ref;
     RecordId next_id = 1000000;
-    idx.Rebuild(rng.Next());
-    idx.Reserve(1 + rng.Uniform(48));
+    idx.Rebuild(rng.Next(), 1 + rng.Uniform(48));
     std::vector<RecordId> pool;
     size_t pool_capacity = 0;
     const auto refill_pool = [&] {
-      // Wrap-around clusters for the current table, plus a few plain ids.
-      // Ids of an earlier pool stay in `ref` and are still checked.
+      // Wrap-around clusters for the current table and nonce, plus a few
+      // plain ids. Ids of an earlier pool stay in `ref` and are still
+      // checked.
       const size_t cap = idx.capacity();
       pool.clear();
       for (const size_t home : {cap - 2, cap - 1, size_t{0}, size_t{1}}) {
@@ -114,15 +126,14 @@ TEST(HashIndexTest, MatchesUnorderedMapProperty) {
         ASSERT_EQ(idx.Get(id), it == ref.end()
                                    ? std::nullopt
                                    : std::optional<uint64_t>(it->second));
-      } else if (action < 99) {
+      } else {
         const uint64_t nonce = rng.Next();
-        idx.Rebuild(nonce);
+        idx.Rebuild(nonce, rng.Uniform(128));
         ref.clear();
         EXPECT_EQ(idx.nonce(), nonce);
-      } else {
-        idx.Reserve(rng.Uniform(128));
+        refill_pool();  // a new nonce re-homes every id
       }
-      // A grown table re-homes every id: build clusters for the new one.
+      // So does a resized table: build clusters for the new one.
       if (idx.capacity() != pool_capacity) refill_pool();
       ASSERT_EQ(idx.size(), ref.size()) << "round " << round << " op " << op;
       for (const auto& [ref_id, slot] : ref) {
@@ -141,8 +152,7 @@ TEST(HashIndexTest, MatchesUnorderedMapProperty) {
 
 TEST(HashIndexTest, EraseInsideWrappedClusterKeepsTheRestReachable) {
   HashIndex idx;
-  idx.Rebuild(3);
-  idx.Reserve(8);  // 16 entries; the 8 puts below fit without growth
+  idx.Rebuild(3, 8);  // 16 entries; the 8 puts below fit without growth
   const size_t cap = idx.capacity();
   ASSERT_EQ(cap, 16u);
   RecordId next_id = 0;
@@ -253,6 +263,82 @@ TEST_F(MergeSorterTest, MultiRunExternalSort) {
     EXPECT_EQ(GetBlock(128 + slot), payloads[label]) << "slot " << slot;
   }
   EXPECT_EQ(seen.size(), kItems);  // a permutation, nothing lost
+}
+
+// The pending run's failure rules: a failed spill keeps its keys and
+// slots, later adds grow the run past run_blocks without overwriting a
+// slot (AddInMemory, and AddSealed of one image while run_room() is 0),
+// and a sealed add never reaches past the next spill.
+TEST_F(MergeSorterTest, AddsAfterAFailedSpillGrowTheRun) {
+  constexpr uint64_t kItems = 20;
+  constexpr uint64_t kRun = 8;
+  const size_t bs = codec_.block_size();
+  // The first two spill writes fail, once each.
+  storage::FaultSpec fail;
+  fail.kind = storage::FaultSpec::Kind::kTransientError;
+  fail.ops = storage::FaultSpec::OpFilter::kWrite;
+  fail.max_fires = 2;
+  storage::FaultInjectionBlockDevice faulty(&dev_, storage::FaultPlan{{fail}});
+  ExternalMergeSorter sorter(&faulty, &codec_, &cipher_, &drbg_, 64, kRun);
+
+  Rng rng = testing::MakeTestRng();
+  std::vector<Bytes> payloads(kItems);
+  std::vector<uint64_t> tags(kItems), labels(kItems);
+  Bytes sealed(kItems * bs);
+  for (uint64_t i = 0; i < kItems; ++i) {
+    payloads[i].resize(codec_.payload_size());
+    rng.Fill(payloads[i].data(), payloads[i].size());
+    tags[i] = rng.Next();
+    labels[i] = i;
+    ASSERT_TRUE(
+        codec_.Seal(cipher_, drbg_, payloads[i].data(), &sealed[i * bs]).ok());
+  }
+  const auto add_memory = [&](uint64_t i) {
+    return sorter.AddInMemory(payloads[i], tags[i], labels[i]);
+  };
+  const auto add_sealed = [&](uint64_t first, uint64_t n) {
+    return sorter.AddSealed(&sealed[first * bs],
+                            std::span(tags).subspan(first, n),
+                            std::span(labels).subspan(first, n));
+  };
+
+  for (uint64_t i = 0; i + 1 < kRun; ++i) ASSERT_TRUE(add_memory(i).ok());
+  EXPECT_EQ(add_memory(kRun - 1).code(), StatusCode::kIoError);
+  EXPECT_EQ(sorter.run_room(), 0u);
+  EXPECT_EQ(sorter.item_count(), kRun);
+  // Two images would reach past the re-driven spill; one is allowed.
+  EXPECT_EQ(add_sealed(kRun, 2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(sorter.item_count(), kRun);
+  EXPECT_EQ(add_memory(kRun).code(), StatusCode::kIoError);
+  EXPECT_EQ(sorter.item_count(), kRun + 1);
+  // Slot run_blocks + 1: this spill of ten items succeeds.
+  ASSERT_TRUE(add_sealed(kRun + 1, 1).ok());
+  EXPECT_EQ(sorter.item_count(), kRun + 2);
+  EXPECT_EQ(sorter.run_room(), kRun);
+  EXPECT_EQ(faulty.stats().injected_errors, 2u);
+
+  // A fresh run: a sealed add takes at most run_room() images.
+  EXPECT_EQ(add_sealed(10, kRun + 1).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(add_sealed(10, 5).ok());
+  EXPECT_EQ(sorter.run_room(), 3u);
+  EXPECT_EQ(add_sealed(15, 4).code(), StatusCode::kInvalidArgument);
+  for (uint64_t i = 15; i < 18; ++i) ASSERT_TRUE(add_memory(i).ok());
+  ASSERT_TRUE(add_sealed(18, 2).ok());
+  ASSERT_EQ(sorter.item_count(), kItems);
+
+  auto order = MergeAll(sorter, 128);
+  ASSERT_TRUE(order.ok()) << order.status().ToString();
+  ASSERT_EQ(order->size(), kItems);
+  std::set<uint64_t> seen;
+  for (uint64_t slot = 0; slot < kItems; ++slot) {
+    const uint64_t label = (*order)[slot];
+    seen.insert(label);
+    if (slot > 0) {
+      EXPECT_LE(tags[(*order)[slot - 1]], tags[label]);
+    }
+    EXPECT_EQ(GetBlock(128 + slot), payloads[label]) << "slot " << slot;
+  }
+  EXPECT_EQ(seen.size(), kItems);
 }
 
 // ---- ObliviousStore -------------------------------------------------------
