@@ -58,23 +58,32 @@ Result<std::vector<Bytes>> ObliviousAgent::ReadGroupImpl(
                        {{"n", static_cast<int64_t>(requests.size())}});
   const size_t payload = core_->payload_size();
 
-  // One InspectFile per distinct file; the pointers stay valid for the
-  // whole group (no session mutation happens on this path).
-  std::unordered_map<FileId, const HiddenFile*> files;
+  // One InspectFile per distinct file, in request order; the pointers
+  // stay valid for the whole group (no session mutation happens on this
+  // path). group_files_ stays sorted by file id for the lookups below.
+  const auto file_at = [this](FileId id) {
+    return std::lower_bound(
+        group_files_.begin(), group_files_.end(), id,
+        [](const std::pair<FileId, const HiddenFile*>& e, FileId key) {
+          return e.first < key;
+        });
+  };
+  group_files_.clear();
   for (const ReadRequest& request : requests) {
-    auto [it, inserted] = files.try_emplace(request.file, nullptr);
-    if (inserted) {
-      STEGHIDE_ASSIGN_OR_RETURN(it->second, agent_.InspectFile(request.file));
-    }
+    const auto it = file_at(request.file);
+    if (it != group_files_.end() && it->first == request.file) continue;
+    STEGHIDE_ASSIGN_OR_RETURN(const HiddenFile* file,
+                              agent_.InspectFile(request.file));
+    group_files_.insert(it, {request.file, file});
   }
 
   // Union of logical blocks covered by the clamped ranges across all
   // files, ascending per file — one miss-fill/oblivious-group pass
   // serves all of them.
-  std::vector<StegPartitionReader::BlockRef> refs;
-  std::unordered_map<RecordId, size_t> block_index;
+  std::vector<StegPartitionReader::BlockRef>& refs = group_refs_;
+  refs.clear();
   for (const ReadRequest& request : requests) {
-    const HiddenFile* file = files.at(request.file);
+    const HiddenFile* file = file_at(request.file)->second;
     if (request.offset >= file->file_size || request.length == 0) continue;
     const uint64_t end =
         std::min<uint64_t>(request.offset + request.length, file->file_size);
@@ -83,31 +92,31 @@ Result<std::vector<Bytes>> ObliviousAgent::ReadGroupImpl(
       refs.push_back({file, logical});
     }
   }
-  std::sort(refs.begin(), refs.end(),
-            [](const StegPartitionReader::BlockRef& a,
-               const StegPartitionReader::BlockRef& b) {
-              return a.file->agent_tag != b.file->agent_tag
-                         ? a.file->agent_tag < b.file->agent_tag
-                         : a.logical < b.logical;
-            });
+  const auto ref_before = [](const StegPartitionReader::BlockRef& a,
+                             const StegPartitionReader::BlockRef& b) {
+    return a.file->agent_tag != b.file->agent_tag
+               ? a.file->agent_tag < b.file->agent_tag
+               : a.logical < b.logical;
+  };
+  std::sort(refs.begin(), refs.end(), ref_before);
   refs.erase(std::unique(refs.begin(), refs.end(),
                          [](const StegPartitionReader::BlockRef& a,
                             const StegPartitionReader::BlockRef& b) {
                            return a.file == b.file && a.logical == b.logical;
                          }),
              refs.end());
-  for (size_t i = 0; i < refs.size(); ++i) {
-    block_index.emplace(
-        StegPartitionReader::MakeRecordId(*refs[i].file, refs[i].logical), i);
-  }
 
-  Bytes blocks(refs.size() * payload);
-  STEGHIDE_RETURN_IF_ERROR(reader_->ReadRefBatch(refs, blocks.data()));
+  // Every block lands in group_blocks_, kept across groups; its growth is
+  // the only fill.
+  if (group_blocks_.size() < refs.size() * payload) {
+    group_blocks_.resize(refs.size() * payload);
+  }
+  STEGHIDE_RETURN_IF_ERROR(reader_->ReadRefBatch(refs, group_blocks_.data()));
 
   std::vector<Bytes> out(requests.size());
   for (size_t r = 0; r < requests.size(); ++r) {
     const ReadRequest& request = requests[r];
-    const HiddenFile* file = files.at(request.file);
+    const HiddenFile* file = file_at(request.file)->second;
     if (request.offset >= file->file_size || request.length == 0) continue;
     const uint64_t end =
         std::min<uint64_t>(request.offset + request.length, file->file_size);
@@ -117,9 +126,12 @@ Result<std::vector<Bytes>> ObliviousAgent::ReadGroupImpl(
       const uint64_t begin = logical * payload;
       const uint64_t lo = std::max<uint64_t>(request.offset, begin);
       const uint64_t hi = std::min<uint64_t>(end, begin + payload);
-      const size_t idx =
-          block_index.at(StegPartitionReader::MakeRecordId(*file, logical));
-      const uint8_t* src = blocks.data() + idx * payload;
+      // The first ref of this record id, as the sort placed it.
+      const auto ref = std::lower_bound(
+          refs.begin(), refs.end(),
+          StegPartitionReader::BlockRef{file, logical}, ref_before);
+      const uint8_t* src =
+          group_blocks_.data() + (ref - refs.begin()) * payload;
       out[r].insert(out[r].end(), src + (lo - begin), src + (hi - begin));
     }
   }

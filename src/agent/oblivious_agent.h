@@ -4,6 +4,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "agent/volatile_agent.h"
@@ -158,6 +159,12 @@ class ObliviousAgent {
   /// Serializes hidden-access I/O at group granularity (the reader and
   /// its Figure-8(a) state are single-threaded by contract).
   std::mutex io_mu_;
+
+  // ReadGroupImpl scratch, kept across groups (guarded by io_mu_): the
+  // group's files sorted by id, its block refs and their payloads.
+  std::vector<std::pair<FileId, const stegfs::HiddenFile*>> group_files_;
+  std::vector<oblivious::StegPartitionReader::BlockRef> group_refs_;
+  Bytes group_blocks_;
 };
 
 }  // namespace steghide::agent

@@ -2,6 +2,7 @@
 #define STEGHIDE_OBLIVIOUS_LEVEL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "oblivious/hash_index.h"
@@ -50,14 +51,13 @@ struct Level {
     return !s.has_value() || *s != slot;
   }
 
-  /// Installs a post-re-order layout: `order` lists the record ids slot by
-  /// slot (all authoritative, no duplicates).
-  void InstallOrder(std::vector<RecordId> order, uint64_t index_nonce);
-
-  /// Installs a layout that was built at `new_base` (the shadow region of
-  /// a double-buffered rebuild): flips the active base to it, demoting
-  /// the old region to shadow. With new_base == base this is InstallOrder.
-  void InstallOrderAt(uint64_t new_base, std::vector<RecordId> order,
+  /// Installs a post-re-order layout built at `new_base`: `order` lists
+  /// the record ids slot by slot (all authoritative, no duplicates). A
+  /// new_base other than base (the shadow region of a double-buffered
+  /// rebuild) flips the active base to it, demoting the old region to
+  /// shadow; new_base == base installs in place. The ids are copied into
+  /// slot_ids, whose storage is kept across installs.
+  void InstallOrderAt(uint64_t new_base, std::span<const RecordId> order,
                       uint64_t index_nonce);
 
   /// Empties the level (after its content was dumped downward).

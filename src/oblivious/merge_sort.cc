@@ -32,7 +32,7 @@ ExternalMergeSorter::ExternalMergeSorter(storage::BlockDevice* device,
 
 void ExternalMergeSorter::Reset() {
   pending_.clear();
-  runs_.clear();
+  run_count_ = 0;
   scratch_used_ = 0;
   item_count_ = 0;
   stats_ = Stats();
@@ -109,13 +109,14 @@ Status ExternalMergeSorter::SpillRun() {
   if (pending_.empty()) return Status::OK();
   std::sort(pending_.begin(), pending_.end(),
             [](const Key& a, const Key& b) { return a.tag < b.tag; });
-  Run run;
+  if (runs_.size() == run_count_) runs_.emplace_back();
+  Run& run = runs_[run_count_];
   run.base = scratch_base_ + scratch_used_;
-  run.tags.reserve(pending_.size());
-  run.labels.reserve(pending_.size());
+  run.tags.clear();
+  run.labels.clear();
   // Seal the whole run from its arena slots, then write it with one
   // vectored request — a sequential sweep of the scratch region. State
-  // (scratch_used_, runs_, pending_) commits only after the write
+  // (scratch_used_, run_count_, pending_) commits only after the write
   // succeeds, so a failed slice of a re-order can be re-driven: the retry
   // re-seals the same items into the same scratch positions.
   const size_t bs = codec_->block_size();
@@ -138,7 +139,7 @@ Status ExternalMergeSorter::SpillRun() {
   STEGHIDE_RETURN_IF_ERROR(device_->WriteBlocks(ids_, seal_scratch_.data()));
   stats_.writes += ids_.size();
   scratch_used_ += ids_.size();
-  runs_.push_back(std::move(run));
+  ++run_count_;
   pending_.clear();
   return Status::OK();
 }
@@ -146,7 +147,7 @@ Status ExternalMergeSorter::SpillRun() {
 Status ExternalMergeSorter::BeginMerge(uint64_t dst_base) {
   if (merging_) return Status::FailedPrecondition("merge already begun");
 
-  if (runs_.empty()) {
+  if (run_count_ == 0) {
     // Everything fits in the in-memory run: sort in place and stream the
     // destination writes out in chunks — no scratch traffic.
     merging_ = true;
@@ -171,7 +172,7 @@ Status ExternalMergeSorter::BeginMerge(uint64_t dst_base) {
   merging_ = true;
   dst_base_ = dst_base;
   order_.reserve(item_count_);
-  const size_t fanin = runs_.size();
+  const size_t fanin = run_count_;
   chunk_ = std::max<uint64_t>(kMinChunkBlocks, run_blocks_ / (fanin + 1));
   cursors_.clear();
   cursors_.resize(fanin);
@@ -330,12 +331,6 @@ uint64_t ExternalMergeSorter::merge_remaining_blocks() const {
   // buffered output chunk still owes its write.
   const uint64_t emitted = order_.size();
   return 2 * (item_count_ - emitted) + out_chunk_.size();
-}
-
-std::vector<uint64_t> ExternalMergeSorter::TakeOrder() {
-  std::vector<uint64_t> order = std::move(order_);
-  order_.clear();
-  return order;
 }
 
 }  // namespace steghide::oblivious

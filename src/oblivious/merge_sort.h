@@ -25,17 +25,19 @@ namespace steghide::oblivious {
 /// single chunked multi-way pass into the destination region,
 /// MergeStep(budget) advances it by a bounded number of device I/Os — so
 /// a deamortized re-order can interleave merge chunks with serving, and a
-/// blocking one runs it to completion — and TakeOrder() returns the
+/// blocking one runs it to completion — and order() lists the
 /// caller-supplied labels in final order. Reset() then recycles the
 /// sorter for the next re-order.
 ///
 /// Memory: the pending run lives in one payload arena of `run_blocks`
 /// payload slots, allocated at the first add and kept across Reset(), so
 /// adds, spills and the in-memory merge copy each payload once (into its
-/// slot) and allocate nothing per item. The external merge gives each
-/// run's cursor one decrypted look-ahead buffer of a merge chunk, refilled
-/// in place and released when the merge finishes; the output chunk holds
-/// pointers into the look-ahead buffers or the arena and seals from them.
+/// slot) and allocate nothing per item; the runs' tag and label tables and
+/// the final order keep their storage across Reset() too. The external
+/// merge gives each run's cursor one decrypted look-ahead buffer of a
+/// merge chunk, refilled in place and released when the merge finishes;
+/// the output chunk holds pointers into the look-ahead buffers or the
+/// arena and seals from them.
 ///
 /// I/O pattern matters more than the sort itself here: run formation and
 /// the merge read/write chunks sequentially, which is why the paper's
@@ -102,18 +104,19 @@ class ExternalMergeSorter {
   Status MergeStep(uint64_t budget_blocks, bool* done,
                    uint64_t* consumed = nullptr);
 
-  /// Labels in final slot order; valid once MergeStep reported done.
-  /// Leaves the sorter spent (Reset() recycles it).
-  std::vector<uint64_t> TakeOrder();
+  /// Labels in final slot order; complete once MergeStep reported done,
+  /// valid until Reset().
+  std::span<const uint64_t> order() const { return order_; }
 
   /// Device-I/O estimate for the remaining merge work (for self-pacing
   /// callers). Zero once done.
   uint64_t merge_remaining_blocks() const;
 
   /// Recycles the sorter for the next re-order: clears items, runs and
-  /// merge state and zeroes stats(), but keeps the payload arena and the
-  /// read and seal staging buffers — re-orders are hot enough that
-  /// reallocating them per call shows up in the profile.
+  /// merge state and zeroes stats(), but keeps the payload arena, the run
+  /// tables, the order and the read and seal staging buffers — re-orders
+  /// are hot enough that reallocating them per call shows up in the
+  /// profile.
   void Reset();
 
   uint64_t item_count() const { return item_count_; }
@@ -175,7 +178,10 @@ class ExternalMergeSorter {
   uint64_t run_blocks_;
   std::vector<Key> pending_;
   Bytes arena_;              // pending-run payload slots
+  /// runs_[0, run_count_) are this re-order's spilled runs; later entries
+  /// keep their tables' storage for the next spills.
   std::vector<Run> runs_;
+  size_t run_count_ = 0;
   uint64_t item_count_ = 0;
   Stats stats_;
 

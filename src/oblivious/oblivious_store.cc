@@ -48,6 +48,8 @@ ObliviousStore::ObliviousStore(storage::BlockDevice* device,
   sorter_ = std::make_unique<ExternalMergeSorter>(
       device_, &codec_, &cipher_, &drbg_, options_.scratch_base,
       std::max<uint64_t>(options_.buffer_blocks, kReorderRunFloor));
+  reorder_ = std::make_unique<ReorderJob>(device_, &codec_, &cipher_, &drbg_,
+                                          sorter_.get());
 }
 
 Result<std::unique_ptr<ObliviousStore>> ObliviousStore::Create(
@@ -300,7 +302,8 @@ Status ObliviousStore::PlanScan(std::span<const RecordId> ids,
   for (size_t i = 0; i < k; ++i) scan_k += scan[i] != 0;
 
   plan_.Reset();
-  std::vector<uint8_t> found(k, 0);
+  std::vector<uint8_t>& found = found_scratch_;
+  found.assign(k, 0);
   const bool chain = ChainActiveLocked();
   for (size_t li = 0; li < levels_.size(); ++li) {
     Level& level = levels_[li];
@@ -344,14 +347,13 @@ Status ObliviousStore::PlanScan(std::span<const RecordId> ids,
     }
     // Elevator order within the pass: the probe multiset is a fresh set
     // of uniform draws plus real slots of a concealed permutation, so
-    // its sorted image is data-independent. stable_sort keeps the index
-    // probe ahead of a colliding slot-0 probe, preserving the k = 1
-    // issue sequence bit-for-bit.
-    std::stable_sort(
-        pass.probes.begin(), pass.probes.end(),
-        [](const ScanPlan::Probe& a, const ScanPlan::Probe& b) {
-          return a.block < b.block;
-        });
+    // its sorted image is data-independent. Probes that tie share one
+    // block, so their order changes neither the issued block sequence
+    // nor the bytes any of them reads: an in-place sort will do.
+    std::sort(pass.probes.begin(), pass.probes.end(),
+              [](const ScanPlan::Probe& a, const ScanPlan::Probe& b) {
+                return a.block < b.block;
+              });
   }
   for (size_t i = 0; i < k; ++i) {
     if (scan[i] && !decoy_only[i] && !found[i]) {
@@ -428,12 +430,12 @@ Status ObliviousStore::ExecuteScan(uint8_t* out_payloads) {
 }
 
 Status ObliviousStore::ReadGroup(std::span<const RecordId> ids,
-                                 uint8_t* out_payloads) {
+                                 uint8_t* out_payloads, bool dummy) {
   const size_t k = ids.size();
   const size_t ps = codec_.payload_size();
   obs::ScopedSpan span(trace_, "store.read_group", trace_track_,
                        {{"n", static_cast<int64_t>(k)}});
-  cells_.user_reads.Add(k);
+  if (!dummy) cells_.user_reads.Add(k);
   if (k > 1) cells_.batched_requests.Add(k);
   const double t0 = Clock();
 
@@ -443,7 +445,9 @@ Status ObliviousStore::ReadGroup(std::span<const RecordId> ids,
   std::vector<uint8_t>& scan = scan_scratch_;
   std::vector<uint8_t>& dup = dup_scratch_;
   std::vector<uint8_t>& ghost = ghost_scratch_;
-  std::unordered_map<RecordId, size_t> first_scan;
+  // Scanned id -> its first position in the group.
+  HashIndex& first_scan = group_ids_;
+  first_scan.Rebuild(0, k);
   bool any_scan = false;
   for (size_t i = 0; i < k; ++i) {
     const auto buf_it = buffer_.find(ids[i]);
@@ -470,8 +474,11 @@ Status ObliviousStore::ReadGroup(std::span<const RecordId> ids,
     }
     scan[i] = 1;
     any_scan = true;
-    const auto [it, inserted] = first_scan.try_emplace(ids[i], i);
-    if (!inserted) dup[i] = 1;  // duplicated real slot: all-decoy probes
+    if (first_scan.Get(ids[i]).has_value()) {
+      dup[i] = 1;  // duplicated real slot: all-decoy probes
+    } else {
+      first_scan.Put(ids[i], i);
+    }
   }
 
   if (any_scan) {
@@ -480,7 +487,7 @@ Status ObliviousStore::ReadGroup(std::span<const RecordId> ids,
     for (size_t i = 0; i < k; ++i) {
       if (dup[i] && !ghost[i]) {
         std::memcpy(out_payloads + i * ps,
-                    out_payloads + first_scan[ids[i]] * ps, ps);
+                    out_payloads + *first_scan.Get(ids[i]) * ps, ps);
       }
     }
   }
@@ -509,14 +516,12 @@ Status ObliviousStore::WriteGroup(std::span<const RecordId> ids,
 
   // Capacity pre-check so the group applies atomically.
   uint64_t fresh = 0;
-  {
-    std::unordered_set<RecordId> seen;
-    for (size_t i = 0; i < k; ++i) {
-      if (!ContainsLocked(ids[i]) && seen.insert(ids[i]).second) ++fresh;
-    }
-    if (present_index_.size() + fresh > options_.capacity_blocks) {
-      return Status::NoSpace("oblivious store at capacity");
-    }
+  group_ids_.Rebuild(0, k);
+  for (size_t i = 0; i < k; ++i) {
+    if (!ContainsLocked(ids[i]) && group_ids_.Put(ids[i], 0)) ++fresh;
+  }
+  if (present_index_.size() + fresh > options_.capacity_blocks) {
+    return Status::NoSpace("oblivious store at capacity");
   }
 
   const double t0 = Clock();
@@ -527,29 +532,32 @@ Status ObliviousStore::WriteGroup(std::span<const RecordId> ids,
   // Ids that will be in the buffer by the time a later group member is
   // processed (insert or scan earlier in the group): later occurrences
   // take the buffer-hit shape, exactly as the sequential path would.
-  std::unordered_set<RecordId> staged;
+  HashIndex& staged = group_ids_;
+  staged.Rebuild(0, k);
   // First-time ids register only after the fallible scan below, so a
   // failed group never strands a present id that is stored nowhere.
-  std::vector<RecordId> fresh_ids;
+  std::vector<RecordId>& fresh_ids = fresh_scratch_;
+  fresh_ids.clear();
   bool any_scan = false;
   for (size_t i = 0; i < k; ++i) {
     const RecordId id = ids[i];
-    if (!ContainsLocked(id) && staged.count(id) == 0) {
+    const bool was_staged = staged.Get(id).has_value();
+    if (!ContainsLocked(id) && !was_staged) {
       // First-time insertion: buffer-only, no level touches (the caller's
       // fetch from the StegFS partition was the observable I/O).
       fresh_ids.push_back(id);
-      staged.insert(id);
+      staged.Put(id, 0);
       continue;
     }
     cells_.user_writes.Increment();
-    if (buffer_.find(id) != buffer_.end() || staged.count(id) != 0) continue;
+    if (was_staged || buffer_.find(id) != buffer_.end()) continue;
     // Same touch pattern as a read — an observer cannot tell a hidden
     // update from a retrieval. The fetched content is superseded. A
     // record parked in the pending flush snapshot gets the ghost shape:
     // all-decoy probes, new payload through the buffer.
     scan[i] = 1;
     any_scan = true;
-    staged.insert(id);
+    staged.Put(id, 0);
     if (flushing_.find(id) != flushing_.end()) decoy_only[i] = 1;
   }
 
@@ -588,8 +596,9 @@ Status ObliviousStore::MultiReadLocked(std::span<const RecordId> ids,
   const size_t max_k = options_.buffer_blocks;
   for (size_t off = 0; off < ids.size(); off += max_k) {
     const size_t n = std::min(max_k, ids.size() - off);
-    STEGHIDE_RETURN_IF_ERROR(ReadGroup(
-        ids.subspan(off, n), out_payloads + off * codec_.payload_size()));
+    STEGHIDE_RETURN_IF_ERROR(ReadGroup(ids.subspan(off, n),
+                                       out_payloads + off * codec_.payload_size(),
+                                       /*dummy=*/false));
   }
   return Status::OK();
 }
@@ -636,10 +645,10 @@ Status ObliviousStore::MultiInsertLocked(std::span<const RecordId> ids,
   for (size_t off = 0; off < ids.size(); off += max_k) {
     const size_t n = std::min(max_k, ids.size() - off);
     uint64_t fresh = 0;
-    std::unordered_set<RecordId> seen;
+    group_ids_.Rebuild(0, n);
     for (size_t i = 0; i < n; ++i) {
       const RecordId id = ids[off + i];
-      if (!ContainsLocked(id) && seen.insert(id).second) ++fresh;
+      if (!ContainsLocked(id) && group_ids_.Put(id, 0)) ++fresh;
     }
     if (present_index_.size() + fresh > options_.capacity_blocks) {
       return Status::NoSpace("oblivious store at capacity");
@@ -658,8 +667,12 @@ Status ObliviousStore::Remove(RecordId id) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = present_index_.find(id);
   if (it == present_index_.end()) return Status::NotFound("record not cached");
-  buffer_.erase(id);
-  flushing_.erase(id);
+  if (PayloadNode node = buffer_.extract(id)) KeepSpare(std::move(node));
+  // The flush job may still read the snapshot's copy, so its node stays
+  // alive, out of every lookup, until the flush installs.
+  if (PayloadNode node = flushing_.extract(id)) {
+    removed_flushing_.push_back(std::move(node));
+  }
   // A chain snapshot may still carry the record; the tombstone strips it
   // from every index the chain installs, so an evicted record can never
   // be resurrected by an in-flight rebuild.
@@ -681,11 +694,13 @@ Status ObliviousStore::DummyRead() {
   std::lock_guard<std::mutex> lock(mu_);
   if (present_list_.empty()) return Status::OK();
   const RecordId id = present_list_[drbg_.Uniform(present_list_.size())];
-  Bytes payload(codec_.payload_size());
-  // Count as dummy, not user read.
+  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
+  dummy_payload_.resize(codec_.payload_size());
+  STEGHIDE_RETURN_IF_ERROR(ReadGroup(std::span<const RecordId>(&id, 1),
+                                     dummy_payload_.data(), /*dummy=*/true));
+  // Counted once it ran; never as a user read.
   cells_.dummy_reads.Increment();
-  cells_.user_reads.Subtract(1);  // the read below increments user_reads
-  return MultiReadLocked(std::span<const RecordId>(&id, 1), payload.data());
+  return Status::OK();
 }
 
 Status ObliviousStore::StepReorder(uint64_t budget_blocks, bool* more) {
@@ -711,8 +726,21 @@ Status ObliviousStore::RegisterPresent(RecordId id) {
 }
 
 void ObliviousStore::BufferStage(RecordId id, const uint8_t* payload) {
-  Bytes& slot = buffer_[id];
-  slot.assign(payload, payload + codec_.payload_size());
+  const uint8_t* end = payload + codec_.payload_size();
+  const auto it = buffer_.find(id);
+  if (it != buffer_.end()) {
+    it->second.assign(payload, end);
+  } else if (spare_nodes_.empty()) {
+    buffer_.try_emplace(id, payload, end);
+  } else {
+    // Inserting a node puts it where emplacing the record would, so
+    // buffer_'s order — the next flush set's order — is unchanged.
+    PayloadNode node = std::move(spare_nodes_.back());
+    spare_nodes_.pop_back();
+    node.key() = id;
+    node.mapped().assign(payload, end);
+    buffer_.insert(std::move(node));
+  }
 }
 
 Status ObliviousStore::MaybeFlush() {
@@ -767,29 +795,24 @@ Status ObliviousStore::StartFlushChainLocked() {
   }
 
   // dump(i) merges level i into level i+1, first dumping level i+1 when
-  // the merge would overflow it: plan that recursion (deepest re-order
-  // first) with live counts frozen at this trigger.
-  std::vector<size_t> dump_sources;
-  bool include_target_live = true;
-  if (t + 1 < levels_.size() &&
-      levels_[t].live_count() + flush_size + folded_live >
-          levels_[t].capacity) {
-    include_target_live = false;
-    const std::function<void(size_t)> plan_dump = [&](size_t s) {
-      if (s + 2 < levels_.size() &&
-          levels_[s + 1].live_count() + levels_[s].live_count() >
-              levels_[s + 1].capacity) {
-        plan_dump(s + 1);
-      }
-      dump_sources.push_back(s);
-    };
-    plan_dump(t);
+  // the merge would overflow it. From t, that recursion dumps levels
+  // deepest, deepest - 1, ..., t in turn, deepest first, with live counts
+  // frozen at this trigger.
+  const bool dump = t + 1 < levels_.size() &&
+                    levels_[t].live_count() + flush_size + folded_live >
+                        levels_[t].capacity;
+  size_t deepest = t;
+  while (dump && deepest + 2 < levels_.size() &&
+         levels_[deepest + 1].live_count() + levels_[deepest].live_count() >
+             levels_[deepest + 1].capacity) {
+    ++deepest;
   }
 
-  chain_ = std::make_unique<ReorderChain>();
+  chain_.count = 0;
+  chain_.front = 0;
   projection_.assign(levels_.size(), LevelProjection{});
 
-  // Snapshot one job's inputs: ascending live-slot sweeps with the
+  // Snapshot one step's inputs: ascending live-slot sweeps with the
   // dedup priority memory > higher levels > target. Sort tags are drawn
   // later, as the job feeds each item to the sorter.
   const auto sweep_level = [&](size_t li, ReorderJob::Inputs& inputs) {
@@ -801,95 +824,125 @@ Status ObliviousStore::StartFlushChainLocked() {
       inputs.device.push_back({level.base + slot, id});
     }
   };
-  const auto make_job = [&](size_t target_idx, ReorderJob::Inputs inputs,
-                            std::vector<size_t> clears, bool is_flush)
-      -> Status {
-    const uint64_t count = inputs.device.size() + inputs.memory.size();
-    if (count > levels_[target_idx].capacity) {
+  // Appends a step to the plan, in storage kept from earlier chains.
+  const auto add_step = [&](size_t target_idx, size_t clear_begin,
+                            size_t clear_end, bool is_flush) -> ChainStep& {
+    if (chain_.count == chain_.steps.size()) chain_.steps.emplace_back();
+    ChainStep& step = chain_.steps[chain_.count++];
+    step.inputs.clear();
+    step.target_level = target_idx;
+    step.dst_base = levels_[target_idx].alt_base;
+    step.clear_begin = clear_begin;
+    step.clear_end = clear_end;
+    step.is_flush = is_flush;
+    return step;
+  };
+  const auto check_step = [&](const ChainStep& step) -> Status {
+    const uint64_t count = step.inputs.size();
+    if (count > levels_[step.target_level].capacity) {
+      chain_.count = 0;
+      projection_.assign(levels_.size(), LevelProjection{});
       return Status::Internal("re-order overflow: level capacity exceeded");
     }
-    ChainStep step;
-    step.job = std::make_unique<ReorderJob>(
-        device_, &codec_, &cipher_, &drbg_, sorter_.get(), target_idx,
-        levels_[target_idx].alt_base, std::move(inputs));
-    step.clears = std::move(clears);
-    step.is_flush = is_flush;
-    projection_[target_idx] = LevelProjection{
-        true, count, levels_[target_idx].alt_base};
-    chain_->steps.push_back(std::move(step));
+    projection_[step.target_level] =
+        LevelProjection{true, count, step.dst_base};
     return Status::OK();
   };
 
-  for (size_t j = 0; j < dump_sources.size(); ++j) {
-    const size_t s = dump_sources[j];
+  for (size_t d = 0; dump && d <= deepest - t; ++d) {
+    const size_t s = deepest - d;
     reorder_added_.Rebuild(0, levels_[s + 1].capacity);
-    ReorderJob::Inputs inputs;
-    sweep_level(s, inputs);
-    if (j == 0) sweep_level(s + 1, inputs);  // deepest target keeps its live set
-    STEGHIDE_RETURN_IF_ERROR(
-        make_job(s + 1, std::move(inputs), {s}, /*is_flush=*/false));
+    ChainStep& step = add_step(s + 1, s, s + 1, /*is_flush=*/false);
+    sweep_level(s, step.inputs);
+    // The deepest target keeps its live set.
+    if (d == 0) sweep_level(s + 1, step.inputs);
+    STEGHIDE_RETURN_IF_ERROR(check_step(step));
   }
 
+  // The flush job reads the flush set's payloads where they are: the
+  // nodes move to flushing_ below, and Remove() keeps a node alive until
+  // the flush installs.
   reorder_added_.Rebuild(0, levels_[t].capacity);
-  ReorderJob::Inputs flush_inputs;
-  flush_inputs.memory.reserve(flush_size);
+  ChainStep& flush = add_step(t, 0, t, /*is_flush=*/true);
+  flush.inputs.memory.reserve(flush_size);
   for (const auto& [id, payload] : buffer_) {
-    flush_inputs.memory.push_back({id, payload});
+    flush.inputs.memory.push_back({id, payload.data()});
     reorder_added_.Put(id, 0);
   }
-  // Move the nodes, not the table: buffer_ keeps its buckets, whose
-  // layout orders every later flush set.
-  flushing_.merge(buffer_);
-  std::vector<size_t> flush_clears;
+  for (size_t li = 0; li < t; ++li) sweep_level(li, flush.inputs);
+  if (!dump) sweep_level(t, flush.inputs);
+  STEGHIDE_RETURN_IF_ERROR(check_step(flush));
   for (size_t li = 0; li < t; ++li) {
-    sweep_level(li, flush_inputs);
-    flush_clears.push_back(li);
     if (!projection_[li].involved) {
       // Folded level: emptied at the flush install and not refilled by
       // this chain; projected empty so no pending-fill probes.
       projection_[li] = LevelProjection{true, 0, levels_[li].alt_base};
     }
   }
-  if (include_target_live) sweep_level(t, flush_inputs);
-  STEGHIDE_RETURN_IF_ERROR(make_job(t, std::move(flush_inputs),
-                                    std::move(flush_clears),
-                                    /*is_flush=*/true));
+  // Move the nodes, not the table: buffer_ keeps its buckets, whose
+  // layout orders every later flush set.
+  flushing_.merge(buffer_);
+  BeginFrontLocked();
   UpdateChainGaugesLocked();
   if (trace_ != nullptr) {
     trace_->Instant("store.chain_start", trace_track_,
                     {{"records", static_cast<int64_t>(flush_size)},
-                     {"steps", static_cast<int64_t>(chain_->steps.size())}});
+                     {"steps", static_cast<int64_t>(chain_.count)}});
   }
   return Status::OK();
 }
 
+void ObliviousStore::KeepSpare(PayloadNode node) {
+  // Up to the blocking schedule's largest flush set (2B - 1 records), so
+  // its stagings never allocate. A deferred flush set can reach
+  // DeferLimitRecords(); pooling all of it cost perfbench hot_read about
+  // 6% of its ops/s on a 4-vCPU x86-64 host, against freeing the excess:
+  // the stagings then cycle through megabytes of payloads gone cold in
+  // cache.
+  if (spare_nodes_.size() < 2 * options_.buffer_blocks) {
+    spare_nodes_.push_back(std::move(node));
+  }
+}
+
+void ObliviousStore::RetireFlushSetLocked() {
+  while (!flushing_.empty()) {
+    KeepSpare(flushing_.extract(flushing_.begin()));
+  }
+  for (PayloadNode& node : removed_flushing_) KeepSpare(std::move(node));
+  removed_flushing_.clear();
+}
+
 Status ObliviousStore::InstallFrontJobLocked() {
   // The install proper is all-memory and infallible: flip, tombstones,
-  // source clears, snapshot retirement, step pop. Only then runs the
+  // source clears, snapshot retirement, step advance. Only then runs the
   // fallible index-rebuild charge — so an I/O error there leaves the
   // chain in a consistent, resumable state instead of re-entering a
   // half-installed flip on the retry.
-  ChainStep front = std::move(chain_->steps.front());
-  chain_->steps.pop_front();
-  chain_->front_reads_seen = 0;
-  chain_->front_writes_seen = 0;
-  ReorderJob& job = *front.job;
-  Level& target = levels_[job.target_level()];
-  target.InstallOrderAt(job.dst_base(), job.TakeOrder(), drbg_.NextUint64());
+  const ChainStep& front = chain_.steps[chain_.front++];
+  chain_.front_reads_seen = 0;
+  chain_.front_writes_seen = 0;
+  Level& target = levels_[front.target_level];
+  target.InstallOrderAt(front.dst_base, reorder_->order(),
+                        drbg_.NextUint64());
   // Strip records evicted while the snapshot was in flight: their slots
   // turn stale (decoy fodder until the next re-order), unreachable.
   for (const RecordId id : chain_tombstones_) target.index.Erase(id);
-  for (const size_t li : front.clears) levels_[li].Clear(drbg_.NextUint64());
-  if (front.is_flush) flushing_.clear();
+  for (size_t li = front.clear_begin; li < front.clear_end; ++li) {
+    levels_[li].Clear(drbg_.NextUint64());
+  }
+  if (front.is_flush) RetireFlushSetLocked();
   cells_.reorders.Increment();
   ++reorder_epoch_;
   if (trace_ != nullptr) {
     trace_->Instant(
         "store.install", trace_track_,
-        {{"level", static_cast<int64_t>(job.target_level()) + 1}});
+        {{"level", static_cast<int64_t>(front.target_level) + 1}});
   }
-  if (chain_->steps.empty()) {
-    chain_.reset();
+  if (ChainActiveLocked()) {
+    BeginFrontLocked();
+  } else {
+    chain_.count = 0;
+    chain_.front = 0;
     chain_tombstones_.clear();
     projection_.assign(levels_.size(), LevelProjection{});
   }
@@ -905,7 +958,7 @@ Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
   const double t0 = Clock();
   uint64_t used = 0;
   while (ChainActiveLocked()) {
-    ReorderJob& job = *chain_->steps.front().job;
+    ReorderJob& job = *reorder_;
     if (!job.done() && used >= budget_blocks) break;
     const size_t level = job.target_level();
     const double jt0 = Clock();
@@ -915,10 +968,10 @@ Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
     used += consumed;
     // Account the job's I/O and per-level time as it happens, so stats
     // snapshots mid-chain stay meaningful.
-    cells_.reorder_reads.Add(job.reads() - chain_->front_reads_seen);
-    cells_.reorder_writes.Add(job.writes() - chain_->front_writes_seen);
-    chain_->front_reads_seen = job.reads();
-    chain_->front_writes_seen = job.writes();
+    cells_.reorder_reads.Add(job.reads() - chain_.front_reads_seen);
+    cells_.reorder_writes.Add(job.writes() - chain_.front_writes_seen);
+    chain_.front_reads_seen = job.reads();
+    chain_.front_writes_seen = job.writes();
     // A finished job installs in the same slice, so the install and its
     // index-rebuild charge count toward its level's re-order time.
     if (status.ok() && job.done()) status = InstallFrontJobLocked();
@@ -946,10 +999,7 @@ Status ObliviousStore::PaceChainLocked(uint64_t staged) {
   // a B-request group pays B stagings' worth, not one op's. Idle pumping
   // (StepReorder) shrinks the remainder, and with it this tax — toward
   // zero when the dispatcher has real idle gaps.
-  uint64_t remaining = 0;
-  for (const ChainStep& step : chain_->steps) {
-    remaining += step.job->remaining_blocks();
-  }
+  const uint64_t remaining = ChainRemainingBlocksLocked();
   const uint64_t backstop = options_.strict_reorder_schedule
                                 ? options_.buffer_blocks
                                 : DeferLimitRecords();
@@ -962,17 +1012,21 @@ Status ObliviousStore::PaceChainLocked(uint64_t staged) {
   return StepChainLocked(budget, /*stall=*/true);
 }
 
-void ObliviousStore::UpdateChainGaugesLocked() {
-  uint64_t steps = 0;
-  uint64_t remaining = 0;
-  if (chain_ != nullptr) {
-    steps = chain_->steps.size();
-    for (const ChainStep& step : chain_->steps) {
-      remaining += step.job->remaining_blocks();
-    }
+uint64_t ObliviousStore::ChainRemainingBlocksLocked() const {
+  if (!ChainActiveLocked()) return 0;
+  // reorder_ runs the front step; the others have not begun.
+  uint64_t remaining = reorder_->remaining_blocks();
+  for (size_t i = chain_.front + 1; i < chain_.count; ++i) {
+    remaining += ReorderJob::PlannedBlocks(chain_.steps[i].inputs);
   }
-  cells_.chain_pending_steps.Set(static_cast<double>(steps));
-  cells_.chain_remaining_blocks.Set(static_cast<double>(remaining));
+  return remaining;
+}
+
+void ObliviousStore::UpdateChainGaugesLocked() {
+  cells_.chain_pending_steps.Set(
+      static_cast<double>(chain_.count - chain_.front));
+  cells_.chain_remaining_blocks.Set(
+      static_cast<double>(ChainRemainingBlocksLocked()));
 }
 
 }  // namespace steghide::oblivious

@@ -2,7 +2,6 @@
 #define STEGHIDE_OBLIVIOUS_OBLIVIOUS_STORE_H_
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -467,20 +466,35 @@ class ObliviousStore {
     void Reset() { count = 0; }
   };
 
-  /// One job of an incremental cascade plus its install actions: the
+  /// Staged payloads by record id. Nodes move between buffer_,
+  /// flushing_ and the spare pool, so staging a record allocates only
+  /// when the pool is empty.
+  using PayloadMap = std::unordered_map<RecordId, Bytes>;
+  using PayloadNode = PayloadMap::node_type;
+
+  /// One re-order of an incremental cascade plus its install actions: the
   /// source levels to clear and whether this is the final flush job
-  /// (clearing the flushing_ snapshot).
+  /// (retiring the flushing_ snapshot).
   struct ChainStep {
-    std::unique_ptr<ReorderJob> job;
-    std::vector<size_t> clears;
+    ReorderJob::Inputs inputs;
+    size_t target_level = 0;
+    uint64_t dst_base = 0;
+    /// Levels [clear_begin, clear_end) are emptied at the install.
+    size_t clear_begin = 0;
+    size_t clear_end = 0;
     bool is_flush = false;
   };
   /// A flush/dump cascade: steps execute strictly in order (deepest
   /// target first, the flush job last), each installing its level before
   /// the next starts. Planned — snapshots and projections — at the flush
-  /// trigger; sort tags are drawn as each job feeds its sorter.
+  /// trigger; sort tags are drawn as reorder_ feeds each step to the
+  /// sorter. The steps and their inputs keep their storage across chains:
+  /// steps[0, count) are the current plan, steps[front, count) are still
+  /// pending, and reorder_ runs steps[front].
   struct ReorderChain {
-    std::deque<ChainStep> steps;
+    std::vector<ChainStep> steps;
+    size_t count = 0;
+    size_t front = 0;
     // Last-seen job I/O counters, for incremental stats deltas.
     uint64_t front_reads_seen = 0;
     uint64_t front_writes_seen = 0;
@@ -523,8 +537,10 @@ class ObliviousStore {
   /// (group-indexed; nullptr skips extraction).
   Status ExecuteScan(uint8_t* out_payloads);
 
-  /// Serves one group of at most buffer_blocks read requests.
-  Status ReadGroup(std::span<const RecordId> ids, uint8_t* out_payloads);
+  /// Serves one group of at most buffer_blocks read requests, counted as
+  /// user reads unless `dummy` (DummyRead counts its own once it ran).
+  Status ReadGroup(std::span<const RecordId> ids, uint8_t* out_payloads,
+                   bool dummy);
 
   /// Serves one group of at most buffer_blocks write/insert requests.
   Status WriteGroup(std::span<const RecordId> ids, const uint8_t* payloads);
@@ -533,7 +549,8 @@ class ObliviousStore {
   /// NoSpace at capacity.
   Status RegisterPresent(RecordId id);
 
-  /// Stages a payload in the buffer without flushing.
+  /// Stages a payload in the buffer without flushing, in a spare node
+  /// when there is one.
   void BufferStage(RecordId id, const uint8_t* payload);
 
   /// Flushes the buffer once it holds at least B records. Group
@@ -561,9 +578,23 @@ class ObliviousStore {
 
   // ---- Re-order chain machinery (callers hold mu_) ------------------------
 
-  bool ChainActiveLocked() const {
-    return chain_ != nullptr && !chain_->steps.empty();
+  bool ChainActiveLocked() const { return chain_.front < chain_.count; }
+
+  /// Arms reorder_ for the chain's front step.
+  void BeginFrontLocked() {
+    const ChainStep& step = chain_.steps[chain_.front];
+    reorder_->Begin(step.target_level, step.dst_base, &step.inputs);
   }
+
+  /// Device-I/O estimate for the rest of the chain (pacing and gauges).
+  uint64_t ChainRemainingBlocksLocked() const;
+
+  /// Retires the installed flush snapshot: its nodes, and those Remove()
+  /// took out of it while the flush job could still read them, become
+  /// spare nodes for later stagings.
+  void RetireFlushSetLocked();
+  /// Pools `node` for BufferStage, or frees it when the pool is full.
+  void KeepSpare(PayloadNode node);
 
   /// Records the buffer may coalesce before the hard flush backstop.
   /// Auto default: N/4 — flush sets then fold every level up to a
@@ -604,8 +635,8 @@ class ObliviousStore {
 
   /// Installs the finished front job: flips the level to the region the
   /// job built (in place under the blocking schedule), applies
-  /// tombstones, clears the dumped source, charges the index rebuild and
-  /// retires chain state at the end.
+  /// tombstones, clears the dumped source, arms the next step (or retires
+  /// chain state at the end) and charges the index rebuild.
   Status InstallFrontJobLocked();
 
   /// Refreshes the chain-progress gauges (pending steps, remaining
@@ -631,7 +662,7 @@ class ObliviousStore {
   size_t io_shards_ = 1;
   std::vector<Level> levels_;  // levels_[0] is level 1 (size 2B)
 
-  std::unordered_map<RecordId, Bytes> buffer_;
+  PayloadMap buffer_;
   /// id -> position in present_list_; doubles as the presence set.
   std::unordered_map<RecordId, size_t> present_index_;
   std::vector<RecordId> present_list_;  // for uniform dummy-read sampling
@@ -658,26 +689,44 @@ class ObliviousStore {
   std::vector<uint64_t> sweep_ids_;
   Bytes sweep_buf_;
   Bytes payload_scratch_;
+  /// DummyRead's discarded payload.
+  Bytes dummy_payload_;
   /// Pointer tables for the sweep-wide scattered batch open.
   std::vector<const uint8_t*> open_blocks_scratch_;
   std::vector<uint8_t*> open_payloads_scratch_;
   std::vector<uint8_t> scan_scratch_;
   std::vector<uint8_t> dup_scratch_;
   std::vector<uint8_t> ghost_scratch_;
+  /// PlanScan's per-request "real slot found" flags.
+  std::vector<uint8_t> found_scratch_;
+  /// WriteGroup's first-time ids.
+  std::vector<RecordId> fresh_scratch_;
+  /// Per-group id set of ReadGroup (id -> first position), WriteGroup and
+  /// MultiInsert, rebuilt per group inside kept storage.
+  HashIndex group_ids_;
 
   /// Persistent re-order scratch: the external sorter (payload arena and
-  /// seal staging reused across re-orders) and the planner's dedup set
-  /// (a flat table whose storage is kept across chain starts).
+  /// seal staging reused across re-orders), the one job engine that runs
+  /// every chain step, and the planner's dedup set (a flat table whose
+  /// storage is kept across chain starts).
   std::unique_ptr<ExternalMergeSorter> sorter_;
+  std::unique_ptr<ReorderJob> reorder_;
   HashIndex reorder_added_;
 
   // ---- Re-order chain state (guarded by mu_) ------------------------------
 
-  std::unique_ptr<ReorderChain> chain_;
-  /// Flush snapshot being installed by the chain's level-1 job. Records
-  /// here are served from memory behind a full decoy sweep ("ghosts"),
-  /// so the trace keeps the blocking schedule's touch counts.
-  std::unordered_map<RecordId, Bytes> flushing_;
+  ReorderChain chain_;
+  /// Flush snapshot being installed by the chain's flush job, which reads
+  /// the payloads in place. Records here are served from memory behind a
+  /// full decoy sweep ("ghosts"), so the trace keeps the blocking
+  /// schedule's touch counts.
+  PayloadMap flushing_;
+  /// Nodes Remove() took out of flushing_ while the flush job may still
+  /// read them; spare once the flush installs.
+  std::vector<PayloadNode> removed_flushing_;
+  /// Nodes of retired flush sets and removed buffer records, reused by
+  /// BufferStage; at most 2B (KeepSpare).
+  std::vector<PayloadNode> spare_nodes_;
   /// Ids Remove()d while the chain runs; erased from freshly installed
   /// indexes so a snapshot can never resurrect an evicted record.
   std::unordered_set<RecordId> chain_tombstones_;

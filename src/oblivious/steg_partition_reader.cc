@@ -156,7 +156,11 @@ Status StegPartitionReader::ReadRefBatch(std::span<const BlockRef> refs,
     }
   }
 
-  if (!cached_ids_.empty()) {
+  if (!cached_ids_.empty() && cached_ids_.size() == refs.size()) {
+    // Every block cached, the steady state: group position i is ref i, so
+    // the store decrypts straight into the caller's buffer.
+    STEGHIDE_RETURN_IF_ERROR(store_->MultiRead(cached_ids_, out_payloads));
+  } else if (!cached_ids_.empty()) {
     cached_scratch_.resize(cached_ids_.size() * ps);
     STEGHIDE_RETURN_IF_ERROR(
         store_->MultiRead(cached_ids_, cached_scratch_.data()));

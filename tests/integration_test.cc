@@ -286,7 +286,9 @@ TEST(FullSystemTest, MixedWorkloadIntegrityUnderChurn) {
       ASSERT_TRUE(agent.Write(*f2, block * payload, fresh).ok());
       mirror2[block] = fresh;
     }
-    if (op % 37 == 0) ASSERT_TRUE(agent.IdleDummyUpdates(3).ok());
+    if (op % 37 == 0) {
+      ASSERT_TRUE(agent.IdleDummyUpdates(3).ok());
+    }
   }
 
   for (uint64_t b = 0; b < 50; ++b) {

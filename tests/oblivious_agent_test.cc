@@ -140,7 +140,9 @@ TEST_F(ObliviousAgentTest, SoakMixedOpsWithMirror) {
       ASSERT_TRUE(got.ok());
       ASSERT_EQ(*got, mirror[b]) << "op " << op << " block " << b;
     }
-    if (op % 25 == 0) ASSERT_TRUE(agent_->IdleDummyOp().ok());
+    if (op % 25 == 0) {
+      ASSERT_TRUE(agent_->IdleDummyOp().ok());
+    }
   }
 }
 

@@ -83,7 +83,7 @@ class ResumableMergeTest : public ::testing::Test {
       STEGHIDE_RETURN_IF_ERROR(
           sorter.MergeStep(std::numeric_limits<uint64_t>::max(), &done));
     }
-    return sorter.TakeOrder();
+    return std::vector<uint64_t>(sorter.order().begin(), sorter.order().end());
   }
 
   Bytes GetBlock(uint64_t pos) {
@@ -128,7 +128,9 @@ TEST_F(ResumableMergeTest, ChunkedMergeStepsMatchBlockingFinish) {
     ASSERT_TRUE(sorter.MergeStep(7, &done, &consumed).ok());
     consumed_total += consumed;
     ASSERT_LT(++steps, 1000) << "merge failed to converge";
-    if (!done) EXPECT_GT(consumed, 0u) << "stalled step";
+    if (!done) {
+      EXPECT_GT(consumed, 0u) << "stalled step";
+    }
   }
   EXPECT_GT(steps, 3) << "budget 7 should take many steps for 40 items";
   EXPECT_EQ(sorter.merge_remaining_blocks(), 0u);
@@ -137,11 +139,13 @@ TEST_F(ResumableMergeTest, ChunkedMergeStepsMatchBlockingFinish) {
   EXPECT_EQ(consumed_total,
             sorter.stats().reads + sorter.stats().writes - kItems);
 
-  std::vector<uint64_t> order = sorter.TakeOrder();
+  const std::span<const uint64_t> order = sorter.order();
   ASSERT_EQ(order.size(), kItems);
   std::set<uint64_t> seen;
   for (size_t i = 0; i < order.size(); ++i) {
-    if (i > 0) EXPECT_LE(tags[order[i - 1]], tags[order[i]]);
+    if (i > 0) {
+      EXPECT_LE(tags[order[i - 1]], tags[order[i]]);
+    }
     seen.insert(order[i]);
     EXPECT_EQ(GetBlock(256 + i), payloads[order[i]]) << "slot " << i;
   }
@@ -203,7 +207,7 @@ TEST_F(ResumableMergeTest, MultiChunkRunsMergeAlikeUnderEveryBudget) {
         EXPECT_TRUE(sorter.MergeStep(budget, &done).ok());
       }
       EXPECT_TRUE(done) << "budget " << budget;
-      out.order = sorter.TakeOrder();
+      out.order.assign(sorter.order().begin(), sorter.order().end());
       for (const storage::TraceEvent& e : dev.trace()) {
         (e.kind == storage::TraceEvent::Kind::kRead ? out.reads : out.writes)
             .push_back(e.block_id);
@@ -282,13 +286,13 @@ TEST_F(ResumableMergeTest, JobRedrivesAFailedSpillWithoutReaddingItsChunk) {
       ASSERT_TRUE(dev_.WriteBlock(i, block.data()).ok());
       inputs.device.push_back({i, id});
     } else {
-      inputs.memory.push_back({id, p});
+      inputs.memory.push_back({id, payloads[id].data()});
     }
   }
   ExternalMergeSorter sorter(&faulty, &codec_, &cipher_, &drbg_, kScratch,
                              kRun);
-  ReorderJob job(&faulty, &codec_, &cipher_, &drbg_, &sorter,
-                 /*target_level=*/0, kDst, std::move(inputs));
+  ReorderJob job(&faulty, &codec_, &cipher_, &drbg_, &sorter);
+  job.Begin(/*target_level=*/0, kDst, &inputs);
   const uint64_t unbounded = std::numeric_limits<uint64_t>::max();
   EXPECT_EQ(job.Step(unbounded).code(), StatusCode::kIoError);
   EXPECT_EQ(sorter.item_count(), kMemory + 5);
@@ -300,7 +304,7 @@ TEST_F(ResumableMergeTest, JobRedrivesAFailedSpillWithoutReaddingItsChunk) {
   // Inputs once, then every spilled item once by the merge.
   EXPECT_EQ(job.reads(), kDevice + (kDevice + kMemory));
 
-  const std::vector<RecordId> order = job.TakeOrder();
+  const std::span<const RecordId> order = job.order();
   ASSERT_EQ(order.size(), kDevice + kMemory);
   std::set<RecordId> seen(order.begin(), order.end());
   EXPECT_EQ(seen.size(), order.size());
@@ -401,45 +405,79 @@ TEST(DeamortizedStoreTest, ScansServeOldPermutationDuringRebuild) {
 }
 
 TEST(DeamortizedStoreTest, RemoveDuringChainIsNotResurrected) {
-  ObliviousStoreOptions opts = DeamortOptions(4, 32, false, 13);
-  opts.reorder_step_blocks = 1;
-  storage::MemBlockDevice dev(DeviceBlocksFor(opts), 4096);
-  auto store = ObliviousStore::Create(&dev, opts);
-  ASSERT_TRUE(store.ok());
+  for (const bool strict : {false, true}) {
+    SCOPED_TRACE(strict ? "strict schedule" : "deferring schedule");
+    // Deep enough that a flush chain outlives a few serving taxes.
+    ObliviousStoreOptions opts = DeamortOptions(4, 256, strict, 13);
+    opts.reorder_step_blocks = 1;
+    storage::MemBlockDevice dev(DeviceBlocksFor(opts), 4096);
+    auto store = ObliviousStore::Create(&dev, opts);
+    ASSERT_TRUE(store.ok());
 
-  for (uint64_t id = 0; id < 20; ++id) {
-    ASSERT_TRUE((*store)->Insert(id, PayloadFor(**store, 1).data()).ok());
-  }
-  DrainStore(**store);
-  // Trigger a chain whose snapshot includes level-resident records...
-  bool caught_pending = false;
-  uint64_t flush_id = 50;
-  for (int round = 0; round < 16 && !caught_pending; ++round) {
-    ASSERT_TRUE(
-        (*store)->Insert(flush_id, PayloadFor(**store, 2).data()).ok());
-    ++flush_id;
-    caught_pending = (*store)->reorder_pending();
-  }
-  ASSERT_TRUE(caught_pending) << "no chain outlived its triggering op";
-  // ...then evict mid-flight: the tombstone must strip the ids from
-  // every index the chain installs.
-  ASSERT_TRUE((*store)->Remove(3).ok());
-  ASSERT_TRUE((*store)->Remove(50).ok());  // one from the flush snapshot too
-  DrainStore(**store);
+    constexpr uint64_t kResident = 150;
+    for (uint64_t id = 0; id < kResident; ++id) {
+      ASSERT_TRUE((*store)->Insert(id, PayloadFor(**store, 1).data()).ok());
+    }
+    DrainStore(**store);
+    // Trigger a chain whose snapshot includes level-resident records...
+    bool caught_pending = false;
+    uint64_t flush_id = 1000;
+    for (int round = 0; round < 16 && !caught_pending; ++round) {
+      ASSERT_TRUE(
+          (*store)->Insert(flush_id, PayloadFor(**store, 2).data()).ok());
+      ++flush_id;
+      caught_pending = (*store)->reorder_pending();
+    }
+    ASSERT_TRUE(caught_pending) << "no chain outlived its triggering op";
+    // No chain ran before the last insert, so its flush took the last B
+    // inserts as the pending snapshot.
+    ASSERT_EQ((*store)->buffer_fill(), 4u);
+    const RecordId gone = flush_id - 1;
+    const RecordId back = flush_id - 2;
+    // ...then evict mid-flight: the tombstone must strip the ids from
+    // every index the chain installs.
+    ASSERT_TRUE((*store)->Remove(3).ok());
+    ASSERT_TRUE((*store)->Remove(gone).ok());  // one from the snapshot too
+    EXPECT_EQ((*store)->buffer_fill(), 3u);
+    // A snapshot record removed and re-inserted with new content before
+    // the install: the flush job still reads the old copy it was given,
+    // while reads serve the new one and the fill counts it once.
+    ASSERT_TRUE((*store)->Remove(back).ok());
+    EXPECT_EQ((*store)->buffer_fill(), 2u);
+    ASSERT_TRUE((*store)->Insert(back, PayloadFor(**store, 7).data()).ok());
+    ASSERT_TRUE((*store)->reorder_pending()) << "the chain installed too early";
+    EXPECT_EQ((*store)->buffer_fill(), 3u);
+    Bytes out((*store)->payload_size());
+    ASSERT_TRUE((*store)->Read(back, out.data()).ok());
+    EXPECT_EQ(out, PayloadFor(**store, 7));
+    DrainStore(**store);
 
-  Bytes out((*store)->payload_size());
-  EXPECT_FALSE((*store)->Contains(3));
-  EXPECT_FALSE((*store)->Contains(50));
-  EXPECT_EQ((*store)->Read(3, out.data()).code(), StatusCode::kNotFound);
-  EXPECT_EQ((*store)->Read(50, out.data()).code(), StatusCode::kNotFound);
-  // Survivors intact, re-insertion works.
-  for (uint64_t id = 0; id < 20; ++id) {
-    if (id == 3) continue;
-    ASSERT_TRUE((*store)->Read(id, out.data()).ok()) << "id " << id;
+    EXPECT_FALSE((*store)->Contains(3));
+    EXPECT_FALSE((*store)->Contains(gone));
+    EXPECT_EQ((*store)->Read(3, out.data()).code(), StatusCode::kNotFound);
+    EXPECT_EQ((*store)->Read(gone, out.data()).code(), StatusCode::kNotFound);
+    // Only the re-inserted copy is staged, and no level index kept an
+    // entry for the old one: every other record has exactly one.
+    EXPECT_EQ((*store)->buffer_fill(), 1u);
+    const std::vector<uint64_t> live = (*store)->LevelOccupancy();
+    uint64_t level_live = 0;
+    for (const uint64_t n : live) level_live += n;
+    EXPECT_EQ(level_live + 1, (*store)->record_count());
+    ASSERT_TRUE((*store)->Read(back, out.data()).ok());
+    EXPECT_EQ(out, PayloadFor(**store, 7));
+    // Survivors intact, re-insertion works.
+    for (uint64_t id = 0; id < kResident; ++id) {
+      if (id == 3) continue;
+      ASSERT_TRUE((*store)->Read(id, out.data()).ok()) << "id " << id;
+    }
+    ASSERT_TRUE((*store)->Insert(3, PayloadFor(**store, 9).data()).ok());
+    ASSERT_TRUE((*store)->Read(3, out.data()).ok());
+    EXPECT_EQ(out, PayloadFor(**store, 9));
+    // The new copy outlives the re-orders the reads above set off.
+    DrainStore(**store);
+    ASSERT_TRUE((*store)->Read(back, out.data()).ok());
+    EXPECT_EQ(out, PayloadFor(**store, 7));
   }
-  ASSERT_TRUE((*store)->Insert(3, PayloadFor(**store, 9).data()).ok());
-  ASSERT_TRUE((*store)->Read(3, out.data()).ok());
-  EXPECT_EQ(out, PayloadFor(**store, 9));
 }
 
 // Mirror soak across geometries and schedules: whatever interleaving of
@@ -511,8 +549,12 @@ TEST_P(DeamortizedSoakTest, MatchesMirrorProperty) {
   // Shallow hierarchies (< 3 levels) auto-fall back to blocking
   // re-orders; incremental steps only happen on deep ones.
   const bool deep = (*store)->height() >= 3;
-  if (!param.strict && deep) EXPECT_GT(stats.reorder_steps, 0u);
-  if (!deep) EXPECT_EQ(stats.reorder_steps, 0u);
+  if (!param.strict && deep) {
+    EXPECT_GT(stats.reorder_steps, 0u);
+  }
+  if (!deep) {
+    EXPECT_EQ(stats.reorder_steps, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -820,7 +862,9 @@ TEST(DeamortizedTraceTest, ReorderWritesAreSequentialRegionSweeps) {
   }
   for (int op = 0; op < 200; ++op) {
     ASSERT_TRUE((*store)->Read(rng.Uniform(32), out.data()).ok());
-    if (op % 3 == 0) ASSERT_TRUE((*store)->StepReorder(8).ok());
+    if (op % 3 == 0) {
+      ASSERT_TRUE((*store)->StepReorder(8).ok());
+    }
   }
 
   const uint64_t hierarchy = 2 * opts.capacity_blocks - 2 * opts.buffer_blocks;

@@ -195,7 +195,7 @@ class MergeSorterTest : public ::testing::Test {
       STEGHIDE_RETURN_IF_ERROR(
           sorter.MergeStep(std::numeric_limits<uint64_t>::max(), &done));
     }
-    return sorter.TakeOrder();
+    return std::vector<uint64_t>(sorter.order().begin(), sorter.order().end());
   }
 
   Bytes GetBlock(uint64_t pos) {
@@ -491,6 +491,46 @@ TEST_F(ObliviousStoreTest, DummyReadsAreServed) {
   }
   EXPECT_EQ(store_->stats().dummy_reads, 20u);
   EXPECT_EQ(store_->stats().user_reads, 0u);
+}
+
+// A dummy read counts once it has run. Here it cannot: a flush drain
+// failed on a dead device and left its blocking chain behind, which the
+// dummy read must finish first and fails to. Neither counter moves (the
+// old code counted the dummy up front and wrapped user_reads below 0).
+TEST(ObliviousStoreFaultTest, DummyReadCountsOnlyReadsThatRan) {
+  storage::MemBlockDevice mem(64, 4096);
+  storage::FaultInjectionBlockDevice faulty(&mem);
+  ObliviousStoreOptions opts;
+  opts.buffer_blocks = 4;
+  opts.capacity_blocks = 16;
+  opts.partition_base = 0;
+  opts.scratch_base = 24;  // after the 2N - 2B = 24-block hierarchy
+  auto store = ObliviousStore::Create(&faulty, opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_FALSE((*store)->deamortized());
+  const Bytes payload((*store)->payload_size(), 0x5a);
+  for (RecordId id = 0; id < 3; ++id) {
+    ASSERT_TRUE((*store)->Insert(id, payload.data()).ok());
+  }
+  faulty.Kill();
+  // The fourth insert fills the buffer; its flush drain fails.
+  EXPECT_EQ((*store)->Insert(3, payload.data()).code(), StatusCode::kIoError);
+  EXPECT_TRUE((*store)->reorder_pending());
+
+  EXPECT_EQ((*store)->DummyRead().code(), StatusCode::kIoError);
+  EXPECT_EQ((*store)->stats().dummy_reads, 0u);
+  EXPECT_EQ((*store)->stats().user_reads, 0u);
+
+  faulty.Revive();
+  ASSERT_TRUE((*store)->DummyRead().ok());
+  EXPECT_FALSE((*store)->reorder_pending());
+  EXPECT_EQ((*store)->stats().dummy_reads, 1u);
+  EXPECT_EQ((*store)->stats().user_reads, 0u);
+  Bytes out((*store)->payload_size());
+  for (RecordId id = 0; id < 4; ++id) {
+    ASSERT_TRUE((*store)->Read(id, out.data()).ok());
+    EXPECT_EQ(out, payload);
+  }
 }
 
 TEST_F(ObliviousStoreTest, StatsSplitRetrieveAndSortTime) {

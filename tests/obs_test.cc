@@ -378,7 +378,9 @@ TEST(LeakageNeutralityTest, InstrumentedTraceEqualsUninstrumentedTwin) {
       } else {
         ASSERT_TRUE((*store)->Read(id, out.data()).ok());
       }
-      if (op % 7 == 0) ASSERT_TRUE((*store)->DummyRead().ok());
+      if (op % 7 == 0) {
+        ASSERT_TRUE((*store)->DummyRead().ok());
+      }
     }
     bool more = true;
     while (more) ASSERT_TRUE((*store)->StepReorder(1u << 20, &more).ok());

@@ -148,7 +148,8 @@ TEST(ReorderCascadeTest, CascadeTraceEquivalentToBlockingSchedule) {
   // Pure-insert schedule across the full cascade depth, blocking vs
   // strict deamortized: per-level touch counts (reads and writes against
   // either region of each level, plus scratch) must match exactly.
-  const auto run = [](bool deamortize, storage::TraceBlockDevice& trace,
+  const auto run = [](bool /*deamortize*/,
+                      storage::TraceBlockDevice& /*trace*/,
                       ObliviousStore& store) {
     for (uint64_t id = 0; id < kCapacity; ++id) {
       ASSERT_TRUE(store.Insert(id, PayloadFor(store, id).data()).ok());
