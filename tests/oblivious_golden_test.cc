@@ -27,7 +27,7 @@ namespace {
 
 constexpr uint64_t kBuffer = 16;
 constexpr uint64_t kCapacity = 1024;
-constexpr int kOps = 3000;
+constexpr int kOps = 1500;
 // Records the workload keeps at most: enough for the two bottom levels'
 // re-orders to spill runs and merge them externally.
 constexpr size_t kMaxRecords = 700;
@@ -222,32 +222,32 @@ INSTANTIATE_TEST_SUITE_P(
     Schedules, GoldenTraceTest,
     ::testing::Values(
         GoldenCase{Schedule::kBlocking, 1,
-                   "9faa7a52321144b222f1075ea4b85272dd7f11535745009a24aca8988e527704",
-                   "ed54504a90f4cfef71f324459e8450990e9c21d0448e771af554fbf45fa8e7a6"},
+                   "f4c46f193241aa94599d2c9c9984bf9efc422358bf901a9f16513868f0b422a6",
+                   "e3dadbea7e6d5e9e0653a57e33a197a91f7498c962110b13d9a91ebff6820e53"},
         GoldenCase{Schedule::kBlocking, 2,
-                   "d1886024ed1d39b0025afef616e8ae54c96be2efbbff236d4fb1189dc4d342bc",
-                   "d47815de2cb1326a6dfa8404094a47a69c6010b8acd0de9f70aaad88575f45ec"},
+                   "dc763e7d3ce10054d1894a93f5b2cb99cb22d98e102f2e9cddbd6d0f76097859",
+                   "16c457fc0ee1c1442512bfac38cc2d5a3ce255e5b58a124f27308d973e3aa0aa"},
         GoldenCase{Schedule::kBlocking, 3,
-                   "a9695ec09ff243dbbee4958b717990e55d58d26e07ca3085c2aeb9f75b80886f",
-                   "15f5dedaa19c8a3a87ccc1201d81960953f25d8f049c54060b6a8e12c50621d2"},
+                   "52feafa32901b3751bce82b401a2b742bfeb749c430294c5d875237bf28653c1",
+                   "0e1a48ecde24f42085bc220d7811665a5f035cf809a50b3fbcb7177c4b7ad365"},
         GoldenCase{Schedule::kDeamortized, 1,
-                   "400f19126cf4dbe7ae227350f4fdb95e78f64d58f62a98754c5578edc43c7f7c",
-                   "20de16e3dd47f5ecf821256ec6f7ceea2b8deeb0905a6b5607a502142ac81057"},
+                   "ccf9b2103eef69a5156198afefb52657543723c508e1cefb5a76240624b4b8de",
+                   "883df545bdfc21ab67d100ab65b02b9c04160770eb81b4e29164af1e3e9dc92a"},
         GoldenCase{Schedule::kDeamortized, 2,
-                   "48283c8b1dab47f7405d01b615dfc70259079030ab8a14f6db9a3a4a46bd81d1",
-                   "433935ff26b48f6871b0190aa42c724dba8bdf623b9e87f2eae91300a9785346"},
+                   "398f544a6188e508a2f2637b2e034fa19db358e288532151155e5940a915edc5",
+                   "fd6ca1ace4b678ded80a0b62fa76a24232d933febd7408530e6cfb90216109bb"},
         GoldenCase{Schedule::kDeamortized, 3,
-                   "81d3baad5c77de6091ae06bac7da752d2db2270279ac5eb80a2564a674d08825",
-                   "4d6b11eeced3c5b3588b7bff312b8a66f07d4a9f868185def10c915ed3f871fe"},
+                   "f80534ed90a5b4e03a09b319331ee319ca29680bfedd980031ed9193859b07e7",
+                   "41cde3cbbd477ab2847dd62dd33b87ece9097bfd5f18fcd50301928bdc9fdc45"},
         GoldenCase{Schedule::kStrict, 1,
-                   "02fc5fb8eb7642053f2e5b7a17a449018276fddc06a9596a2ab3aa310f2e54f9",
-                   "b72e40998d0bc570d99946902beee72e7d115b78831a7e9f69f4bd33f5e6e5b9"},
+                   "369539bfdeeeba5b638e5734895b1b2eb38f8dadd9d3936c4b39549dc68f5e1a",
+                   "e2c61311dee5732b7529f00b18c6c322f37c443a0f72063da3a807a8886dbe03"},
         GoldenCase{Schedule::kStrict, 2,
-                   "af0d6aad13f311f7747f65a8e5cf1fb7224eb3b485dbfa5cd3d819cc0c497607",
-                   "e10d4ba1809da815333fa305af7b4f0bddcaf6eba863d46c94ed4c22faf6240b"},
+                   "1292c6f66cb36f5377481867840894ed6144f0d5cd4f521a876e7aa6dc2386c7",
+                   "ed5a2eae01a7569cdccffcfc0d7b2008c16ba3c0aac22beafe07dbc99a236957"},
         GoldenCase{Schedule::kStrict, 3,
-                   "8b5870960e48234ff0e00bf832eac36e23f181a9b5bdf9903569e14670d3f9c1",
-                   "410fb951f4558db5bd559eb10bb802f5ae5df8f82178fe0ae3b895990f6c9a66"}),
+                   "05e8a6879e0d06d117f0e2fa4dc1fe692f9d0c0ad407036509a797df27531f9e",
+                   "7073722a708dd474aae1cfca2b7e0cd8dadd8fea3e30776f02cfac9ffcb99f59"}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return ScheduleName(info.param.schedule) + "_seed" +
              std::to_string(info.param.seed);
