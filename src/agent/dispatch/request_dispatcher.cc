@@ -1,7 +1,8 @@
 #include "agent/dispatch/request_dispatcher.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
+#include <type_traits>
 
 namespace steghide::agent {
 
@@ -67,7 +68,6 @@ std::unique_ptr<RequestDispatcher::Session> RequestDispatcher::OpenSession() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++open_sessions_;
-    sessions_seen_ = true;
   }
   return std::unique_ptr<Session>(new Session(this));
 }
@@ -104,56 +104,38 @@ std::future<Status> RequestDispatcher::Session::AsyncWrite(FileId file,
   return dispatcher_->SubmitWrite(file, offset, std::move(data));
 }
 
-std::future<Result<Bytes>> RequestDispatcher::SubmitRead(FileId file,
-                                                         uint64_t offset,
-                                                         size_t n) {
-  Pending pending;
-  pending.kind = Pending::Kind::kRead;
-  pending.read = ObliviousAgent::ReadRequest{file, offset, n};
-  pending.arrive_clock = Clock();
-  std::future<Result<Bytes>> future = pending.read_promise.get_future();
+template <typename Op>
+auto RequestDispatcher::Enqueue(Op op) {
+  auto future = op.promise.get_future();
+  const double arrive_clock = Clock();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      pending.read_promise.set_value(
-          Status::FailedPrecondition("dispatcher stopped"));
+      op.promise.set_value(Status::FailedPrecondition("dispatcher stopped"));
       return future;
     }
-    pending.seq = next_seq_++;
+    const uint64_t seq = next_seq_++;
     if (options_.trace != nullptr) {
-      options_.trace->AsyncBegin("dispatch.request", pending.seq,
-                                 trace_track_, {{"write", 0}});
+      const int64_t write = std::is_same_v<Op, PendingWrite> ? 1 : 0;
+      options_.trace->AsyncBegin("dispatch.request", seq, trace_track_,
+                                 {{"write", write}});
     }
-    queue_.push_back(std::move(pending));
+    queue_.push_back(Pending{std::move(op), arrive_clock, seq});
   }
   cv_.notify_all();
   return future;
 }
 
+std::future<Result<Bytes>> RequestDispatcher::SubmitRead(FileId file,
+                                                         uint64_t offset,
+                                                         size_t n) {
+  return Enqueue(PendingRead{{file, offset, n}, {}});
+}
+
 std::future<Status> RequestDispatcher::SubmitWrite(FileId file,
                                                    uint64_t offset,
                                                    Bytes data) {
-  Pending pending;
-  pending.kind = Pending::Kind::kWrite;
-  pending.write = ObliviousAgent::WriteRequest{file, offset, std::move(data)};
-  pending.arrive_clock = Clock();
-  std::future<Status> future = pending.write_promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      pending.write_promise.set_value(
-          Status::FailedPrecondition("dispatcher stopped"));
-      return future;
-    }
-    pending.seq = next_seq_++;
-    if (options_.trace != nullptr) {
-      options_.trace->AsyncBegin("dispatch.request", pending.seq,
-                                 trace_track_, {{"write", 1}});
-    }
-    queue_.push_back(std::move(pending));
-  }
-  cv_.notify_all();
-  return future;
+  return Enqueue(PendingWrite{{file, offset, std::move(data)}, {}});
 }
 
 void RequestDispatcher::Stop() {
@@ -171,17 +153,13 @@ void RequestDispatcher::Stop() {
 
 size_t RequestDispatcher::FillTargetLocked() const {
   // Under session usage each user has at most one request in flight, so
-  // once every open session has submitted there is nothing to wait for.
-  // When every session has *closed*, the same rule holds vacuously: the
-  // requests already queued (submitted async, session since torn down)
-  // are the whole group, and waiting the window out would stall them for
-  // users that no longer exist. Only a dispatcher that never saw a
-  // session (direct submits) targets the full batch and lets the commit
-  // window bound the tail.
-  if (open_sessions_ == 0) {
-    return sessions_seen_ ? 1 : options_.max_batch;
-  }
-  return std::min(options_.max_batch, open_sessions_);
+  // once every open session has submitted there is nothing to wait for;
+  // the commit window bounds the wait for the others. With no session
+  // open — direct submits, or async requests whose sessions have all
+  // closed — no request is announced, so the target is 1: the worker
+  // commits whatever is queued as soon as it is free, and waiting the
+  // window out would only stall the queued requests.
+  return std::clamp(open_sessions_, size_t{1}, options_.max_batch);
 }
 
 RequestDispatcher::PumpResult RequestDispatcher::PumpMaintenance() {
@@ -264,9 +242,11 @@ void RequestDispatcher::WorkerLoop() {
       continue;
     }
 
-    // Group commit: linger (bounded) for the group to fill. Submissions
-    // and session closes signal cv_, so the loop re-evaluates the fill
-    // target as the population changes; stopping flushes immediately.
+    // Group commit: linger (bounded) for a session-counted group to
+    // fill; with no session open the target is 1 and nothing lingers.
+    // Submissions and session closes signal cv_, so the loop re-evaluates
+    // the fill target as the population changes; stopping flushes
+    // immediately.
     // The linger is another idle gap: re-order slices run while the
     // group fills, with the deadline still capping scheduling latency.
     const auto deadline =
@@ -285,17 +265,18 @@ void RequestDispatcher::WorkerLoop() {
       }
     }
 
-    std::vector<Pending> group;
     cells_.queue_depth.Set(static_cast<double>(queue_.size()));
-    const size_t take = std::min(options_.max_batch, queue_.size());
-    group.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      group.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+    if (queue_.size() <= options_.max_batch) {
+      group_.swap(queue_);
+    } else {
+      const auto taken = queue_.begin() + options_.max_batch;
+      group_.assign(std::make_move_iterator(queue_.begin()),
+                    std::make_move_iterator(taken));
+      queue_.erase(queue_.begin(), taken);
     }
 
     lock.unlock();
-    CommitGroup(group);
+    CommitGroup();
     // Post-commit gap: callers are busy digesting their futures; slip
     // one re-order slice in before looking for the next group.
     PumpMaintenance();
@@ -304,13 +285,18 @@ void RequestDispatcher::WorkerLoop() {
   }
 }
 
-void RequestDispatcher::CommitGroup(std::vector<Pending>& group) {
+void RequestDispatcher::CommitGroup() {
   obs::ScopedSpan span(options_.trace, "dispatch.commit", trace_track_,
-                       {{"n", static_cast<int64_t>(group.size())}});
+                       {{"n", static_cast<int64_t>(group_.size())}});
   // Partition while preserving arrival order within each kind.
-  std::vector<size_t> read_at, write_at;
-  for (size_t i = 0; i < group.size(); ++i) {
-    (group[i].kind == Pending::Kind::kRead ? read_at : write_at).push_back(i);
+  reads_.clear();
+  writes_.clear();
+  for (Pending& pending : group_) {
+    if (auto* read = std::get_if<PendingRead>(&pending.op)) {
+      reads_.push_back(read);
+    } else {
+      writes_.push_back(&std::get<PendingWrite>(pending.op));
+    }
   }
 
   // Writes first: a caller that completed a write before submitting a
@@ -324,24 +310,22 @@ void RequestDispatcher::CommitGroup(std::vector<Pending>& group) {
   // earlier members may already be persisted, and re-running them would
   // duplicate their relocating updates — so it propagates to the whole
   // group as-is.
-  if (!write_at.empty()) {
-    std::vector<size_t> valid_at;
-    std::vector<ObliviousAgent::WriteRequest> requests;
-    valid_at.reserve(write_at.size());
-    requests.reserve(write_at.size());
-    for (const size_t i : write_at) {
-      const auto size = agent_->FileSize(group[i].write.file);
+  if (!writes_.empty()) {
+    valid_writes_.clear();
+    for (PendingWrite* write : writes_) {
+      const auto size = agent_->FileSize(write->request.file);
       if (!size.ok()) {
-        group[i].write_promise.set_value(size.status());
+        write->promise.set_value(size.status());
         continue;
       }
-      valid_at.push_back(i);
-      requests.push_back(std::move(group[i].write));
+      valid_writes_.push_back(write);
+      write_requests_.push_back(std::move(write->request));
     }
-    if (!valid_at.empty()) {
-      const Status status = agent_->WriteGroup(requests);
-      for (const size_t i : valid_at) {
-        group[i].write_promise.set_value(status);
+    if (!valid_writes_.empty()) {
+      const Status status = agent_->WriteGroup(write_requests_);
+      write_requests_.clear();  // frees the payloads, keeps the storage
+      for (PendingWrite* write : valid_writes_) {
+        write->promise.set_value(status);
       }
     }
   }
@@ -350,21 +334,23 @@ void RequestDispatcher::CommitGroup(std::vector<Pending>& group) {
   // group (e.g. one stale handle) simply retries each member
   // individually — per-request semantics on the error path, batched on
   // the common one.
-  if (!read_at.empty()) {
-    std::vector<ObliviousAgent::ReadRequest> requests;
-    requests.reserve(read_at.size());
-    for (const size_t i : read_at) requests.push_back(group[i].read);
-    auto result = agent_->ReadGroup(requests);
+  if (!reads_.empty()) {
+    read_requests_.clear();
+    for (const PendingRead* read : reads_) {
+      read_requests_.push_back(read->request);
+    }
+    auto result = agent_->ReadGroup(read_requests_);
     if (result.ok()) {
       std::vector<Bytes>& payloads = *result;
-      for (size_t r = 0; r < read_at.size(); ++r) {
-        group[read_at[r]].read_promise.set_value(std::move(payloads[r]));
+      for (size_t r = 0; r < reads_.size(); ++r) {
+        reads_[r]->promise.set_value(std::move(payloads[r]));
       }
     } else {
-      for (size_t r = 0; r < read_at.size(); ++r) {
+      for (size_t r = 0; r < reads_.size(); ++r) {
         auto single = agent_->ReadGroup(
-            std::span<const ObliviousAgent::ReadRequest>(&requests[r], 1));
-        group[read_at[r]].read_promise.set_value(
+            std::span<const ObliviousAgent::ReadRequest>(&read_requests_[r],
+                                                         1));
+        reads_[r]->promise.set_value(
             single.ok() ? Result<Bytes>(std::move(single->front()))
                         : Result<Bytes>(single.status()));
       }
@@ -374,30 +360,31 @@ void RequestDispatcher::CommitGroup(std::vector<Pending>& group) {
   // Record the aggregation counters and per-request latency stamps —
   // all atomic cells, so a concurrent stats() poll never tears.
   const double complete = Clock();
-  span.AddArg("reads", static_cast<int64_t>(read_at.size()));
-  span.AddArg("writes", static_cast<int64_t>(write_at.size()));
-  cells_.requests.Add(group.size());
-  cells_.read_requests.Add(read_at.size());
-  cells_.write_requests.Add(write_at.size());
-  if (!read_at.empty()) {
+  span.AddArg("reads", static_cast<int64_t>(reads_.size()));
+  span.AddArg("writes", static_cast<int64_t>(writes_.size()));
+  cells_.requests.Add(group_.size());
+  cells_.read_requests.Add(reads_.size());
+  cells_.write_requests.Add(writes_.size());
+  if (!reads_.empty()) {
     cells_.groups.Increment();
     cells_.read_groups.Increment();
-    cells_.fill.Record(static_cast<double>(read_at.size()));
-    if (read_at.size() > 1) cells_.grouped_requests.Add(read_at.size());
+    cells_.fill.Record(static_cast<double>(reads_.size()));
+    if (reads_.size() > 1) cells_.grouped_requests.Add(reads_.size());
   }
-  if (!write_at.empty()) {
+  if (!writes_.empty()) {
     cells_.groups.Increment();
     cells_.write_groups.Increment();
-    cells_.fill.Record(static_cast<double>(write_at.size()));
-    if (write_at.size() > 1) cells_.grouped_requests.Add(write_at.size());
+    cells_.fill.Record(static_cast<double>(writes_.size()));
+    if (writes_.size() > 1) cells_.grouped_requests.Add(writes_.size());
   }
-  for (const Pending& pending : group) {
+  for (const Pending& pending : group_) {
     cells_.latency_ms.Record(complete - pending.arrive_clock);
     if (options_.trace != nullptr) {
       options_.trace->AsyncEnd("dispatch.request", pending.seq,
                                trace_track_);
     }
   }
+  group_.clear();
 }
 
 DispatcherStats RequestDispatcher::stats() const {

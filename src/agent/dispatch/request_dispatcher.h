@@ -4,12 +4,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "agent/oblivious_agent.h"
@@ -20,15 +20,18 @@
 namespace steghide::agent {
 
 struct DispatcherOptions {
-  /// Group-commit fill target: a commit is issued as soon as this many
-  /// requests are pending (or every open session has one outstanding, or
-  /// the commit window expires). Matching the oblivious store's
-  /// buffer_blocks B makes one committed group cost one level-scan pass.
+  /// Largest committed group. With sessions open, a commit is issued as
+  /// soon as min(max_batch, open sessions) requests are pending, or when
+  /// the commit window expires. With none open, the I/O thread commits
+  /// whatever is queued, up to max_batch, as soon as it is free.
+  /// Matching the oblivious store's buffer_blocks B makes one committed
+  /// group cost one level-scan pass.
   size_t max_batch = 16;
   /// Upper bound on how long the dispatcher lingers after the first
-  /// pending request, waiting for the group to fill. Wall-clock: it
-  /// bounds *scheduling* latency of co-arriving threads, not the virtual
-  /// disk time the experiments measure.
+  /// pending request, waiting for a session-counted group to fill.
+  /// Sessionless requests never wait for it. Wall-clock: it bounds
+  /// *scheduling* latency of co-arriving threads, not the virtual disk
+  /// time the experiments measure.
   std::chrono::microseconds commit_window{500};
   /// Virtual-clock sampler (e.g. SimBlockDevice::clock_ms) used to stamp
   /// request arrival/completion for the latency percentiles. May be
@@ -110,12 +113,20 @@ struct DispatcherStats {
 /// Concurrency architecture:
 ///
 ///   user threads ──Submit──▶ queue (mutex + condvar)
-///                              │ group commit (≤ B, bounded wait)
+///                              │ group commit (≤ B)
 ///                              ▼
 ///                    dispatcher I/O thread            ← the ONLY thread
 ///                              │                        issuing storage
 ///                              ▼                        I/O
 ///            ObliviousAgent::ReadGroup / WriteGroup
+///
+/// Group fill. Sessions announce users: with s sessions open, a group
+/// commits once min(max_batch, s) requests are pending, and
+/// commit_window bounds the wait for the rest. With no session open
+/// nobody is announced, so nothing is waited for: the I/O thread
+/// commits whatever is queued as soon as it is free, and requests that
+/// arrive while it serves a group form the next one. Such groups still
+/// fill whenever the queue backs up.
 ///
 /// Because all storage I/O funnels through the one dispatcher thread,
 /// every device below keeps seeing single-issuer call sequences
@@ -141,9 +152,9 @@ class RequestDispatcher {
   RequestDispatcher& operator=(const RequestDispatcher&) = delete;
 
   /// Worker-facing session handle. Opening a session tells the group
-  /// commit how many users may have a request in flight: a commit fires
-  /// as soon as every open session has one pending (without waiting out
-  /// the window), which is what fills groups under load. Close (destroy)
+  /// commit how many users may have a request in flight: the I/O thread
+  /// waits, up to commit_window, until every open session has one
+  /// pending, so closed-loop users share full groups. Close (destroy)
   /// the session when the user thread is done.
   class Session {
    public:
@@ -188,20 +199,30 @@ class RequestDispatcher {
   ObliviousAgent& agent() { return *agent_; }
 
  private:
+  // Each kind carries only its own promise: a std::promise allocates
+  // its shared state and its result when constructed, used or not.
+  struct PendingRead {
+    ObliviousAgent::ReadRequest request;
+    std::promise<Result<Bytes>> promise;
+  };
+  struct PendingWrite {
+    ObliviousAgent::WriteRequest request;
+    std::promise<Status> promise;
+  };
   struct Pending {
-    enum class Kind : uint8_t { kRead, kWrite } kind = Kind::kRead;
-    ObliviousAgent::ReadRequest read;
-    ObliviousAgent::WriteRequest write;
-    std::promise<Result<Bytes>> read_promise;
-    std::promise<Status> write_promise;
+    std::variant<PendingRead, PendingWrite> op;
     double arrive_clock = 0.0;
     /// Submission sequence number; the id of the request's async trace
     /// interval (dispatch.request begin at submit, end at completion).
     uint64_t seq = 0;
   };
 
+  /// Queues one request and returns its caller's future.
+  template <typename Op>
+  auto Enqueue(Op op);
   void WorkerLoop();
-  void CommitGroup(std::vector<Pending>& group);
+  /// Serves group_ and leaves it empty.
+  void CommitGroup();
   /// What a maintenance slice did: advanced work that remains (kMore),
   /// found nothing left to do (kIdle), or failed and left its chain
   /// pending (kFailed — the worker must keep polling, never block
@@ -222,12 +243,11 @@ class RequestDispatcher {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Pending> queue_;
+  /// Pending requests in arrival order. The worker swaps it with the
+  /// empty group_ when it takes the whole queue, so the two vectors trade
+  /// their storage back and forth instead of allocating.
+  std::vector<Pending> queue_;
   size_t open_sessions_ = 0;
-  /// Latched by the first OpenSession(): once callers use session
-  /// accounting, an empty session population means "nobody left to wait
-  /// for", not "direct-submit mode" (see FillTargetLocked).
-  bool sessions_seen_ = false;
   bool stopping_ = false;
   std::once_flag join_once_;
 
@@ -259,6 +279,15 @@ class RequestDispatcher {
   obs::Registration registration_;
   uint64_t next_seq_ = 0;  // guarded by mu_
   uint32_t trace_track_ = 0;
+
+  // Commit scratch, touched only by the I/O thread and kept across
+  // commits, so a steady-state commit allocates nothing of its own.
+  std::vector<Pending> group_;
+  std::vector<PendingRead*> reads_;
+  std::vector<PendingWrite*> writes_;
+  std::vector<PendingWrite*> valid_writes_;
+  std::vector<ObliviousAgent::ReadRequest> read_requests_;
+  std::vector<ObliviousAgent::WriteRequest> write_requests_;
 
   std::thread worker_;
 };

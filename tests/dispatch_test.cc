@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <thread>
 
 #include "agent/dispatch/request_dispatcher.h"
@@ -169,6 +172,93 @@ TEST(RequestDispatcherTest, StopDrainsAndRejectsLateSubmissions) {
 
   auto late = dispatcher.SubmitRead(ids[0], 0, payload).get();
   EXPECT_EQ(late.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(RequestDispatcherTest, SessionlessRequestDoesNotWaitOutTheWindow) {
+  // With no session open, nothing announces a request to come, so an
+  // idle dispatcher commits a lone sessionless request at once instead
+  // of lingering for a window sized far beyond the test timeout.
+  System sys(104);
+  const size_t payload = sys.core.payload_size();
+  const auto ids = sys.Populate(1, 2);
+
+  DispatcherOptions options;
+  options.max_batch = 8;
+  options.commit_window = std::chrono::seconds(30);
+  RequestDispatcher dispatcher(sys.agent.get(), options);
+  // Let the worker go idle on its condvar first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  auto read = dispatcher.SubmitRead(ids[0], 0, payload);
+  ASSERT_EQ(read.wait_for(std::chrono::seconds(5)), std::future_status::ready)
+      << "a lone sessionless request waited out the commit window";
+  auto data = read.get();
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, sys.ExpectedBlock(0, 0));
+  dispatcher.Stop();
+  EXPECT_EQ(dispatcher.stats().read_groups, 1u);
+}
+
+TEST(RequestDispatcherTest, SessionlessRequestsQueuedWhileBusyShareAGroup) {
+  // Sessionless requests that arrive while the I/O thread is busy form
+  // its next group. The worker is held inside an idle-gap maintenance
+  // slice while k reads queue up; once released it commits all k as one
+  // group, without lingering for a 30 s window.
+  System sys(105);
+  const size_t kReads = 5;
+  const size_t payload = sys.core.payload_size();
+  const auto ids = sys.Populate(kReads, 2);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool released = false;
+  DispatcherOptions options;
+  options.max_batch = 8;
+  options.commit_window = std::chrono::seconds(30);
+  options.extra_maintenance = [&](uint64_t) -> Result<bool> {
+    std::unique_lock<std::mutex> lock(mu);
+    held = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+    return false;
+  };
+  RequestDispatcher dispatcher(sys.agent.get(), options);
+  bool worker_held = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    worker_held = cv.wait_for(lock, std::chrono::seconds(10),
+                              [&] { return held; });
+  }
+
+  std::vector<std::future<Result<Bytes>>> reads;
+  for (size_t r = 0; r < kReads; ++r) {
+    reads.push_back(dispatcher.SubmitRead(ids[r], 0, payload));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  // Asserted only after the release: a worker held forever would keep
+  // Stop() from joining it.
+  ASSERT_TRUE(worker_held) << "the worker never ran its idle-gap maintenance";
+
+  for (size_t r = 0; r < kReads; ++r) {
+    ASSERT_EQ(reads[r].wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "queued sessionless requests waited out the commit window";
+    auto data = reads[r].get();
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    EXPECT_EQ(*data, sys.ExpectedBlock(r, 0));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(10));
+  dispatcher.Stop();
+  const DispatcherStats stats = dispatcher.stats();
+  EXPECT_EQ(stats.read_groups, 1u);
+  EXPECT_EQ(stats.max_fill, kReads);
 }
 
 // ---- group commit --------------------------------------------------------
@@ -370,8 +460,8 @@ TEST(DispatchTeardownTest, SessionCloseMidWindowReleasesTheGroup) {
 TEST(DispatchTeardownTest, LastSessionCloseFlushesItsQueuedRequest) {
   // Regression: with every session closed, the fill target used to fall
   // back to max_batch — an async request whose session was torn down
-  // right after submitting would stall for the whole commit window. The
-  // sessions_seen_ latch makes an emptied session population target 1.
+  // right after submitting would stall for the whole commit window. An
+  // emptied session population targets 1, as a sessionless one does.
   System sys(202);
   const size_t payload = sys.core.payload_size();
   const auto ids = sys.Populate(1, 2);
@@ -444,7 +534,13 @@ TEST(DispatchTeardownTest, ChurningSessionsUnderLoadNeverStall) {
 
 // ---- stress --------------------------------------------------------------
 
-TEST(DispatchStressTest, ManyThreadsManyOpsKeepIntegrity) {
+/// How the stress users reach the dispatcher: one session each
+/// (session-counted groups) or direct submits (work-conserving groups).
+enum class Submission { kSessions, kSessionless };
+
+class DispatchStressTest : public ::testing::TestWithParam<Submission> {};
+
+TEST_P(DispatchStressTest, ManyThreadsManyOpsKeepIntegrity) {
   System sys(991);
   const size_t kUsers = 8;
   const size_t kOps = 12;
@@ -457,7 +553,20 @@ TEST(DispatchStressTest, ManyThreadsManyOpsKeepIntegrity) {
   RequestDispatcher dispatcher(sys.agent.get(), options);
 
   std::vector<std::unique_ptr<RequestDispatcher::Session>> sessions;
-  for (size_t u = 0; u < kUsers; ++u) sessions.push_back(dispatcher.OpenSession());
+  if (GetParam() == Submission::kSessions) {
+    for (size_t u = 0; u < kUsers; ++u) {
+      sessions.push_back(dispatcher.OpenSession());
+    }
+  }
+  auto read = [&](size_t u, uint64_t offset) {
+    return sessions.empty() ? dispatcher.SubmitRead(ids[u], offset, payload)
+                            : sessions[u]->AsyncRead(ids[u], offset, payload);
+  };
+  auto write = [&](size_t u, uint64_t offset, Bytes data) {
+    return sessions.empty()
+               ? dispatcher.SubmitWrite(ids[u], offset, std::move(data))
+               : sessions[u]->AsyncWrite(ids[u], offset, std::move(data));
+  };
 
   // Each user owns one file: writes a versioned pattern to a random
   // block, immediately reads it back, and re-verifies a previously
@@ -477,12 +586,11 @@ TEST(DispatchStressTest, ManyThreadsManyOpsKeepIntegrity) {
         if (rng.Bernoulli(0.4)) {
           Bytes data(payload, static_cast<uint8_t>(u * 16 + op));
           STEGHIDE_RETURN_IF_ERROR(
-              sessions[u]->Write(ids[u], block * payload, data));
+              write(u, block * payload, data).get());
           latest[block] = std::move(data);
         }
-        STEGHIDE_ASSIGN_OR_RETURN(
-            const Bytes back,
-            sessions[u]->Read(ids[u], block * payload, payload));
+        STEGHIDE_ASSIGN_OR_RETURN(const Bytes back,
+                                  read(u, block * payload).get());
         if (back != latest[block]) {
           return Status::Internal("stale or corrupt read");
         }
@@ -501,6 +609,13 @@ TEST(DispatchStressTest, ManyThreadsManyOpsKeepIntegrity) {
   EXPECT_GT(stats.grouped_requests, 0u);
   EXPECT_LE(stats.p50_latency_ms, stats.p99_latency_ms);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Submission, DispatchStressTest,
+    ::testing::Values(Submission::kSessions, Submission::kSessionless),
+    [](const ::testing::TestParamInfo<Submission>& info) {
+      return info.param == Submission::kSessions ? "Sessions" : "Sessionless";
+    });
 
 TEST(DispatchStressTest, StatsSnapshotDuringLoadIsTearFree) {
   // Pollers racing the worker's counter updates: stats() is assembled
