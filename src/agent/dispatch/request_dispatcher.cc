@@ -266,14 +266,11 @@ void RequestDispatcher::WorkerLoop() {
     }
 
     cells_.queue_depth.Set(static_cast<double>(queue_.size()));
-    if (queue_.size() <= options_.max_batch) {
-      group_.swap(queue_);
-    } else {
-      const auto taken = queue_.begin() + options_.max_batch;
-      group_.assign(std::make_move_iterator(queue_.begin()),
-                    std::make_move_iterator(taken));
-      queue_.erase(queue_.begin(), taken);
-    }
+    const auto taken =
+        queue_.begin() + std::min(queue_.size(), options_.max_batch);
+    group_.assign(std::make_move_iterator(queue_.begin()),
+                  std::make_move_iterator(taken));
+    queue_.erase(queue_.begin(), taken);
 
     lock.unlock();
     CommitGroup();
@@ -288,17 +285,8 @@ void RequestDispatcher::WorkerLoop() {
 void RequestDispatcher::CommitGroup() {
   obs::ScopedSpan span(options_.trace, "dispatch.commit", trace_track_,
                        {{"n", static_cast<int64_t>(group_.size())}});
-  // Partition while preserving arrival order within each kind.
-  reads_.clear();
-  writes_.clear();
-  for (Pending& pending : group_) {
-    if (auto* read = std::get_if<PendingRead>(&pending.op)) {
-      reads_.push_back(read);
-    } else {
-      writes_.push_back(&std::get<PendingWrite>(pending.op));
-    }
-  }
-
+  // Each kind is served by one pass over group_, in arrival order.
+  //
   // Writes first: a caller that completed a write before submitting a
   // dependent read must observe its own data even when both land in the
   // same cycle.
@@ -310,23 +298,23 @@ void RequestDispatcher::CommitGroup() {
   // earlier members may already be persisted, and re-running them would
   // duplicate their relocating updates — so it propagates to the whole
   // group as-is.
-  if (!writes_.empty()) {
-    valid_writes_.clear();
-    for (PendingWrite* write : writes_) {
-      const auto size = agent_->FileSize(write->request.file);
-      if (!size.ok()) {
-        write->promise.set_value(size.status());
-        continue;
-      }
-      valid_writes_.push_back(write);
-      write_requests_.push_back(std::move(write->request));
+  valid_writes_.clear();
+  for (Pending& pending : group_) {
+    auto* write = std::get_if<PendingWrite>(&pending.op);
+    if (write == nullptr) continue;
+    const auto size = agent_->FileSize(write->request.file);
+    if (!size.ok()) {
+      write->promise.set_value(size.status());
+      continue;
     }
-    if (!valid_writes_.empty()) {
-      const Status status = agent_->WriteGroup(write_requests_);
-      write_requests_.clear();  // frees the payloads, keeps the storage
-      for (PendingWrite* write : valid_writes_) {
-        write->promise.set_value(status);
-      }
+    valid_writes_.push_back(write);
+    write_requests_.push_back(std::move(write->request));
+  }
+  if (!valid_writes_.empty()) {
+    const Status status = agent_->WriteGroup(write_requests_);
+    write_requests_.clear();  // frees the payloads, keeps the storage
+    for (PendingWrite* write : valid_writes_) {
+      write->promise.set_value(status);
     }
   }
 
@@ -334,48 +322,53 @@ void RequestDispatcher::CommitGroup() {
   // group (e.g. one stale handle) simply retries each member
   // individually — per-request semantics on the error path, batched on
   // the common one.
-  if (!reads_.empty()) {
-    read_requests_.clear();
-    for (const PendingRead* read : reads_) {
+  read_requests_.clear();
+  for (const Pending& pending : group_) {
+    if (const auto* read = std::get_if<PendingRead>(&pending.op)) {
       read_requests_.push_back(read->request);
     }
+  }
+  const size_t reads = read_requests_.size();
+  if (reads > 0) {
     auto result = agent_->ReadGroup(read_requests_);
-    if (result.ok()) {
-      std::vector<Bytes>& payloads = *result;
-      for (size_t r = 0; r < reads_.size(); ++r) {
-        reads_[r]->promise.set_value(std::move(payloads[r]));
-      }
-    } else {
-      for (size_t r = 0; r < reads_.size(); ++r) {
+    size_t r = 0;
+    for (Pending& pending : group_) {
+      auto* read = std::get_if<PendingRead>(&pending.op);
+      if (read == nullptr) continue;
+      if (result.ok()) {
+        read->promise.set_value(std::move((*result)[r]));
+      } else {
         auto single = agent_->ReadGroup(
             std::span<const ObliviousAgent::ReadRequest>(&read_requests_[r],
                                                          1));
-        reads_[r]->promise.set_value(
+        read->promise.set_value(
             single.ok() ? Result<Bytes>(std::move(single->front()))
                         : Result<Bytes>(single.status()));
       }
+      ++r;
     }
   }
 
   // Record the aggregation counters and per-request latency stamps —
   // all atomic cells, so a concurrent stats() poll never tears.
   const double complete = Clock();
-  span.AddArg("reads", static_cast<int64_t>(reads_.size()));
-  span.AddArg("writes", static_cast<int64_t>(writes_.size()));
+  const size_t writes = group_.size() - reads;
+  span.AddArg("reads", static_cast<int64_t>(reads));
+  span.AddArg("writes", static_cast<int64_t>(writes));
   cells_.requests.Add(group_.size());
-  cells_.read_requests.Add(reads_.size());
-  cells_.write_requests.Add(writes_.size());
-  if (!reads_.empty()) {
+  cells_.read_requests.Add(reads);
+  cells_.write_requests.Add(writes);
+  if (reads > 0) {
     cells_.groups.Increment();
     cells_.read_groups.Increment();
-    cells_.fill.Record(static_cast<double>(reads_.size()));
-    if (reads_.size() > 1) cells_.grouped_requests.Add(reads_.size());
+    cells_.fill.Record(static_cast<double>(reads));
+    if (reads > 1) cells_.grouped_requests.Add(reads);
   }
-  if (!writes_.empty()) {
+  if (writes > 0) {
     cells_.groups.Increment();
     cells_.write_groups.Increment();
-    cells_.fill.Record(static_cast<double>(writes_.size()));
-    if (writes_.size() > 1) cells_.grouped_requests.Add(writes_.size());
+    cells_.fill.Record(static_cast<double>(writes));
+    if (writes > 1) cells_.grouped_requests.Add(writes);
   }
   for (const Pending& pending : group_) {
     cells_.latency_ms.Record(complete - pending.arrive_clock);

@@ -243,9 +243,7 @@ class RequestDispatcher {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// Pending requests in arrival order. The worker swaps it with the
-  /// empty group_ when it takes the whole queue, so the two vectors trade
-  /// their storage back and forth instead of allocating.
+  /// Pending requests in arrival order.
   std::vector<Pending> queue_;
   size_t open_sessions_ = 0;
   bool stopping_ = false;
@@ -283,8 +281,6 @@ class RequestDispatcher {
   // Commit scratch, touched only by the I/O thread and kept across
   // commits, so a steady-state commit allocates nothing of its own.
   std::vector<Pending> group_;
-  std::vector<PendingRead*> reads_;
-  std::vector<PendingWrite*> writes_;
   std::vector<PendingWrite*> valid_writes_;
   std::vector<ObliviousAgent::ReadRequest> read_requests_;
   std::vector<ObliviousAgent::WriteRequest> write_requests_;

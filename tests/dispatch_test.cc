@@ -199,13 +199,19 @@ TEST(RequestDispatcherTest, SessionlessRequestDoesNotWaitOutTheWindow) {
   EXPECT_EQ(dispatcher.stats().read_groups, 1u);
 }
 
-TEST(RequestDispatcherTest, SessionlessRequestsQueuedWhileBusyShareAGroup) {
+/// Sessionless reads queued while the I/O thread is busy: the parameter
+/// is how many, against a max_batch of 8.
+class SessionlessBacklogTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SessionlessBacklogTest, QueuedWhileBusyCommitInFullGroups) {
   // Sessionless requests that arrive while the I/O thread is busy form
   // its next group. The worker is held inside an idle-gap maintenance
-  // slice while k reads queue up; once released it commits all k as one
-  // group, without lingering for a 30 s window.
+  // slice while k reads queue up; once released it commits them in
+  // arrival order, max_batch at a time, without lingering for a 30 s
+  // window.
   System sys(105);
-  const size_t kReads = 5;
+  const size_t kMaxBatch = 8;
+  const size_t kReads = GetParam();
   const size_t payload = sys.core.payload_size();
   const auto ids = sys.Populate(kReads, 2);
 
@@ -214,7 +220,7 @@ TEST(RequestDispatcherTest, SessionlessRequestsQueuedWhileBusyShareAGroup) {
   bool held = false;
   bool released = false;
   DispatcherOptions options;
-  options.max_batch = 8;
+  options.max_batch = kMaxBatch;
   options.commit_window = std::chrono::seconds(30);
   options.extra_maintenance = [&](uint64_t) -> Result<bool> {
     std::unique_lock<std::mutex> lock(mu);
@@ -251,15 +257,20 @@ TEST(RequestDispatcherTest, SessionlessRequestsQueuedWhileBusyShareAGroup) {
         << "queued sessionless requests waited out the commit window";
     auto data = reads[r].get();
     ASSERT_TRUE(data.ok()) << data.status().ToString();
-    EXPECT_EQ(*data, sys.ExpectedBlock(r, 0));
+    EXPECT_EQ(*data, sys.ExpectedBlock(r, 0)) << "read " << r;
   }
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::seconds(10));
   dispatcher.Stop();
   const DispatcherStats stats = dispatcher.stats();
-  EXPECT_EQ(stats.read_groups, 1u);
-  EXPECT_EQ(stats.max_fill, kReads);
+  EXPECT_EQ(stats.read_requests, kReads);
+  EXPECT_EQ(stats.read_groups, (kReads + kMaxBatch - 1) / kMaxBatch);
+  EXPECT_EQ(stats.max_fill, std::min(kReads, kMaxBatch));
 }
+
+// 5 fit one group; 11 take a full group of 8 and leave 3 for the next.
+INSTANTIATE_TEST_SUITE_P(Queued, SessionlessBacklogTest,
+                         ::testing::Values(size_t{5}, size_t{11}));
 
 // ---- group commit --------------------------------------------------------
 
