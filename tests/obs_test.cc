@@ -10,16 +10,27 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <future>
+#include <initializer_list>
+#include <map>
+#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "agent/dispatch/request_dispatcher.h"
+#include "agent/oblivious_agent.h"
 #include "oblivious/oblivious_store.h"
 #include "obs/metrics.h"
 #include "obs/snapshotter.h"
 #include "obs/trace_export.h"
 #include "obs/trace_log.h"
+#include "stegfs/block_codec.h"
+#include "stegfs/stegfs_core.h"
 #include "storage/mem_block_device.h"
 #include "storage/trace_device.h"
+#include "storage/volume_set.h"
 #include "testing/rng.h"
 
 namespace steghide::obs {
@@ -444,6 +455,329 @@ TEST(RegistryTest, DestroyedStoreLeavesItsFinalTimes) {
   ASSERT_TRUE(snap.count("store.sort_ms"));
   EXPECT_EQ(snap.at("store.retrieve_ms"), final_stats.retrieve_ms);
   EXPECT_EQ(snap.at("store.sort_ms"), final_stats.sort_ms);
+}
+
+
+// ---- Registry export pin -------------------------------------------------
+
+using Snapshot = std::map<std::string, double>;
+
+// Each (suffix, value) pair must be exported as "<prefix>.<suffix>" with
+// exactly that value.
+void ExpectExported(const Snapshot& snap, const std::string& prefix,
+                    std::initializer_list<std::pair<const char*, double>>
+                        fields) {
+  for (const auto& [suffix, value] : fields) {
+    const std::string name = prefix + "." + suffix;
+    const auto it = snap.find(name);
+    if (it == snap.end()) {
+      ADD_FAILURE() << name << " is not exported";
+      continue;
+    }
+    EXPECT_EQ(it->second, value) << name;
+  }
+}
+
+// Appends "<prefix>.<suffix>" for each suffix.
+void AddNames(std::vector<std::string>* names, const std::string& prefix,
+              std::initializer_list<const char*> suffixes) {
+  for (const char* suffix : suffixes) names->push_back(prefix + "." + suffix);
+}
+
+void AddHistogramNames(std::vector<std::string>* names,
+                       const std::string& name) {
+  AddNames(names, name, {"count", "mean", "p50", "p90", "p99", "max"});
+}
+
+// The full name set of the system below, as exported before the
+// counters moved to per-component descriptor tables.
+std::vector<std::string> ExpectedExportNames() {
+  std::vector<std::string> names;
+  AddNames(&names, "crypto",
+           {"accel_aes", "accel_sha256", "batches", "blocks", "bytes"});
+  AddNames(&names, "dispatcher",
+           {"requests", "read_requests", "write_requests", "groups",
+            "read_groups", "write_groups", "grouped_requests",
+            "maintenance_pumps", "maintenance_pump_errors",
+            "maintenance_pump_retries", "maintenance_escalations",
+            "queue_depth"});
+  AddHistogramNames(&names, "dispatcher.latency_ms");
+  AddHistogramNames(&names, "dispatcher.fill");
+  AddNames(&names, "store",
+           {"user_reads", "user_writes", "dummy_reads", "buffer_hits",
+            "level_probe_reads", "index_io", "reorder_reads",
+            "reorder_writes", "reorders", "buffer_flushes",
+            "batched_requests", "scan_passes", "probes_saved",
+            "reorder_steps", "deferred_flushes", "stall_total_ms",
+            "chain_pending_steps", "chain_remaining_blocks", "retrieve_ms",
+            "sort_ms"});
+  AddHistogramNames(&names, "store.stall_ms");
+  AddNames(&names, "io",
+           {"drains", "physical_reads", "retries", "recovered",
+            "exhausted"});
+  AddHistogramNames(&names, "io.queue_depth");
+  AddNames(&names, "reader",
+           {"cache_hits", "real_fetches", "decoy_reads", "dummy_reads",
+            "reorder_epoch_flips"});
+  for (const std::string shard : {"cache.shard0", "cache.shard1"}) {
+    AddNames(&names, shard,
+             {"reads", "writes", "failovers", "quarantines",
+              "repairs_completed", "repair_blocks", "read_repairs",
+              "quorum_widened", "quorum_stale_reads",
+              "write_quorum_failures", "healthy_replicas",
+              "lagging_replicas"});
+    AddHistogramNames(&names, shard + ".failover_ms");
+    for (const std::string& replica : {shard + ".r0", shard + ".r1"}) {
+      AddNames(&names, replica,
+               {"reads", "writes", "sequential", "random", "busy_ms",
+                "clock_ms"});
+      AddNames(&names, replica + ".fault",
+               {"ops", "injected_errors", "corrupted_blocks", "torn_writes",
+                "latency_events"});
+    }
+  }
+  AddNames(&names, "cache.shard1.r1.remote",
+           {"rpcs", "rpc_retries", "bytes_sent", "bytes_received",
+            "timeouts", "reconnects", "connect_failures"});
+  AddNames(&names, "cache.shard1.r1.transport",
+           {"frames", "partitioned_frames", "delayed_frames",
+            "dropped_connections"});
+  AddNames(&names, "cache.shard1.r1.server",
+           {"connections", "requests", "bytes_in", "bytes_out"});
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// Every instrumented layer of one small system exports into one registry:
+// a store with io_retry, the reader, a dispatcher, a 2-shard x 2-replica
+// quorum VolumeSet with block and transport fault plans and one
+// loopback-remote replica, and the crypto traffic cells. After a fixed
+// workload, the name set must match the list above and every counter
+// must read in the registry what its component's stats() reports. A
+// registration dropped, renamed or wired to the wrong cell fails here.
+TEST(RegistryExportPinTest, EveryLayerExportsItsStats) {
+  Registry registry;
+  storage::VolumeSet::Options vopts;
+  vopts.shards = 2;
+  vopts.replicas = 2;
+  vopts.total_blocks = 768;
+  vopts.block_size = 4096;
+  vopts.fault_plan = [](size_t k, size_t r) {
+    storage::FaultPlan plan;
+    storage::FaultSpec spec;
+    if (k == 0 && r == 0) {
+      spec.kind = storage::FaultSpec::Kind::kTransientError;
+      spec.every_nth = 23;
+      spec.start_after = 20;
+      spec.max_fires = 3;
+      plan.faults.push_back(spec);
+    } else if (k == 1 && r == 0) {
+      spec.kind = storage::FaultSpec::Kind::kLatency;
+      spec.every_nth = 11;
+      spec.latency_ms = 0.5;
+      plan.faults.push_back(spec);
+    }
+    return plan;
+  };
+  vopts.replication.quorum = true;
+  vopts.replication.write_quorum = 1;
+  vopts.replication.read_quorum = 1;
+  vopts.remote = [](size_t k, size_t r) { return k == 1 && r == 1; };
+  vopts.transport_fault_plan = [](size_t, size_t) {
+    storage::FaultPlan plan;
+    storage::FaultSpec spec;
+    spec.kind = storage::FaultSpec::Kind::kDelayRpc;
+    spec.every_nth = 5;
+    spec.latency_ms = 0.25;
+    plan.faults.push_back(spec);
+    return plan;
+  };
+  vopts.remote_options.rpc_deadline_ms = 5000.0;
+  storage::VolumeSet volumes(vopts);
+  volumes.RegisterMetrics(&registry, "cache");
+  const Registration crypto = stegfs::RegisterCryptoMetrics(&registry);
+
+  storage::MemBlockDevice steg_mem(4096, 4096);
+  stegfs::StegFsCore core(&steg_mem, stegfs::StegFsOptions{29, true});
+  ASSERT_TRUE(core.Format().ok());
+  oblivious::ObliviousStoreOptions sopts;
+  sopts.buffer_blocks = 8;
+  sopts.capacity_blocks = 128;
+  sopts.scratch_base = 2 * 128 - 2 * 8;
+  sopts.shadow_base = sopts.scratch_base + 128;
+  sopts.deamortize_reorders = true;
+  sopts.reorder_step_blocks = 4;
+  sopts.drbg_seed = 31;
+  sopts.io_retry = storage::RetryPolicy{};
+  sopts.registry = &registry;
+  auto created = agent::ObliviousAgent::Create(&core, &volumes.device(), sopts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  agent::ObliviousAgent& agent = **created;
+  agent.store().set_clock_fn([&volumes] { return volumes.clock_ms(); });
+  ASSERT_TRUE(agent.CreateDummyFile("u", 600).ok());
+  const size_t payload = core.payload_size();
+  constexpr size_t kFiles = 6, kBlocks = 3;
+  std::vector<agent::ObliviousAgent::FileId> files;
+  for (size_t f = 0; f < kFiles; ++f) {
+    auto id = agent.CreateHiddenFile("u");
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(agent
+                    .Write(*id, 0,
+                           Bytes(kBlocks * payload, static_cast<uint8_t>(f)))
+                    .ok());
+    files.push_back(*id);
+  }
+
+  agent::DispatcherOptions dopts;
+  dopts.max_batch = 8;
+  dopts.clock_fn = [&volumes] { return volumes.clock_ms(); };
+  dopts.registry = &registry;
+  agent::RequestDispatcher dispatcher(&agent, dopts);
+  for (size_t round = 0; round < 16; ++round) {
+    std::vector<std::future<Result<Bytes>>> reads;
+    std::vector<std::future<Status>> writes;
+    for (size_t f = 0; f < kFiles; ++f) {
+      const uint64_t offset = ((round + f) % kBlocks) * payload;
+      if ((round + f) % 3 == 0) {
+        writes.push_back(dispatcher.SubmitWrite(
+            files[f], offset,
+            Bytes(payload, static_cast<uint8_t>(0x40 + round))));
+      }
+      reads.push_back(dispatcher.SubmitRead(files[f], offset, payload));
+    }
+    for (auto& w : writes) ASSERT_TRUE(w.get().ok());
+    for (auto& r : reads) ASSERT_TRUE(r.get().ok());
+  }
+  dispatcher.Stop();
+
+  const Snapshot snap = registry.Snapshot();
+  std::vector<std::string> names;
+  for (const auto& [name, value] : snap) names.push_back(name);
+  EXPECT_EQ(names, ExpectedExportNames());
+
+  const agent::DispatcherStats d = dispatcher.stats();
+  EXPECT_GT(d.requests, 0u);
+  ExpectExported(
+      snap, "dispatcher",
+      {{"requests", d.requests}, {"read_requests", d.read_requests},
+       {"write_requests", d.write_requests}, {"groups", d.groups},
+       {"read_groups", d.read_groups}, {"write_groups", d.write_groups},
+       {"grouped_requests", d.grouped_requests},
+       {"maintenance_pumps", d.maintenance_pumps},
+       {"maintenance_pump_errors", d.maintenance_pump_errors},
+       {"maintenance_pump_retries", d.maintenance_pump_retries},
+       {"maintenance_escalations", d.maintenance_escalations},
+       {"fill.max", d.max_fill}, {"latency_ms.p50", d.p50_latency_ms},
+       {"latency_ms.p90", d.p90_latency_ms},
+       {"latency_ms.p99", d.p99_latency_ms}});
+
+  const oblivious::ObliviousStats s = agent.store().stats();
+  EXPECT_GT(s.user_reads, 0u);
+  EXPECT_GT(s.reorders, 0u);
+  ExpectExported(
+      snap, "store",
+      {{"user_reads", s.user_reads}, {"user_writes", s.user_writes},
+       {"dummy_reads", s.dummy_reads}, {"buffer_hits", s.buffer_hits},
+       {"level_probe_reads", s.level_probe_reads}, {"index_io", s.index_io},
+       {"reorder_reads", s.reorder_reads},
+       {"reorder_writes", s.reorder_writes}, {"reorders", s.reorders},
+       {"buffer_flushes", s.buffer_flushes},
+       {"batched_requests", s.batched_requests},
+       {"scan_passes", s.scan_passes}, {"probes_saved", s.probes_saved},
+       {"reorder_steps", s.reorder_steps},
+       {"deferred_flushes", s.deferred_flushes},
+       {"retrieve_ms", s.retrieve_ms}, {"sort_ms", s.sort_ms},
+       {"stall_total_ms", s.stall_ms}, {"stall_ms.max", s.max_stall_ms},
+       {"stall_ms.p99", s.stall_p99_ms}});
+
+  const storage::IoSchedulerStats io = agent.store().io_stats();
+  EXPECT_GT(io.drains, 0u);
+  ExpectExported(snap, "io",
+                 {{"drains", io.drains},
+                  {"physical_reads", io.physical_reads},
+                  {"retries", io.retries},
+                  {"exhausted", io.retry_exhausted},
+                  {"queue_depth.p99", io.queue_depth_p99}});
+
+  const oblivious::StegPartitionReader::Stats rd = agent.reader().stats();
+  EXPECT_GT(rd.real_fetches, 0u);
+  ExpectExported(snap, "reader",
+                 {{"cache_hits", rd.cache_hits},
+                  {"real_fetches", rd.real_fetches},
+                  {"decoy_reads", rd.decoy_reads},
+                  {"dummy_reads", rd.dummy_reads},
+                  {"reorder_epoch_flips", rd.reorder_epoch_flips}});
+
+  for (size_t k = 0; k < 2; ++k) {
+    const std::string shard = "cache.shard" + std::to_string(k);
+    const storage::ReplicationStats rep = volumes.replicated(k)->stats();
+    EXPECT_GT(rep.reads, 0u);
+    ExpectExported(
+        snap, shard,
+        {{"reads", rep.reads}, {"writes", rep.writes},
+         {"failovers", rep.failovers}, {"quarantines", rep.quarantines},
+         {"repairs_completed", rep.repairs_completed},
+         {"repair_blocks", rep.repair_blocks},
+         {"read_repairs", rep.read_repairs},
+         {"quorum_widened", rep.quorum_widened},
+         {"quorum_stale_reads", rep.quorum_stale_reads},
+         {"write_quorum_failures", rep.write_quorum_failures},
+         {"healthy_replicas", static_cast<double>(rep.healthy_replicas)},
+         {"lagging_replicas", static_cast<double>(rep.lagging_replicas)},
+         {"failover_ms.max", rep.failover_ms_max},
+         {"failover_ms.mean", rep.failover_ms_mean},
+         {"failover_ms.p50", rep.failover_ms_p50},
+         {"failover_ms.p99", rep.failover_ms_p99}});
+    for (size_t r = 0; r < 2; ++r) {
+      const std::string replica = shard + ".r" + std::to_string(r);
+      const storage::IoStats io_r = volumes.sim(k, r).stats();
+      EXPECT_GT(io_r.total_ops(), 0u);
+      ExpectExported(snap, replica,
+                     {{"reads", io_r.reads}, {"writes", io_r.writes},
+                      {"sequential", io_r.sequential},
+                      {"random", io_r.random}, {"busy_ms", io_r.busy_ms},
+                      {"clock_ms", volumes.sim(k, r).clock_ms()}});
+      const storage::FaultStats f = volumes.fault(k, r)->stats();
+      EXPECT_GT(f.ops, 0u);
+      ExpectExported(snap, replica + ".fault",
+                     {{"ops", f.ops},
+                      {"injected_errors", f.injected_errors},
+                      {"corrupted_blocks", f.corrupted_blocks},
+                      {"torn_writes", f.torn_writes},
+                      {"latency_events", f.latency_events}});
+    }
+  }
+  EXPECT_GT(volumes.fault(0, 0)->stats().injected_errors, 0u);
+  EXPECT_GT(volumes.fault(1, 0)->stats().latency_events, 0u);
+
+  const storage::remote::RemoteStats rs = volumes.remote_device(1, 1)->stats();
+  EXPECT_GT(rs.rpcs, 0u);
+  ExpectExported(snap, "cache.shard1.r1.remote",
+                 {{"rpcs", rs.rpcs}, {"rpc_retries", rs.rpc_retries},
+                  {"bytes_sent", rs.bytes_sent},
+                  {"bytes_received", rs.bytes_received},
+                  {"timeouts", rs.timeouts}, {"reconnects", rs.reconnects},
+                  {"connect_failures", rs.connect_failures}});
+  const storage::remote::TransportFaultStats ts =
+      volumes.transport_fault(1, 1)->stats();
+  EXPECT_GT(ts.delayed_frames, 0u);
+  ExpectExported(snap, "cache.shard1.r1.transport",
+                 {{"frames", ts.frames},
+                  {"partitioned_frames", ts.partitioned_frames},
+                  {"delayed_frames", ts.delayed_frames},
+                  {"dropped_connections", ts.dropped_connections}});
+  // On a link that never dropped, the server saw one connection, the
+  // handshake plus every RPC, and exactly the client's bytes.
+  ExpectExported(snap, "cache.shard1.r1.server",
+                 {{"connections", 1.0},
+                  {"requests", rs.rpcs + 1},
+                  {"bytes_in", rs.bytes_sent},
+                  {"bytes_out", rs.bytes_received}});
+
+  const stegfs::CryptoTrafficSnapshot c = stegfs::GlobalCryptoTraffic();
+  ExpectExported(snap, "crypto",
+                 {{"bytes", c.bytes}, {"blocks", c.blocks},
+                  {"batches", c.batches}});
 }
 
 }  // namespace
