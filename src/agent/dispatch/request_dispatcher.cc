@@ -40,21 +40,7 @@ RequestDispatcher::RequestDispatcher(ObliviousAgent* agent,
   if (options_.registry != nullptr) {
     registration_ = obs::Registration(options_.registry);
     const std::string p = kObsPrefix;
-    registration_.Counter(p + ".requests", &cells_.requests);
-    registration_.Counter(p + ".read_requests", &cells_.read_requests);
-    registration_.Counter(p + ".write_requests", &cells_.write_requests);
-    registration_.Counter(p + ".groups", &cells_.groups);
-    registration_.Counter(p + ".read_groups", &cells_.read_groups);
-    registration_.Counter(p + ".write_groups", &cells_.write_groups);
-    registration_.Counter(p + ".grouped_requests", &cells_.grouped_requests);
-    registration_.Counter(p + ".maintenance_pumps",
-                          &cells_.maintenance_pumps);
-    registration_.Counter(p + ".maintenance_pump_errors",
-                          &cells_.maintenance_pump_errors);
-    registration_.Counter(p + ".maintenance_pump_retries",
-                          &cells_.maintenance_pump_retries);
-    registration_.Counter(p + ".maintenance_escalations",
-                          &cells_.maintenance_escalations);
+    obs::RegisterRows(kStatRows, cells_, p, &registration_);
     registration_.Histogram(p + ".latency_ms", &cells_.latency_ms);
     registration_.Histogram(p + ".fill", &cells_.fill);
     registration_.Gauge(p + ".queue_depth", &cells_.queue_depth);
@@ -381,19 +367,8 @@ void RequestDispatcher::CommitGroup() {
 }
 
 DispatcherStats RequestDispatcher::stats() const {
-  DispatcherStats out;
-  out.requests = cells_.requests.value();
-  out.read_requests = cells_.read_requests.value();
-  out.write_requests = cells_.write_requests.value();
-  out.groups = cells_.groups.value();
-  out.read_groups = cells_.read_groups.value();
-  out.write_groups = cells_.write_groups.value();
+  DispatcherStats out = obs::ReadRows(kStatRows, cells_);
   out.max_fill = static_cast<uint64_t>(cells_.fill.max());
-  out.grouped_requests = cells_.grouped_requests.value();
-  out.maintenance_pumps = cells_.maintenance_pumps.value();
-  out.maintenance_pump_errors = cells_.maintenance_pump_errors.value();
-  out.maintenance_pump_retries = cells_.maintenance_pump_retries.value();
-  out.maintenance_escalations = cells_.maintenance_escalations.value();
   if (cells_.latency_ms.count() > 0) {
     out.p50_latency_ms = cells_.latency_ms.Percentile(50);
     out.p90_latency_ms = cells_.latency_ms.Percentile(90);

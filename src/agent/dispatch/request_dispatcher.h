@@ -191,9 +191,10 @@ class RequestDispatcher {
   void Stop();
 
   /// Snapshot of the aggregation counters. Lock-free: assembled from
-  /// atomic instrument cells, so a stats() poll concurrent with the
-  /// worker never sees a torn value. Percentiles come from a log-linear
-  /// latency histogram (<= ~0.8% relative bucket error).
+  /// relaxed loads of the I/O thread's cells, so a stats() poll
+  /// concurrent with the worker never sees a torn value. Percentiles
+  /// come from a log-linear latency histogram (<= ~0.8% relative bucket
+  /// error).
   DispatcherStats stats() const;
 
   ObliviousAgent& agent() { return *agent_; }
@@ -249,11 +250,11 @@ class RequestDispatcher {
   bool stopping_ = false;
   std::once_flag join_once_;
 
-  // Atomic instrument cells (obs/metrics.h): the worker bumps them
-  // without a lock, stats() sums stripes, and — when a registry is wired
-  // — the same cells export under "dispatcher.*". The latency
-  // histogram replaces the old bounded reservoir: O(1) memory, no
-  // stats mutex on the hot path, and p90 for free.
+  // Instrument cells (obs/metrics.h), written only by the I/O thread:
+  // stats() loads them without a lock, and — when a registry is wired —
+  // the same cells export under "dispatcher.*". The latency histogram
+  // replaces the old bounded reservoir: O(1) memory, no stats mutex on
+  // the hot path, and p90 for free.
   struct Cells {
     obs::CounterCell requests;
     obs::CounterCell read_requests;
@@ -272,6 +273,26 @@ class RequestDispatcher {
     obs::HistogramCell fill;
     /// Queue depth sampled at each commit take.
     obs::GaugeCell queue_depth;
+  };
+  static constexpr obs::StatRow<Cells, DispatcherStats> kStatRows[] = {
+      {"requests", &Cells::requests, &DispatcherStats::requests},
+      {"read_requests", &Cells::read_requests,
+       &DispatcherStats::read_requests},
+      {"write_requests", &Cells::write_requests,
+       &DispatcherStats::write_requests},
+      {"groups", &Cells::groups, &DispatcherStats::groups},
+      {"read_groups", &Cells::read_groups, &DispatcherStats::read_groups},
+      {"write_groups", &Cells::write_groups, &DispatcherStats::write_groups},
+      {"grouped_requests", &Cells::grouped_requests,
+       &DispatcherStats::grouped_requests},
+      {"maintenance_pumps", &Cells::maintenance_pumps,
+       &DispatcherStats::maintenance_pumps},
+      {"maintenance_pump_errors", &Cells::maintenance_pump_errors,
+       &DispatcherStats::maintenance_pump_errors},
+      {"maintenance_pump_retries", &Cells::maintenance_pump_retries,
+       &DispatcherStats::maintenance_pump_retries},
+      {"maintenance_escalations", &Cells::maintenance_escalations,
+       &DispatcherStats::maintenance_escalations},
   };
   Cells cells_;
   obs::Registration registration_;

@@ -121,7 +121,8 @@ Result<std::unique_ptr<ObliviousStore>> ObliviousStore::Create(
     }
   }
 
-  store->stats_.reorder_ms.assign(store->levels_.size(), 0.0);
+  store->cells_.reorder_ms =
+      std::vector<obs::GaugeCell>(store->levels_.size());
   store->projection_.assign(store->levels_.size(), LevelProjection{});
   store->ConfigureObservability();
   return store;
@@ -137,24 +138,7 @@ void ObliviousStore::ConfigureObservability() {
   if (options_.registry != nullptr) {
     const std::string p = "store";
     registration_ = obs::Registration(options_.registry);
-    registration_.Counter(p + ".user_reads", &cells_.user_reads);
-    registration_.Counter(p + ".user_writes", &cells_.user_writes);
-    registration_.Counter(p + ".dummy_reads", &cells_.dummy_reads);
-    registration_.Counter(p + ".buffer_hits", &cells_.buffer_hits);
-    registration_.Counter(p + ".level_probe_reads",
-                          &cells_.level_probe_reads);
-    registration_.Counter(p + ".index_io", &cells_.index_io);
-    registration_.Counter(p + ".reorder_reads", &cells_.reorder_reads);
-    registration_.Counter(p + ".reorder_writes", &cells_.reorder_writes);
-    registration_.Counter(p + ".reorders", &cells_.reorders);
-    registration_.Counter(p + ".buffer_flushes", &cells_.buffer_flushes);
-    registration_.Counter(p + ".batched_requests",
-                          &cells_.batched_requests);
-    registration_.Counter(p + ".scan_passes", &cells_.scan_passes);
-    registration_.Counter(p + ".probes_saved", &cells_.probes_saved);
-    registration_.Counter(p + ".reorder_steps", &cells_.reorder_steps);
-    registration_.Counter(p + ".deferred_flushes",
-                          &cells_.deferred_flushes);
+    obs::RegisterRows(kStatRows, cells_, p, &registration_);
     registration_.Histogram(p + ".stall_ms", &cells_.stall);
     registration_.Callback(p + ".stall_total_ms",
                            [this] { return cells_.stall.sum(); });
@@ -162,43 +146,18 @@ void ObliviousStore::ConfigureObservability() {
                         &cells_.chain_pending_steps);
     registration_.Gauge(p + ".chain_remaining_blocks",
                         &cells_.chain_remaining_blocks);
-    // Virtual-time doubles accumulate under mu_; export via callbacks.
-    registration_.Callback(p + ".retrieve_ms", [this] {
-      std::lock_guard<std::mutex> lock(mu_);
-      return stats_.retrieve_ms;
-    });
-    registration_.Callback(p + ".sort_ms", [this] {
-      std::lock_guard<std::mutex> lock(mu_);
-      return stats_.sort_ms;
-    });
-    registration_.Counter("io.drains", &cells_.io_drains);
-    registration_.Counter("io.physical_reads", &cells_.io_physical_reads);
+    obs::RegisterRows(kIoRows, cells_, "io", &registration_);
     registration_.Histogram("io.queue_depth", &cells_.io_depth);
     if (retry_ != nullptr) retry_->RegisterMetrics(options_.registry, "io");
   }
 }
 
 ObliviousStats ObliviousStore::stats() const {
-  ObliviousStats s;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s = stats_;
+  ObliviousStats s = obs::ReadRows(kStatRows, cells_);
+  s.reorder_ms.reserve(cells_.reorder_ms.size());
+  for (const obs::GaugeCell& level : cells_.reorder_ms) {
+    s.reorder_ms.push_back(level.value());
   }
-  s.user_reads = cells_.user_reads.value();
-  s.user_writes = cells_.user_writes.value();
-  s.dummy_reads = cells_.dummy_reads.value();
-  s.buffer_hits = cells_.buffer_hits.value();
-  s.level_probe_reads = cells_.level_probe_reads.value();
-  s.index_io = cells_.index_io.value();
-  s.reorder_reads = cells_.reorder_reads.value();
-  s.reorder_writes = cells_.reorder_writes.value();
-  s.reorders = cells_.reorders.value();
-  s.buffer_flushes = cells_.buffer_flushes.value();
-  s.batched_requests = cells_.batched_requests.value();
-  s.scan_passes = cells_.scan_passes.value();
-  s.probes_saved = cells_.probes_saved.value();
-  s.reorder_steps = cells_.reorder_steps.value();
-  s.deferred_flushes = cells_.deferred_flushes.value();
   s.stall_ms = cells_.stall.sum();
   s.max_stall_ms = cells_.stall.max();
   s.stall_p99_ms = cells_.stall.Percentile(99.0);
@@ -206,9 +165,7 @@ ObliviousStats ObliviousStore::stats() const {
 }
 
 storage::IoSchedulerStats ObliviousStore::io_stats() const {
-  storage::IoSchedulerStats s;
-  s.drains = cells_.io_drains.value();
-  s.physical_reads = cells_.io_physical_reads.value();
+  storage::IoSchedulerStats s = obs::ReadRows(kIoRows, cells_);
   s.queue_depth_p99 = cells_.io_depth.Percentile(99.0);
   if (retry_ != nullptr) {
     const storage::RetryStats r = retry_->stats();
@@ -219,26 +176,8 @@ storage::IoSchedulerStats ObliviousStore::io_stats() const {
 }
 
 void ObliviousStore::ResetStats() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = ObliviousStats();
-    stats_.reorder_ms.assign(levels_.size(), 0.0);
-  }
-  cells_.user_reads.Reset();
-  cells_.user_writes.Reset();
-  cells_.dummy_reads.Reset();
-  cells_.buffer_hits.Reset();
-  cells_.level_probe_reads.Reset();
-  cells_.index_io.Reset();
-  cells_.reorder_reads.Reset();
-  cells_.reorder_writes.Reset();
-  cells_.reorders.Reset();
-  cells_.buffer_flushes.Reset();
-  cells_.batched_requests.Reset();
-  cells_.scan_passes.Reset();
-  cells_.probes_saved.Reset();
-  cells_.reorder_steps.Reset();
-  cells_.deferred_flushes.Reset();
+  obs::ResetRows(kStatRows, &cells_);
+  for (obs::GaugeCell& level : cells_.reorder_ms) level.Reset();
   cells_.stall.Reset();
 }
 
@@ -422,10 +361,9 @@ Status ObliviousStore::ExecuteScan(uint8_t* out_payloads) {
   const auto crypto_t0 = std::chrono::steady_clock::now();
   STEGHIDE_RETURN_IF_ERROR(
       codec_.OpenScatter(cipher_, open_blocks_scratch_, open_payloads_scratch_));
-  stats_.crypto_wall_ms +=
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - crypto_t0)
-          .count();
+  const std::chrono::duration<double, std::milli> crypto_wall =
+      std::chrono::steady_clock::now() - crypto_t0;
+  cells_.crypto_wall_ms.Add(crypto_wall.count());
   return Status::OK();
 }
 
@@ -491,7 +429,7 @@ Status ObliviousStore::ReadGroup(std::span<const RecordId> ids,
       }
     }
   }
-  stats_.retrieve_ms += Clock() - t0;
+  cells_.retrieve_ms.Add(Clock() - t0);
 
   // Scanned records re-join the buffer so the slots just exposed are
   // never read again before a re-order; ghosts re-join too, exactly as
@@ -565,7 +503,7 @@ Status ObliviousStore::WriteGroup(std::span<const RecordId> ids,
     STEGHIDE_RETURN_IF_ERROR(PlanScan(ids, scan, decoy_only));
     STEGHIDE_RETURN_IF_ERROR(ExecuteScan(nullptr));
   }
-  stats_.retrieve_ms += Clock() - t0;
+  cells_.retrieve_ms.Add(Clock() - t0);
 
   for (const RecordId id : fresh_ids) {
     // Infallible: the capacity pre-check above covered every fresh id.
@@ -975,12 +913,12 @@ Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
     // A finished job installs in the same slice, so the install and its
     // index-rebuild charge count toward its level's re-order time.
     if (status.ok() && job.done()) status = InstallFrontJobLocked();
-    stats_.reorder_ms[level] += Clock() - jt0;
+    cells_.reorder_ms[level].Add(Clock() - jt0);
     STEGHIDE_RETURN_IF_ERROR(status);
   }
   span.AddArg("used", static_cast<int64_t>(used));
   const double dt = Clock() - t0;
-  stats_.sort_ms += dt;
+  cells_.sort_ms.Add(dt);
   if (stall) cells_.stall.Record(dt);
   UpdateChainGaugesLocked();
   return Status::OK();

@@ -237,8 +237,9 @@ struct ObliviousStats {
 /// same trace shapes as a serial request stream; aggregation into large
 /// groups is the dispatcher's job, not the lock's. StepReorder takes the
 /// same lock, so rebuild increments never interleave inside a scan pass.
-/// Accessors (stats(), Contains(), LevelOccupancy()) take the same lock
-/// and return copies.
+/// Accessors (Contains(), LevelOccupancy()) take the same lock and
+/// return copies; stats() and io_stats() read the instrument cells
+/// without it.
 class ObliviousStore {
  public:
   /// `device` is borrowed and must outlive the store. Validates the
@@ -345,10 +346,11 @@ class ObliviousStore {
     return reorder_epoch_;
   }
 
-  /// Snapshot: counters and stall figures come from atomic cells
-  /// (torn-read-free even against a concurrent scan), the other
-  /// virtual-time doubles are copied under the store lock.
+  /// Snapshot of the instrument cells, read without the store lock:
+  /// torn-read-free even against a concurrent scan.
   ObliviousStats stats() const;
+  /// Zeroes what stats() reports. It takes no lock either, so call it
+  /// between serving phases: an op in flight may write over the reset.
   void ResetStats();
 
   /// Scan I/O counters (one drain per sweep, blocks read, blocks per
@@ -404,8 +406,8 @@ class ObliviousStore {
   /// Registry/trace wiring, called from Create() after the levels exist.
   void ConfigureObservability();
 
-  /// Atomic counter cells behind the ObliviousStats snapshot. Bumped
-  /// under mu_ today, but readable (and registry-exportable) without it.
+  /// Instrument cells behind the stats() and io_stats() snapshots,
+  /// written under mu_ by whichever thread holds it and read without it.
   struct Cells {
     obs::CounterCell user_reads;
     obs::CounterCell user_writes;
@@ -422,6 +424,13 @@ class ObliviousStore {
     obs::CounterCell probes_saved;
     obs::CounterCell reorder_steps;
     obs::CounterCell deferred_flushes;
+    /// Virtual time in scans and in re-orders, host time in scan-pass
+    /// decryption, and re-order time per level (sized to the hierarchy
+    /// at Create()).
+    obs::GaugeCell retrieve_ms;
+    obs::GaugeCell sort_ms;
+    obs::GaugeCell crypto_wall_ms;
+    std::vector<obs::GaugeCell> reorder_ms;
     /// Scan sweeps and the blocks they read (io_stats()).
     obs::CounterCell io_drains;
     obs::CounterCell io_physical_reads;
@@ -432,6 +441,40 @@ class ObliviousStore {
     /// Re-order chain progress, sampled at chain transitions.
     obs::GaugeCell chain_pending_steps;
     obs::GaugeCell chain_remaining_blocks;
+  };
+  /// stats() rows, exported under "store.*" (crypto_wall_ms is not).
+  static constexpr obs::StatRow<Cells, ObliviousStats> kStatRows[] = {
+      {"user_reads", &Cells::user_reads, &ObliviousStats::user_reads},
+      {"user_writes", &Cells::user_writes, &ObliviousStats::user_writes},
+      {"dummy_reads", &Cells::dummy_reads, &ObliviousStats::dummy_reads},
+      {"buffer_hits", &Cells::buffer_hits, &ObliviousStats::buffer_hits},
+      {"level_probe_reads", &Cells::level_probe_reads,
+       &ObliviousStats::level_probe_reads},
+      {"index_io", &Cells::index_io, &ObliviousStats::index_io},
+      {"reorder_reads", &Cells::reorder_reads,
+       &ObliviousStats::reorder_reads},
+      {"reorder_writes", &Cells::reorder_writes,
+       &ObliviousStats::reorder_writes},
+      {"reorders", &Cells::reorders, &ObliviousStats::reorders},
+      {"buffer_flushes", &Cells::buffer_flushes,
+       &ObliviousStats::buffer_flushes},
+      {"batched_requests", &Cells::batched_requests,
+       &ObliviousStats::batched_requests},
+      {"scan_passes", &Cells::scan_passes, &ObliviousStats::scan_passes},
+      {"probes_saved", &Cells::probes_saved, &ObliviousStats::probes_saved},
+      {"reorder_steps", &Cells::reorder_steps,
+       &ObliviousStats::reorder_steps},
+      {"deferred_flushes", &Cells::deferred_flushes,
+       &ObliviousStats::deferred_flushes},
+      {"retrieve_ms", &Cells::retrieve_ms, &ObliviousStats::retrieve_ms},
+      {"sort_ms", &Cells::sort_ms, &ObliviousStats::sort_ms},
+      {nullptr, &Cells::crypto_wall_ms, &ObliviousStats::crypto_wall_ms},
+  };
+  /// io_stats() rows, exported under "io.*".
+  static constexpr obs::StatRow<Cells, storage::IoSchedulerStats> kIoRows[] = {
+      {"drains", &Cells::io_drains, &storage::IoSchedulerStats::drains},
+      {"physical_reads", &Cells::io_physical_reads,
+       &storage::IoSchedulerStats::physical_reads},
   };
 
   /// One planned level-scan sweep serving a request group. Each pass is
@@ -668,9 +711,6 @@ class ObliviousStore {
   std::vector<RecordId> present_list_;  // for uniform dummy-read sampling
 
   std::function<double()> clock_fn_;
-  /// Virtual-time accumulators (doubles + the per-level vector) stay
-  /// guarded by mu_; the uint64 counters live in cells_.
-  ObliviousStats stats_;
   Cells cells_;
   obs::TraceLog* trace_ = nullptr;
   uint32_t trace_track_ = 0;
@@ -734,8 +774,7 @@ class ObliviousStore {
   uint64_t reorder_epoch_ = 0;
 
   /// Declared last so it is destroyed first: unregistering latches each
-  /// callback's final value, and the callbacks lock mu_ and read stats_
-  /// and cells_, which must still be alive then.
+  /// instrument's final value, so cells_ must still be alive then.
   obs::Registration registration_;
 };
 

@@ -193,12 +193,7 @@ Status StegPartitionReader::IdleDummyOp() {
 void StegPartitionReader::RegisterMetrics(obs::Registry* registry,
                                           const std::string& prefix) {
   registration_ = obs::Registration(registry);
-  registration_.Counter(prefix + ".cache_hits", &cells_.cache_hits);
-  registration_.Counter(prefix + ".real_fetches", &cells_.real_fetches);
-  registration_.Counter(prefix + ".decoy_reads", &cells_.decoy_reads);
-  registration_.Counter(prefix + ".dummy_reads", &cells_.dummy_reads);
-  registration_.Counter(prefix + ".reorder_epoch_flips",
-                        &cells_.reorder_epoch_flips);
+  obs::RegisterRows(kStatRows, cells_, prefix, &registration_);
 }
 
 }  // namespace steghide::oblivious

@@ -31,9 +31,9 @@ namespace steghide::oblivious {
 /// through.
 class StegPartitionReader {
  public:
-  /// Snapshot view assembled from atomic cells: the reader itself is
-  /// single-threaded by contract, but stats() may be polled from bench /
-  /// monitoring threads while the issuing thread serves.
+  /// Snapshot view assembled from the issuing thread's cells: the reader
+  /// itself is single-threaded by contract, but stats() may be polled
+  /// from bench / monitoring threads while the issuing thread serves.
   struct Stats {
     uint64_t cache_hits = 0;   // served by the oblivious store
     uint64_t real_fetches = 0;  // first-time fetches from the partition
@@ -100,15 +100,7 @@ class StegPartitionReader {
   /// read.
   Status IdleDummyOp();
 
-  Stats stats() const {
-    Stats s;
-    s.cache_hits = cells_.cache_hits.value();
-    s.real_fetches = cells_.real_fetches.value();
-    s.decoy_reads = cells_.decoy_reads.value();
-    s.dummy_reads = cells_.dummy_reads.value();
-    s.reorder_epoch_flips = cells_.reorder_epoch_flips.value();
-    return s;
-  }
+  Stats stats() const { return obs::ReadRows(kStatRows, cells_); }
   uint64_t fetched_count() const { return fetched_.size(); }
 
   /// Registers the reader's counters under `prefix` (e.g. "reader").
@@ -121,6 +113,14 @@ class StegPartitionReader {
     obs::CounterCell decoy_reads;
     obs::CounterCell dummy_reads;
     obs::CounterCell reorder_epoch_flips;
+  };
+  static constexpr obs::StatRow<Cells, Stats> kStatRows[] = {
+      {"cache_hits", &Cells::cache_hits, &Stats::cache_hits},
+      {"real_fetches", &Cells::real_fetches, &Stats::real_fetches},
+      {"decoy_reads", &Cells::decoy_reads, &Stats::decoy_reads},
+      {"dummy_reads", &Cells::dummy_reads, &Stats::dummy_reads},
+      {"reorder_epoch_flips", &Cells::reorder_epoch_flips,
+       &Stats::reorder_epoch_flips},
   };
 
   stegfs::StegFsCore* core_;

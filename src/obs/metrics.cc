@@ -5,14 +5,6 @@
 
 namespace steghide::obs {
 
-size_t CounterCell::ClaimSlot() {
-  static std::atomic<size_t> next{0};
-  const size_t id = next.fetch_add(1, std::memory_order_relaxed);
-  return id < kExclusiveSlots
-             ? id
-             : kExclusiveSlots + (id - kExclusiveSlots) % kSharedStripes;
-}
-
 void HistogramCell::Record(double v) {
   buckets_[BucketFor(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);

@@ -1,17 +1,20 @@
 #ifndef STEGHIDE_OBS_METRICS_H_
 #define STEGHIDE_OBS_METRICS_H_
 
-// Metrics registry: named counters / gauges / histograms with an atomic,
-// sharded hot path.
+// Metrics registry: named counters / gauges / histograms.
 //
 // Components own their instruments as plain value members (a `Cells`
-// struct of CounterCells, say) and keep exposing the
-// historical plain-struct `stats()` accessors as snapshot views assembled
-// from atomic loads — concurrent readers never see torn values and writers
-// never take a lock. A `Registry` additionally gives every instrument a
-// flat dotted name ("dispatcher.requests") so benches and the
-// StatsSnapshotter can export one `name -> value` map without knowing the
-// component graph.
+// struct of CounterCells, say) and keep exposing the historical
+// plain-struct `stats()` accessors as snapshot views assembled from
+// relaxed atomic loads, so a reader on any thread never sees a torn value
+// and writers never take a lock. A counter cell is one 64-bit word with
+// one writer at a time (see CounterCell). Each such component names its
+// counters once, in a table of StatRows that ties each cell to its
+// `*Stats` field and its registry name; ReadRows, ResetRows and
+// RegisterRows drive stats(), ResetStats() and the export from that one
+// table. A `Registry` gives every instrument a flat dotted name
+// ("dispatcher.requests") so benches and the StatsSnapshotter can export
+// one `name -> value` map without knowing the component graph.
 //
 // Instrument lifetime: the registry *borrows* component-owned cells
 // through a `Registration` RAII token that unregisters in the component's
@@ -19,22 +22,26 @@
 // `Latch()` copies the current snapshot into the latched values, so an
 // end-of-process dump survives component teardown.
 
-#include <atomic>
 #include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 namespace steghide::obs {
 
-// Monotonic counter, striped across cache lines so concurrent writers on
-// different threads do not bounce one line. Reads sum the stripes
-// (relaxed loads): a snapshot taken mid-increment is merely slightly
-// stale, never torn.
+// Monotonic counter: one relaxed 64-bit word. Below the dispatcher one
+// thread issues every op, so each cell has one writer at a time: the
+// thread that drives its component, with any hand-off to another thread
+// ordered by the component's lock or by a thread start or join. Add is
+// therefore a relaxed load and store, with no locked instruction.
+// AddShared is the exact read-modify-write for a cell that several
+// threads write at once (the process-wide crypto traffic cells). Readers
+// on any thread load the word: a snapshot may be stale, never torn.
 class CounterCell {
  public:
   CounterCell() = default;
@@ -42,59 +49,19 @@ class CounterCell {
   CounterCell& operator=(const CounterCell&) = delete;
 
   void Add(uint64_t delta) {
-    const size_t slot = SlotIndex();
-    std::atomic<uint64_t>& v = stripes_[slot].v;
-    if (slot < kExclusiveSlots) {
-      // This slot is written by exactly one thread, so a relaxed
-      // load+store pair (no lock prefix) is exact — and roughly 10x
-      // cheaper than fetch_add, which is what keeps the instrumented
-      // hot path inside the overhead-guard bench's budget.
-      v.store(v.load(std::memory_order_relaxed) + delta,
-              std::memory_order_relaxed);
-    } else {
-      v.fetch_add(delta, std::memory_order_relaxed);
-    }
+    value_.store(value_.load(std::memory_order_relaxed) + delta,
+                 std::memory_order_relaxed);
   }
   void Increment() { Add(1); }
-  /// Modular subtraction (stripes sum mod 2^64): valid as long as the
-  /// logical value stays non-negative, e.g. reclassifying one count.
-  void Subtract(uint64_t delta) { Add(~delta + 1); }
-
-  uint64_t value() const {
-    uint64_t total = 0;
-    for (const Stripe& s : stripes_) {
-      total += s.v.load(std::memory_order_relaxed);
-    }
-    return total;
+  void AddShared(uint64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
 
-  void Reset() {
-    for (Stripe& s : stripes_) s.v.store(0, std::memory_order_relaxed);
-  }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  // The first kExclusiveSlots threads to ever touch a counter each own a
-  // private slot (fast non-RMW path in Add); later threads hash onto the
-  // shared fetch_add stripes, which keeps many-thread dispatch sweeps at
-  // the old striped-contention behavior. Slot ids are process-global and
-  // never recycled, so a thread's slot is exclusive across all cells.
-  static constexpr size_t kExclusiveSlots = 16;
-  static constexpr size_t kSharedStripes = 8;
-  static constexpr size_t kStripes = kExclusiveSlots + kSharedStripes;
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> v{0};
-  };
-  // Inline so Add() compiles down to a TLS load, a predictable branch,
-  // and the slot update — the overhead-guard bench holds the hot path to
-  // a few percent of its uninstrumented twin, and an out-of-line call
-  // here was the single biggest cost.
-  static size_t SlotIndex() {
-    thread_local const size_t slot = ClaimSlot();
-    return slot;
-  }
-  static size_t ClaimSlot();  // once per thread; out-of-line is fine
-
-  std::array<Stripe, kStripes> stripes_{};
+  std::atomic<uint64_t> value_{0};
 };
 
 // Last-value-wins gauge (a double, e.g. "reorder.pending_steps").
@@ -188,9 +155,9 @@ class Registration {
   void Counter(const std::string& name, const CounterCell* cell);
   void Gauge(const std::string& name, const GaugeCell* cell);
   void Histogram(const std::string& name, const HistogramCell* cell);
-  // For values only reachable through a component lock (e.g. doubles
-  // accumulated under a store mutex). Must be safe to invoke from any
-  // thread; must not call back into the Registry.
+  // For derived values that no cell holds (a histogram's sum, a device's
+  // virtual clock). Must be safe to invoke from any thread; must not call
+  // back into the Registry.
   void Callback(const std::string& name, std::function<double()> fn);
 
   void Release();
@@ -236,6 +203,69 @@ class Registry {
   std::map<std::string, Source> sources_;
   std::map<std::string, double> latched_;
 };
+
+// One row of a component's descriptor table: a registry name (joined to
+// the component's prefix with a dot; null keeps the row out of the
+// registry), a cell of the component's `Cells` struct, and the field of
+// its `*Stats` snapshot that reports the cell. A row is either a
+// CounterCell reported as a uint64_t or a GaugeCell holding a running
+// sum reported as a double.
+template <typename Cells, typename Stats>
+struct StatRow {
+  constexpr StatRow(const char* row_name, CounterCell Cells::*cell,
+                    uint64_t Stats::*field)
+      : name(row_name), counter(cell), counter_field(field) {}
+  constexpr StatRow(const char* row_name, GaugeCell Cells::*cell,
+                    double Stats::*field)
+      : name(row_name), sum(cell), sum_field(field) {}
+
+  const char* name;
+  CounterCell Cells::*counter = nullptr;
+  uint64_t Stats::*counter_field = nullptr;
+  GaugeCell Cells::*sum = nullptr;
+  double Stats::*sum_field = nullptr;
+};
+
+// The snapshot of a table's cells; fields without a row keep their
+// defaults.
+template <typename Cells, typename Stats, size_t N>
+Stats ReadRows(const StatRow<Cells, Stats> (&rows)[N], const Cells& cells) {
+  Stats out;
+  for (const auto& row : rows) {
+    if (row.counter != nullptr) {
+      out.*row.counter_field = (cells.*row.counter).value();
+    } else {
+      out.*row.sum_field = (cells.*row.sum).value();
+    }
+  }
+  return out;
+}
+
+template <typename Cells, typename Stats, size_t N>
+void ResetRows(const StatRow<Cells, Stats> (&rows)[N], Cells* cells) {
+  for (const auto& row : rows) {
+    if (row.counter != nullptr) {
+      (cells->*row.counter).Reset();
+    } else {
+      (cells->*row.sum).Reset();
+    }
+  }
+}
+
+// Adds each named row's cell to `reg` as "<prefix>.<name>".
+template <typename Cells, typename Stats, size_t N>
+void RegisterRows(const StatRow<Cells, Stats> (&rows)[N], const Cells& cells,
+                  const std::string& prefix, Registration* reg) {
+  for (const auto& row : rows) {
+    if (row.name == nullptr) continue;
+    const std::string name = prefix + "." + row.name;
+    if (row.counter != nullptr) {
+      reg->Counter(name, &(cells.*row.counter));
+    } else {
+      reg->Gauge(name, &(cells.*row.sum));
+    }
+  }
+}
 
 }  // namespace steghide::obs
 

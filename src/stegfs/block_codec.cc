@@ -14,10 +14,18 @@ namespace {
 // keeping the VAES/interleaved kernels saturated.
 constexpr size_t kChainChunk = 64;
 
+// Process-wide, so two threads can add at once (a session call sealing a
+// header while the I/O thread opens records): the only cells that take
+// the exact shared add.
 struct CryptoCells {
   obs::CounterCell bytes;
   obs::CounterCell blocks;
   obs::CounterCell batches;
+};
+constexpr obs::StatRow<CryptoCells, CryptoTrafficSnapshot> kCryptoRows[] = {
+    {"bytes", &CryptoCells::bytes, &CryptoTrafficSnapshot::bytes},
+    {"blocks", &CryptoCells::blocks, &CryptoTrafficSnapshot::blocks},
+    {"batches", &CryptoCells::batches, &CryptoTrafficSnapshot::batches},
 };
 
 CryptoCells& Cells() {
@@ -27,10 +35,10 @@ CryptoCells& Cells() {
 
 void Count(size_t nblocks, size_t payload_bytes_per_block, size_t passes = 1) {
   CryptoCells& c = Cells();
-  c.bytes.Add(static_cast<uint64_t>(nblocks) * payload_bytes_per_block *
-              passes);
-  c.blocks.Add(nblocks);
-  c.batches.Increment();
+  c.bytes.AddShared(static_cast<uint64_t>(nblocks) *
+                    payload_bytes_per_block * passes);
+  c.blocks.AddShared(nblocks);
+  c.batches.AddShared(1);
 }
 
 // The one seal loop behind SealBlocks and SealScatter: payload_at(i) is
@@ -176,10 +184,7 @@ void BlockCodec::Randomize(crypto::HashDrbg& drbg, uint8_t* block) const {
 
 obs::Registration RegisterCryptoMetrics(obs::Registry* registry) {
   obs::Registration reg(registry);
-  CryptoCells& c = Cells();
-  reg.Counter("crypto.bytes", &c.bytes);
-  reg.Counter("crypto.blocks", &c.blocks);
-  reg.Counter("crypto.batches", &c.batches);
+  obs::RegisterRows(kCryptoRows, Cells(), "crypto", &reg);
   reg.Callback("crypto.accel_aes", [] {
     return crypto::AesAccelerated() ? 1.0 : 0.0;
   });
@@ -190,12 +195,7 @@ obs::Registration RegisterCryptoMetrics(obs::Registry* registry) {
 }
 
 CryptoTrafficSnapshot GlobalCryptoTraffic() {
-  CryptoCells& c = Cells();
-  CryptoTrafficSnapshot snap;
-  snap.bytes = c.bytes.value();
-  snap.blocks = c.blocks.value();
-  snap.batches = c.batches.value();
-  return snap;
+  return obs::ReadRows(kCryptoRows, Cells());
 }
 
 }  // namespace steghide::stegfs

@@ -163,13 +163,7 @@ Status FaultInjectionBlockDevice::Flush() {
 void FaultInjectionBlockDevice::RegisterMetrics(obs::Registry* registry,
                                                 const std::string& prefix) {
   registration_ = obs::Registration(registry);
-  registration_.Counter(prefix + ".ops", &cells_.ops);
-  registration_.Counter(prefix + ".injected_errors",
-                        &cells_.injected_errors);
-  registration_.Counter(prefix + ".corrupted_blocks",
-                        &cells_.corrupted_blocks);
-  registration_.Counter(prefix + ".torn_writes", &cells_.torn_writes);
-  registration_.Counter(prefix + ".latency_events", &cells_.latency_events);
+  obs::RegisterRows(kStatRows, cells_, prefix, &registration_);
 }
 
 }  // namespace steghide::storage

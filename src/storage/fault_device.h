@@ -139,15 +139,7 @@ class FaultInjectionBlockDevice : public BlockDevice {
     latency_fn_ = std::move(fn);
   }
 
-  FaultStats stats() const {
-    FaultStats s;
-    s.ops = cells_.ops.value();
-    s.injected_errors = cells_.injected_errors.value();
-    s.corrupted_blocks = cells_.corrupted_blocks.value();
-    s.torn_writes = cells_.torn_writes.value();
-    s.latency_events = cells_.latency_events.value();
-    return s;
-  }
+  FaultStats stats() const { return obs::ReadRows(kStatRows, cells_); }
   void RegisterMetrics(obs::Registry* registry, const std::string& prefix);
 
   BlockDevice* backing() { return backing_; }
@@ -163,6 +155,15 @@ class FaultInjectionBlockDevice : public BlockDevice {
     obs::CounterCell corrupted_blocks;
     obs::CounterCell torn_writes;
     obs::CounterCell latency_events;
+  };
+  static constexpr obs::StatRow<Cells, FaultStats> kStatRows[] = {
+      {"ops", &Cells::ops, &FaultStats::ops},
+      {"injected_errors", &Cells::injected_errors,
+       &FaultStats::injected_errors},
+      {"corrupted_blocks", &Cells::corrupted_blocks,
+       &FaultStats::corrupted_blocks},
+      {"torn_writes", &Cells::torn_writes, &FaultStats::torn_writes},
+      {"latency_events", &Cells::latency_events, &FaultStats::latency_events},
   };
 
   /// One physical block op: checks the range, consumes an op index,

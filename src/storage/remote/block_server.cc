@@ -74,10 +74,7 @@ Status BlockServer::ServeOne(Transport* transport) {
 void BlockServer::RegisterMetrics(obs::Registry* registry,
                                   const std::string& prefix) {
   registration_ = obs::Registration(registry);
-  registration_.Counter(prefix + ".connections", &cells_.connections);
-  registration_.Counter(prefix + ".requests", &cells_.requests);
-  registration_.Counter(prefix + ".bytes_in", &cells_.bytes_in);
-  registration_.Counter(prefix + ".bytes_out", &cells_.bytes_out);
+  obs::RegisterRows(kStatRows, cells_, prefix, &registration_);
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,13 @@
 
 namespace steghide::storage::remote {
 
+struct BlockServerStats {
+  uint64_t connections = 0;
+  uint64_t requests = 0;
+  uint64_t bytes_in = 0;   // request frames, header + payload
+  uint64_t bytes_out = 0;  // reply frames
+};
+
 /// Frame loop over one connection. The thread calling Serve() is the
 /// sole issuer into `backing` for the duration, satisfying the
 /// BlockDevice threading contract without any locking below.
@@ -39,6 +46,7 @@ class BlockServer {
   /// as encoded Status replies and do NOT stop the loop.
   void Serve(Transport* transport);
 
+  BlockServerStats stats() const { return obs::ReadRows(kStatRows, cells_); }
   void RegisterMetrics(obs::Registry* registry, const std::string& prefix);
 
  private:
@@ -49,11 +57,18 @@ class BlockServer {
   std::vector<uint8_t> data_;     // read-reply staging
   std::vector<uint64_t> ids_;
 
+  /// Written by the thread calling Serve().
   struct Cells {
     obs::CounterCell connections;
     obs::CounterCell requests;
     obs::CounterCell bytes_in;
     obs::CounterCell bytes_out;
+  };
+  static constexpr obs::StatRow<Cells, BlockServerStats> kStatRows[] = {
+      {"connections", &Cells::connections, &BlockServerStats::connections},
+      {"requests", &Cells::requests, &BlockServerStats::requests},
+      {"bytes_in", &Cells::bytes_in, &BlockServerStats::bytes_in},
+      {"bytes_out", &Cells::bytes_out, &BlockServerStats::bytes_out},
   };
   Cells cells_;
   obs::Registration registration_;

@@ -183,28 +183,13 @@ Status RemoteBlockDevice::Flush() {
 }
 
 RemoteStats RemoteBlockDevice::stats() const {
-  RemoteStats s;
-  s.rpcs = cells_.rpcs.value();
-  s.rpc_retries = cells_.rpc_retries.value();
-  s.bytes_sent = cells_.bytes_sent.value();
-  s.bytes_received = cells_.bytes_received.value();
-  s.timeouts = cells_.timeouts.value();
-  s.reconnects = cells_.reconnects.value();
-  s.connect_failures = cells_.connect_failures.value();
-  return s;
+  return obs::ReadRows(kStatRows, cells_);
 }
 
 void RemoteBlockDevice::RegisterMetrics(obs::Registry* registry,
                                         const std::string& prefix) {
   registration_ = obs::Registration(registry);
-  registration_.Counter(prefix + ".rpcs", &cells_.rpcs);
-  registration_.Counter(prefix + ".rpc_retries", &cells_.rpc_retries);
-  registration_.Counter(prefix + ".bytes_sent", &cells_.bytes_sent);
-  registration_.Counter(prefix + ".bytes_received", &cells_.bytes_received);
-  registration_.Counter(prefix + ".timeouts", &cells_.timeouts);
-  registration_.Counter(prefix + ".reconnects", &cells_.reconnects);
-  registration_.Counter(prefix + ".connect_failures",
-                        &cells_.connect_failures);
+  obs::RegisterRows(kStatRows, cells_, prefix, &registration_);
 }
 
 }  // namespace steghide::storage::remote

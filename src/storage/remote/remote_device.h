@@ -137,6 +137,17 @@ class RemoteBlockDevice : public BlockDevice {
     obs::CounterCell reconnects;
     obs::CounterCell connect_failures;
   };
+  static constexpr obs::StatRow<Cells, RemoteStats> kStatRows[] = {
+      {"rpcs", &Cells::rpcs, &RemoteStats::rpcs},
+      {"rpc_retries", &Cells::rpc_retries, &RemoteStats::rpc_retries},
+      {"bytes_sent", &Cells::bytes_sent, &RemoteStats::bytes_sent},
+      {"bytes_received", &Cells::bytes_received,
+       &RemoteStats::bytes_received},
+      {"timeouts", &Cells::timeouts, &RemoteStats::timeouts},
+      {"reconnects", &Cells::reconnects, &RemoteStats::reconnects},
+      {"connect_failures", &Cells::connect_failures,
+       &RemoteStats::connect_failures},
+  };
   Cells cells_;
   obs::Registration registration_;
 };

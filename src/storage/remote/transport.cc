@@ -296,23 +296,13 @@ void TransportFaultController::RecordDelivered(Side side,
 }
 
 TransportFaultStats TransportFaultController::stats() const {
-  TransportFaultStats s;
-  s.frames = cells_.frames.value();
-  s.partitioned_frames = cells_.partitioned_frames.value();
-  s.delayed_frames = cells_.delayed_frames.value();
-  s.dropped_connections = cells_.dropped_connections.value();
-  return s;
+  return obs::ReadRows(kStatRows, cells_);
 }
 
 void TransportFaultController::RegisterMetrics(obs::Registry* registry,
                                                const std::string& prefix) {
   registration_ = obs::Registration(registry);
-  registration_.Counter(prefix + ".frames", &cells_.frames);
-  registration_.Counter(prefix + ".partitioned_frames",
-                        &cells_.partitioned_frames);
-  registration_.Counter(prefix + ".delayed_frames", &cells_.delayed_frames);
-  registration_.Counter(prefix + ".dropped_connections",
-                        &cells_.dropped_connections);
+  obs::RegisterRows(kStatRows, cells_, prefix, &registration_);
 }
 
 }  // namespace steghide::storage::remote

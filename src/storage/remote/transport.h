@@ -155,11 +155,21 @@ class TransportFaultController {
   std::vector<FrameRecord>* frame_log_ = nullptr;
   std::vector<FaultyTransport*> live_;
 
+  /// Written under mu_ by the thread that sends a client frame.
   struct Cells {
     obs::CounterCell frames;
     obs::CounterCell partitioned_frames;
     obs::CounterCell delayed_frames;
     obs::CounterCell dropped_connections;
+  };
+  static constexpr obs::StatRow<Cells, TransportFaultStats> kStatRows[] = {
+      {"frames", &Cells::frames, &TransportFaultStats::frames},
+      {"partitioned_frames", &Cells::partitioned_frames,
+       &TransportFaultStats::partitioned_frames},
+      {"delayed_frames", &Cells::delayed_frames,
+       &TransportFaultStats::delayed_frames},
+      {"dropped_connections", &Cells::dropped_connections,
+       &TransportFaultStats::dropped_connections},
   };
   Cells cells_;
   obs::Registration registration_;

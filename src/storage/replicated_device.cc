@@ -431,17 +431,7 @@ Status ReplicatedBlockDevice::RepairStep(uint64_t budget_blocks, bool* more) {
 // Stats
 
 ReplicationStats ReplicatedBlockDevice::stats() const {
-  ReplicationStats s;
-  s.reads = cells_.reads.value();
-  s.writes = cells_.writes.value();
-  s.failovers = cells_.failovers.value();
-  s.quarantines = cells_.quarantines.value();
-  s.repairs_completed = cells_.repairs_completed.value();
-  s.repair_blocks = cells_.repair_blocks.value();
-  s.read_repairs = cells_.read_repairs.value();
-  s.quorum_widened = cells_.quorum_widened.value();
-  s.quorum_stale_reads = cells_.quorum_stale_reads.value();
-  s.write_quorum_failures = cells_.write_quorum_failures.value();
+  ReplicationStats s = obs::ReadRows(kStatRows, cells_);
   s.healthy_replicas = healthy_count();
   s.lagging_replicas = lagging_count();
   s.failover_ms_max = cells_.failover_ms.max();
@@ -454,19 +444,7 @@ ReplicationStats ReplicatedBlockDevice::stats() const {
 void ReplicatedBlockDevice::RegisterMetrics(obs::Registry* registry,
                                             const std::string& prefix) {
   registration_ = obs::Registration(registry);
-  registration_.Counter(prefix + ".reads", &cells_.reads);
-  registration_.Counter(prefix + ".writes", &cells_.writes);
-  registration_.Counter(prefix + ".failovers", &cells_.failovers);
-  registration_.Counter(prefix + ".quarantines", &cells_.quarantines);
-  registration_.Counter(prefix + ".repairs_completed",
-                        &cells_.repairs_completed);
-  registration_.Counter(prefix + ".repair_blocks", &cells_.repair_blocks);
-  registration_.Counter(prefix + ".read_repairs", &cells_.read_repairs);
-  registration_.Counter(prefix + ".quorum_widened", &cells_.quorum_widened);
-  registration_.Counter(prefix + ".quorum_stale_reads",
-                        &cells_.quorum_stale_reads);
-  registration_.Counter(prefix + ".write_quorum_failures",
-                        &cells_.write_quorum_failures);
+  obs::RegisterRows(kStatRows, cells_, prefix, &registration_);
   registration_.Gauge(prefix + ".healthy_replicas", &cells_.healthy_replicas);
   registration_.Gauge(prefix + ".lagging_replicas", &cells_.lagging_replicas);
   registration_.Histogram(prefix + ".failover_ms", &cells_.failover_ms);

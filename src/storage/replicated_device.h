@@ -182,6 +182,23 @@ class ReplicatedBlockDevice : public BlockDevice {
     obs::GaugeCell lagging_replicas;
     obs::HistogramCell failover_ms;
   };
+  static constexpr obs::StatRow<Cells, ReplicationStats> kStatRows[] = {
+      {"reads", &Cells::reads, &ReplicationStats::reads},
+      {"writes", &Cells::writes, &ReplicationStats::writes},
+      {"failovers", &Cells::failovers, &ReplicationStats::failovers},
+      {"quarantines", &Cells::quarantines, &ReplicationStats::quarantines},
+      {"repairs_completed", &Cells::repairs_completed,
+       &ReplicationStats::repairs_completed},
+      {"repair_blocks", &Cells::repair_blocks,
+       &ReplicationStats::repair_blocks},
+      {"read_repairs", &Cells::read_repairs, &ReplicationStats::read_repairs},
+      {"quorum_widened", &Cells::quorum_widened,
+       &ReplicationStats::quorum_widened},
+      {"quorum_stale_reads", &Cells::quorum_stale_reads,
+       &ReplicationStats::quorum_stale_reads},
+      {"write_quorum_failures", &Cells::write_quorum_failures,
+       &ReplicationStats::write_quorum_failures},
+  };
 
   void SetState(size_t r, ReplicaState state);
   void QuarantineLocked(size_t r);

@@ -45,9 +45,7 @@ Status RetryingBlockDevice::Flush() {
 void RetryingBlockDevice::RegisterMetrics(obs::Registry* registry,
                                           const std::string& prefix) {
   registration_ = obs::Registration(registry);
-  registration_.Counter(prefix + ".retries", &cells_.retries);
-  registration_.Counter(prefix + ".recovered", &cells_.recovered);
-  registration_.Counter(prefix + ".exhausted", &cells_.exhausted);
+  obs::RegisterRows(kStatRows, cells_, prefix, &registration_);
 }
 
 }  // namespace steghide::storage

@@ -68,13 +68,7 @@ class RetryingBlockDevice : public BlockDevice {
     trace_track_ = track;
   }
 
-  RetryStats stats() const {
-    RetryStats s;
-    s.retries = cells_.retries.value();
-    s.recovered = cells_.recovered.value();
-    s.exhausted = cells_.exhausted.value();
-    return s;
-  }
+  RetryStats stats() const { return obs::ReadRows(kStatRows, cells_); }
   void RegisterMetrics(obs::Registry* registry, const std::string& prefix);
 
   BlockDevice* backing() { return backing_; }
@@ -84,6 +78,11 @@ class RetryingBlockDevice : public BlockDevice {
     obs::CounterCell retries;
     obs::CounterCell recovered;
     obs::CounterCell exhausted;
+  };
+  static constexpr obs::StatRow<Cells, RetryStats> kStatRows[] = {
+      {"retries", &Cells::retries, &RetryStats::retries},
+      {"recovered", &Cells::recovered, &RetryStats::recovered},
+      {"exhausted", &Cells::exhausted, &RetryStats::exhausted},
   };
 
   /// Runs `call`, a device call covering `blocks` blocks, under the

@@ -42,11 +42,7 @@ Status SimBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
 void SimBlockDevice::RegisterMetrics(obs::Registry* registry,
                                      const std::string& prefix) {
   registration_ = obs::Registration(registry);
-  registration_.Counter(prefix + ".reads", &cells_.reads);
-  registration_.Counter(prefix + ".writes", &cells_.writes);
-  registration_.Counter(prefix + ".sequential", &cells_.sequential);
-  registration_.Counter(prefix + ".random", &cells_.random);
-  registration_.Gauge(prefix + ".busy_ms", &cells_.busy_ms);
+  obs::RegisterRows(kStatRows, cells_, prefix, &registration_);
   registration_.Callback(prefix + ".clock_ms",
                          [this] { return model_.clock_ms(); });
 }

@@ -42,28 +42,13 @@ class SimBlockDevice : public BlockDevice {
 
   double clock_ms() const { return model_.clock_ms(); }
 
-  /// Torn-read-free snapshot: counters live in sharded atomic cells, so a
-  /// reader racing the issuing thread sees consistent (merely stale)
-  /// values, never garbage.
-  IoStats stats() const {
-    IoStats s;
-    s.reads = cells_.reads.value();
-    s.writes = cells_.writes.value();
-    s.sequential = cells_.sequential.value();
-    s.random = cells_.random.value();
-    s.busy_ms = cells_.busy_ms.value();
-    return s;
-  }
+  /// Torn-read-free snapshot: the issuing thread's counters live in
+  /// atomic cells, so a reader racing it sees stale values, never garbage.
+  IoStats stats() const { return obs::ReadRows(kStatRows, cells_); }
   DiskModel& model() { return model_; }
 
   /// Resets counters but not the clock (experiments often measure phases).
-  void ResetStats() {
-    cells_.reads.Reset();
-    cells_.writes.Reset();
-    cells_.sequential.Reset();
-    cells_.random.Reset();
-    cells_.busy_ms.Reset();
-  }
+  void ResetStats() { obs::ResetRows(kStatRows, &cells_); }
 
   /// Registers this device's instruments under `prefix` (e.g. "io.shard0").
   void RegisterMetrics(obs::Registry* registry, const std::string& prefix);
@@ -77,6 +62,13 @@ class SimBlockDevice : public BlockDevice {
     obs::CounterCell sequential;
     obs::CounterCell random;
     obs::GaugeCell busy_ms;
+  };
+  static constexpr obs::StatRow<IoCells, IoStats> kStatRows[] = {
+      {"reads", &IoCells::reads, &IoStats::reads},
+      {"writes", &IoCells::writes, &IoStats::writes},
+      {"sequential", &IoCells::sequential, &IoStats::sequential},
+      {"random", &IoCells::random, &IoStats::random},
+      {"busy_ms", &IoCells::busy_ms, &IoStats::busy_ms},
   };
 
   void Charge(uint64_t block_id);

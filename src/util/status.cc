@@ -24,8 +24,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "FailedPrecondition";
     case StatusCode::kIoError:
       return "IoError";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
     case StatusCode::kDeadlineExceeded:

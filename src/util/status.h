@@ -21,7 +21,6 @@ enum class StatusCode {
   kPermissionDenied,
   kFailedPrecondition,
   kIoError,
-  kUnimplemented,
   kInternal,
   kDeadlineExceeded,
 };
@@ -69,9 +68,6 @@ class Status {
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
   }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
@@ -84,11 +80,6 @@ class Status {
   const std::string& message() const { return message_; }
 
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
-  bool IsNoSpace() const { return code_ == StatusCode::kNoSpace; }
-  bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
-  bool IsPermissionDenied() const {
-    return code_ == StatusCode::kPermissionDenied;
-  }
   bool IsDeadlineExceeded() const {
     return code_ == StatusCode::kDeadlineExceeded;
   }

@@ -15,6 +15,7 @@
 #include "crypto/hmac.h"
 #include "crypto/key.h"
 #include "crypto/sha256.h"
+#include "stegfs/block_codec.h"
 #include "util/bytes.h"
 
 namespace steghide::crypto {
@@ -326,6 +327,47 @@ TEST(DrbgTest, ConcurrentDrawsAreAtomic) {
   EXPECT_EQ(all, expect);
 }
 
+// ---- crypto traffic accounting -------------------------------------------
+
+TEST(CryptoTrafficTest, ConcurrentCodecsCountEveryBatch) {
+  // Two threads seal and open batches at once, each through its own
+  // BlockCodec, HashDrbg and cipher. Both feed the process-wide traffic
+  // cells, so those cells must add exactly under concurrent writers: no
+  // batch, block or byte of either thread may be lost.
+  constexpr size_t kBlockSize = 512;
+  constexpr size_t kBlocks = 2;
+  constexpr uint64_t kBatches = 20000;
+  const stegfs::CryptoTrafficSnapshot before = stegfs::GlobalCryptoTraffic();
+  const auto run = [](uint64_t seed) {
+    const stegfs::BlockCodec codec(kBlockSize);
+    HashDrbg drbg(seed);
+    CbcCipher cipher;
+    ASSERT_TRUE(cipher.SetKey(drbg.Generate(16)).ok());
+    const Bytes payloads = drbg.Generate(kBlocks * codec.payload_size());
+    Bytes blocks(kBlocks * kBlockSize);
+    Bytes back(payloads.size());
+    for (uint64_t i = 0; i < kBatches; ++i) {
+      ASSERT_TRUE(codec
+                      .SealBlocks(cipher, drbg, payloads.data(), kBlocks,
+                                  blocks.data())
+                      .ok());
+      ASSERT_TRUE(
+          codec.OpenBlocks(cipher, blocks.data(), kBlocks, back.data()).ok());
+    }
+    EXPECT_EQ(back, payloads);
+  };
+  std::thread a(run, uint64_t{51});
+  std::thread b(run, uint64_t{52});
+  a.join();
+  b.join();
+
+  const stegfs::CryptoTrafficSnapshot after = stegfs::GlobalCryptoTraffic();
+  const uint64_t batches = 2 * 2 * kBatches;  // two threads, seal + open
+  EXPECT_EQ(after.batches - before.batches, batches);
+  EXPECT_EQ(after.blocks - before.blocks, batches * kBlocks);
+  EXPECT_EQ(after.bytes - before.bytes,
+            batches * kBlocks * stegfs::PayloadSize(kBlockSize));
+}
 
 // ---- hardware dispatch ---------------------------------------------------
 
