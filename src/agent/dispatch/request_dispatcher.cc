@@ -150,10 +150,11 @@ size_t RequestDispatcher::FillTargetLocked() const {
 
 RequestDispatcher::PumpResult RequestDispatcher::PumpMaintenance() {
   if (options_.maintenance_budget == 0) return PumpResult::kIdle;
-  if (agent_->store().reorder_pending()) {
+  oblivious::ObliviousStore& store = agent_->store();
+  if (store.reorder_pending()) {
     obs::ScopedSpan span(options_.trace, "dispatch.pump", trace_track_);
-    auto more = agent_->PumpReorder(options_.maintenance_budget);
-    if (!more.ok()) {
+    bool more = false;
+    if (!store.StepReorder(options_.maintenance_budget, &more).ok()) {
       // A failed slice must not read as "drained": the chain stays
       // pending, and the worker must keep polling (bounded backoff) —
       // parking on the condvar here is the historical wedge: nothing
@@ -164,7 +165,7 @@ RequestDispatcher::PumpResult RequestDispatcher::PumpMaintenance() {
     // Counts slices that advanced work — including the one that drains
     // the chain dry.
     cells_.maintenance_pumps.Increment();
-    if (*more) return PumpResult::kMore;
+    if (more) return PumpResult::kMore;
   }
   // Chain idle: spend the gap on secondary maintenance (replica repair).
   if (options_.extra_maintenance) {

@@ -39,7 +39,7 @@ struct DispatcherOptions {
   std::function<double()> clock_fn;
   /// Maintenance pump budget (device blocks per slice): the I/O thread
   /// drives the oblivious store's pending deamortized re-order work —
-  /// ObliviousAgent::PumpReorder — during commit-window idle gaps,
+  /// ObliviousStore::StepReorder — during commit-window idle gaps,
   /// while the queue is empty, and right after each committed group, so
   /// rebuild I/O rides the gaps instead of stalling a serving request.
   /// 0 disables the pump (the store still self-paces via serving taxes).
@@ -129,8 +129,8 @@ struct DispatcherStats {
 /// fill whenever the queue backs up.
 ///
 /// Because all storage I/O funnels through the one dispatcher thread,
-/// every device below keeps seeing single-issuer call sequences
-/// (block_device.h), and the attacker-visible trace of a committed group
+/// the system below keeps its one-owner-thread rule (thread_check.h)
+/// without a lock, and the attacker-visible trace of a committed group
 /// of k equals k sequential requests (one touch per non-empty level per
 /// request) regardless of thread arrival order.
 ///
@@ -143,7 +143,9 @@ class RequestDispatcher {
   using FileId = ObliviousAgent::FileId;
 
   /// `agent` is borrowed and must outlive the dispatcher. The I/O thread
-  /// starts immediately.
+  /// starts immediately and owns the agent, and everything below it,
+  /// until Stop() joins it: other threads reach the agent only through
+  /// Submit* and Session calls and the lock-free stats() snapshots.
   explicit RequestDispatcher(ObliviousAgent* agent,
                              DispatcherOptions options = {});
   ~RequestDispatcher();
@@ -197,6 +199,7 @@ class RequestDispatcher {
   /// error).
   DispatcherStats stats() const;
 
+  /// The served agent; the calling thread may drive it only after Stop().
   ObliviousAgent& agent() { return *agent_; }
 
  private:

@@ -30,7 +30,7 @@ Result<const HiddenFile*> NonVolatileAgent::Lookup(FileId id) const {
 }
 
 Result<NonVolatileAgent::FileId> NonVolatileAgent::CreateFile() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
   if (bitmap_.dummy_count() == 0) return Status::NoSpace("volume full");
   // The header needs a home among the dummy blocks. A uniformly random
   // draw keeps header placement indistinguishable from the rest of the
@@ -56,7 +56,7 @@ Result<NonVolatileAgent::FileId> NonVolatileAgent::CreateFile() {
 
 Result<NonVolatileAgent::FileId> NonVolatileAgent::OpenFile(
     const FileAccessKey& fak) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
   // Construction 1 decrypts with the agent key regardless of what the
   // caller supplies in the key fields; the location is the credential the
   // user actually needs to remember.
@@ -69,20 +69,20 @@ Result<NonVolatileAgent::FileId> NonVolatileAgent::OpenFile(
 }
 
 Result<Bytes> NonVolatileAgent::Read(FileId id, uint64_t offset, size_t n) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(HiddenFile * file, Lookup(id));
   return ReadBytes(*core_, *file, offset, n);
 }
 
 Status NonVolatileAgent::Write(FileId id, uint64_t offset, const uint8_t* data,
                                size_t n) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(HiddenFile * file, Lookup(id));
   return WriteBytes(*core_, engine_, *file, offset, data, n);
 }
 
 Status NonVolatileAgent::Truncate(FileId id, uint64_t new_size) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(HiddenFile * file, Lookup(id));
   std::vector<uint64_t> released;
   STEGHIDE_RETURN_IF_ERROR(TruncateBytes(*core_, *file, new_size, &released));
@@ -93,7 +93,7 @@ Status NonVolatileAgent::Truncate(FileId id, uint64_t new_size) {
 }
 
 Status NonVolatileAgent::Flush(FileId id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(HiddenFile * file, Lookup(id));
   // Relocate the indirect blocks: release the old ones and claim fresh
   // uniformly random homes, so repeated flushes do not hammer fixed
@@ -112,7 +112,7 @@ Status NonVolatileAgent::Flush(FileId id) {
 }
 
 Status NonVolatileAgent::DeleteFile(FileId id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(HiddenFile * file, Lookup(id));
   for (uint64_t b : file->block_ptrs) bitmap_.MarkDummy(b);
   for (uint64_t b : file->indirect_locs) bitmap_.MarkDummy(b);
@@ -125,19 +125,17 @@ Status NonVolatileAgent::DeleteFile(FileId id) {
 }
 
 Result<FileAccessKey> NonVolatileAgent::GetFak(FileId id) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   STEGHIDE_ASSIGN_OR_RETURN(const HiddenFile* file, Lookup(id));
   return file->fak;
 }
 
 Result<uint64_t> NonVolatileAgent::FileSize(FileId id) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   STEGHIDE_ASSIGN_OR_RETURN(const HiddenFile* file, Lookup(id));
   return file->file_size;
 }
 
 Status NonVolatileAgent::IdleDummyUpdates(uint64_t count) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
   for (uint64_t i = 0; i < count; ++i) {
     STEGHIDE_RETURN_IF_ERROR(engine_.DummyUpdate());
   }
@@ -145,7 +143,7 @@ Status NonVolatileAgent::IdleDummyUpdates(uint64_t count) {
 }
 
 Status NonVolatileAgent::RestoreBitmap(const Bytes& data) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(stegfs::BlockBitmap restored,
                             stegfs::BlockBitmap::Deserialize(data));
   if (restored.num_blocks() != core_->num_blocks()) {
@@ -156,7 +154,6 @@ Status NonVolatileAgent::RestoreBitmap(const Bytes& data) {
 }
 
 Status NonVolatileAgent::DummyUpdate(uint64_t physical) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   // Read, decrypt under the agent key, fresh IV, re-encrypt, write back
   // (§4.1.3). Works uniformly for data, tree, header and abandoned blocks
   // because construction 1 encrypts them all under one key (for abandoned
@@ -173,18 +170,15 @@ Status NonVolatileAgent::DummyUpdate(uint64_t physical) {
 
 void NonVolatileAgent::OnRelocate(HiddenFile& /*file*/, uint64_t /*logical*/,
                                   uint64_t from, uint64_t to) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   bitmap_.MarkDummy(from);
   bitmap_.MarkData(to);
 }
 
 void NonVolatileAgent::OnClaim(HiddenFile& /*file*/, uint64_t physical) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   bitmap_.MarkData(physical);
 }
 
 void NonVolatileAgent::OnClaimTree(HiddenFile& /*file*/, uint64_t physical) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   bitmap_.MarkData(physical);
 }
 

@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "agent/update_engine.h"
 #include "stegfs/bitmap.h"
 #include "stegfs/stegfs_core.h"
+#include "storage/thread_check.h"
 #include "util/result.h"
 
 namespace steghide::agent {
@@ -27,10 +27,9 @@ namespace steghide::agent {
 /// data updates are uniform over all N blocks and the scheme is perfectly
 /// secure against update analysis (§4.1.4).
 ///
-/// Thread safety: as for VolatileAgent, one internal recursive mutex
-/// serializes every public operation (file ops, update-engine callbacks,
-/// bitmap persistence), so real threads may share the agent; aggregation
-/// for throughput happens in the RequestDispatcher above.
+/// Thread safety: as for VolatileAgent, one owner thread at a time
+/// (storage/thread_check.h). File ops and bitmap restores check it in
+/// debug builds; update-engine callbacks and const lookups check nothing.
 class NonVolatileAgent : public BlockRegistry {
  public:
   struct Options {
@@ -84,23 +83,13 @@ class NonVolatileAgent : public BlockRegistry {
 
   // ---- Introspection ---------------------------------------------------
 
-  double utilization() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return bitmap_.utilization();
-  }
-  /// Snapshot of the data/dummy bitmap (copied under the lock; the live
-  /// bitmap mutates under concurrent Write/Flush via engine callbacks).
-  stegfs::BlockBitmap bitmap() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return bitmap_;
-  }
-  /// Snapshot of the update-engine counters (copied under the lock).
-  UpdateStats update_stats() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return engine_.stats();
-  }
+  double utilization() const { return bitmap_.utilization(); }
+  /// Copy of the data/dummy bitmap.
+  stegfs::BlockBitmap bitmap() const { return bitmap_; }
+  /// Snapshot of the update-engine counters.
+  UpdateStats update_stats() const { return engine_.stats(); }
   void ResetUpdateStats() {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "NonVolatileAgent");
     engine_.ResetStats();
   }
   stegfs::StegFsCore& core() { return *core_; }
@@ -108,10 +97,7 @@ class NonVolatileAgent : public BlockRegistry {
   /// Persistence of the agent's non-volatile secret state (the bitmap).
   /// Callers encrypt the serialization under the agent key before writing
   /// it to an untrusted medium.
-  Bytes SerializeBitmap() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return bitmap_.Serialize();
-  }
+  Bytes SerializeBitmap() const { return bitmap_.Serialize(); }
   Status RestoreBitmap(const Bytes& data);
 
   // ---- BlockRegistry ---------------------------------------------------
@@ -119,7 +105,6 @@ class NonVolatileAgent : public BlockRegistry {
   uint64_t DomainSize() const override { return core_->num_blocks(); }
   uint64_t DomainBlock(uint64_t index) const override { return index; }
   bool IsDummy(uint64_t physical) const override {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
     return bitmap_.IsDummy(physical);
   }
   Status DummyUpdate(uint64_t physical) override;
@@ -132,18 +117,17 @@ class NonVolatileAgent : public BlockRegistry {
   Result<stegfs::HiddenFile*> Lookup(FileId id);
   Result<const stegfs::HiddenFile*> Lookup(FileId id) const;
 
-  /// Serializes public operations; recursive for the engine-callback
-  /// re-entry during Write/Flush.
-  mutable std::recursive_mutex mu_;
+  /// Checks the one-owner rule.
+  storage::SerialCallChecker serial_check_;
   stegfs::StegFsCore* core_;
   Bytes agent_key_;
   stegfs::BlockBitmap bitmap_;
   UpdateEngine engine_;
   std::map<FileId, std::unique_ptr<stegfs::HiddenFile>> open_files_;
   FileId next_id_ = 1;
-  /// DummyUpdate staging reused across calls (guarded by mu_): the block
-  /// image and the codec's transient refresh plaintext — the §4.1.3 hot
-  /// loop allocates nothing per update.
+  /// DummyUpdate staging reused across calls: the block image and the
+  /// codec's transient refresh plaintext — the §4.1.3 hot loop allocates
+  /// nothing per update.
   Bytes dummy_block_scratch_;
   Bytes refresh_scratch_;
 };

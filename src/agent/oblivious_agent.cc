@@ -40,20 +40,14 @@ Result<std::unique_ptr<ObliviousAgent>> ObliviousAgent::Create(
 
 Result<Bytes> ObliviousAgent::Read(FileId id, uint64_t offset, size_t n) {
   const ReadRequest request{id, offset, n};
-  std::lock_guard<std::mutex> lock(io_mu_);
   STEGHIDE_ASSIGN_OR_RETURN(
-      auto out, ReadGroupImpl(std::span<const ReadRequest>(&request, 1)));
+      auto out, ReadGroup(std::span<const ReadRequest>(&request, 1)));
   return std::move(out.front());
 }
 
 Result<std::vector<Bytes>> ObliviousAgent::ReadGroup(
     std::span<const ReadRequest> requests) {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return ReadGroupImpl(requests);
-}
-
-Result<std::vector<Bytes>> ObliviousAgent::ReadGroupImpl(
-    std::span<const ReadRequest> requests) {
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousAgent");
   obs::ScopedSpan span(trace_, "agent.read_group", trace_track_,
                        {{"n", static_cast<int64_t>(requests.size())}});
   const size_t payload = core_->payload_size();
@@ -141,24 +135,14 @@ Result<std::vector<Bytes>> ObliviousAgent::ReadGroupImpl(
 Status ObliviousAgent::Write(FileId id, uint64_t offset, const uint8_t* data,
                              size_t n) {
   if (n == 0) return Status::OK();
-  const WriteView view{id, offset, std::span<const uint8_t>(data, n)};
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return WriteGroupImpl(std::span<const WriteView>(&view, 1));
+  const WriteRequest request{id, offset, Bytes(data, data + n)};
+  return WriteGroup(std::span<const WriteRequest>(&request, 1));
 }
 
 Status ObliviousAgent::WriteGroup(std::span<const WriteRequest> requests) {
-  std::vector<WriteView> views(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    views[i] = WriteView{requests[i].file, requests[i].offset,
-                         requests[i].data};
-  }
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return WriteGroupImpl(views);
-}
-
-Status ObliviousAgent::WriteGroupImpl(std::span<const WriteView> views) {
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousAgent");
   obs::ScopedSpan span(trace_, "agent.write_group", trace_track_,
-                       {{"n", static_cast<int64_t>(views.size())}});
+                       {{"n", static_cast<int64_t>(requests.size())}});
   const size_t payload = core_->payload_size();
 
   // Per-file image pointer (re-inspected after relocating writes) and
@@ -169,11 +153,11 @@ Status ObliviousAgent::WriteGroupImpl(std::span<const WriteView> views) {
     uint64_t initial_blocks = 0;
   };
   std::unordered_map<FileId, FileState> files;
-  for (const WriteView& view : views) {
-    auto [it, inserted] = files.try_emplace(view.file);
+  for (const WriteRequest& request : requests) {
+    auto [it, inserted] = files.try_emplace(request.file);
     if (inserted) {
       STEGHIDE_ASSIGN_OR_RETURN(it->second.file,
-                                agent_.InspectFile(view.file));
+                                agent_.InspectFile(request.file));
       it->second.initial_blocks = it->second.file->num_data_blocks();
     }
   }
@@ -187,7 +171,7 @@ Status ObliviousAgent::WriteGroupImpl(std::span<const WriteView> views) {
   std::map<std::pair<FileId, uint64_t>, Bytes> images;
   {
     std::map<std::pair<FileId, uint64_t>, bool> first_touch_partial;
-    for (const WriteView& op : views) {
+    for (const WriteRequest& op : requests) {
       if (op.data.empty()) continue;
       const uint64_t end = op.offset + op.data.size();
       for (uint64_t logical = op.offset / payload; logical * payload < end;
@@ -227,7 +211,7 @@ Status ObliviousAgent::WriteGroupImpl(std::span<const WriteView> views) {
   std::vector<RecordId> refresh_order;
   std::unordered_map<RecordId, Bytes> refresh;
   Status persist_status;
-  for (const WriteView& op : views) {
+  for (const WriteRequest& op : requests) {
     if (!persist_status.ok()) break;
     if (op.data.empty()) continue;
     FileState& state = files.at(op.file);
@@ -293,15 +277,9 @@ Status ObliviousAgent::WriteGroupImpl(std::span<const WriteView> views) {
 }
 
 Status ObliviousAgent::IdleDummyOp() {
-  std::lock_guard<std::mutex> lock(io_mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousAgent");
   STEGHIDE_RETURN_IF_ERROR(agent_.IdleDummyUpdates(1));
   return reader_->IdleDummyOp();
-}
-
-Result<bool> ObliviousAgent::PumpReorder(uint64_t budget_blocks) {
-  bool more = false;
-  STEGHIDE_RETURN_IF_ERROR(store_->StepReorder(budget_blocks, &more));
-  return more;
 }
 
 }  // namespace steghide::agent

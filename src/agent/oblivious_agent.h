@@ -2,7 +2,6 @@
 #define STEGHIDE_AGENT_OBLIVIOUS_AGENT_H_
 
 #include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "oblivious/oblivious_store.h"
 #include "oblivious/steg_partition_reader.h"
 #include "obs/trace_log.h"
+#include "storage/thread_check.h"
 
 namespace steghide::agent {
 
@@ -27,14 +27,16 @@ namespace steghide::agent {
 /// The two partitions may live on the same device (disjoint block ranges)
 /// or on separate devices; the constructor takes them independently.
 ///
-/// Thread safety: hidden-access I/O (Read/Write, ReadGroup/WriteGroup,
-/// IdleDummyOp) serializes on one internal I/O mutex at group
-/// granularity — the cross-file ReadGroup/WriteGroup seam is where the
-/// RequestDispatcher commits k concurrent user requests as one
-/// level-scan group. Session calls forward to the (internally locked)
-/// volatile agent and may run concurrently with I/O; logging out a user
-/// with in-flight I/O on their files is a caller error (the dispatcher
-/// drains first).
+/// Thread safety: the agent, with its volatile agent, store, reader and
+/// the cores below, has one owner thread at a time
+/// (storage/thread_check.h). A RequestDispatcher's I/O thread owns it
+/// from the dispatcher's construction to Stop(); other threads reach it
+/// only through the dispatcher, whose cross-file ReadGroup/WriteGroup
+/// seam commits k concurrent user requests as one level-scan group, and
+/// through the lock-free stats() snapshots. Ownership moves across a
+/// thread start or join. Hidden-access I/O (Read/Write,
+/// ReadGroup/WriteGroup, IdleDummyOp) checks the rule in debug builds;
+/// session calls are checked by the volatile agent.
 class ObliviousAgent {
  public:
   using UserId = VolatileAgent::UserId;
@@ -116,15 +118,6 @@ class ObliviousAgent {
   /// oblivious read (§5.1.1).
   Status IdleDummyOp();
 
-  /// Advances pending deamortized re-order work in the oblivious cache
-  /// by roughly `budget_blocks` device I/Os; returns whether work
-  /// remains. The idle-gap hook the request dispatcher's I/O thread
-  /// pumps between group commits. Serializes on the store's own lock
-  /// (not io_mu_), so a pump can never deadlock against a group commit
-  /// and rebuild increments interleave with serving only at scan-pass
-  /// granularity.
-  Result<bool> PumpReorder(uint64_t budget_blocks);
-
   // ---- Introspection -------------------------------------------------------
 
   VolatileAgent& volatile_agent() { return agent_; }
@@ -135,19 +128,6 @@ class ObliviousAgent {
   ObliviousAgent(stegfs::StegFsCore* core,
                  std::unique_ptr<oblivious::ObliviousStore> store);
 
-  /// One write of a group, with the data borrowed from the caller so
-  /// Write stays copy-free.
-  struct WriteView {
-    FileId file = 0;
-    uint64_t offset = 0;
-    std::span<const uint8_t> data;
-  };
-
-  // Unlocked implementations; callers hold io_mu_.
-  Result<std::vector<Bytes>> ReadGroupImpl(
-      std::span<const ReadRequest> requests);
-  Status WriteGroupImpl(std::span<const WriteView> views);
-
   stegfs::StegFsCore* core_;
   VolatileAgent agent_;
   std::unique_ptr<oblivious::ObliviousStore> store_;
@@ -156,12 +136,12 @@ class ObliviousAgent {
   /// null when observability is off.
   obs::TraceLog* trace_ = nullptr;
   uint32_t trace_track_ = 0;
-  /// Serializes hidden-access I/O at group granularity (the reader and
-  /// its Figure-8(a) state are single-threaded by contract).
-  std::mutex io_mu_;
+  /// Checks the one-owner rule for hidden-access I/O; it covers the
+  /// reader and its Figure-8(a) state too.
+  storage::SerialCallChecker serial_check_;
 
-  // ReadGroupImpl scratch, kept across groups (guarded by io_mu_): the
-  // group's files sorted by id, its block refs and their payloads.
+  // ReadGroup scratch, kept across groups: the group's files sorted by
+  // id, its block refs and their payloads.
   std::vector<std::pair<FileId, const stegfs::HiddenFile*>> group_files_;
   std::vector<oblivious::StegPartitionReader::BlockRef> group_refs_;
   Bytes group_blocks_;

@@ -37,7 +37,6 @@ uint64_t VolatileAgent::RandomUnownedBlock() {
 }
 
 bool VolatileAgent::IsDummy(uint64_t physical) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   const auto it = owners_.find(physical);
   if (it == owners_.end() || it->second.kind != BlockKind::kData) return false;
   const auto fit = files_.find(it->second.file_id);
@@ -103,7 +102,7 @@ Result<VolatileAgent::FileId> VolatileAgent::AdoptFile(const UserId& user,
 
 Result<VolatileAgent::FileId> VolatileAgent::DiscloseHiddenFile(
     const UserId& user, const FileAccessKey& fak) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(HiddenFile file, core_->LoadFile(fak));
   file.is_dummy = false;
   return AdoptFile(user, std::move(file));
@@ -111,7 +110,7 @@ Result<VolatileAgent::FileId> VolatileAgent::DiscloseHiddenFile(
 
 Result<VolatileAgent::FileId> VolatileAgent::DiscloseDummyFile(
     const UserId& user, const FileAccessKey& fak) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(HiddenFile file, core_->LoadFile(fak));
   file.is_dummy = true;
   return AdoptFile(user, std::move(file));
@@ -119,7 +118,7 @@ Result<VolatileAgent::FileId> VolatileAgent::DiscloseDummyFile(
 
 Result<VolatileAgent::FileId> VolatileAgent::CreateHiddenFile(
     const UserId& user) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   HiddenFile file;
   file.fak = FileAccessKey::Random(core_->drbg(), core_->num_blocks());
   file.fak.header_location = RandomUnownedBlock();
@@ -130,7 +129,7 @@ Result<VolatileAgent::FileId> VolatileAgent::CreateHiddenFile(
 
 Result<VolatileAgent::FileId> VolatileAgent::CreateDummyFile(
     const UserId& user, uint64_t num_blocks) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   if (num_blocks > stegfs::MaxFileBlocks(core_->codec().block_size())) {
     return Status::InvalidArgument(
         "dummy file exceeds the maximum file size; create several");
@@ -233,7 +232,6 @@ Status VolatileAgent::AbsorbIntoDummyFile(const UserId& user,
 }
 
 Status VolatileAgent::DummyUpdate(uint64_t physical) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   const auto it = owners_.find(physical);
   if (it == owners_.end()) {
     return Status::Internal("dummy update outside disclosed domain");
@@ -260,7 +258,6 @@ Status VolatileAgent::DummyUpdate(uint64_t physical) {
 
 void VolatileAgent::OnRelocate(HiddenFile& file, uint64_t logical,
                                uint64_t from, uint64_t to) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   // `to` was a dummy block owned by some disclosed dummy file; that file
   // adopts the vacated `from` in its place, so the dummy pool keeps its
   // size and every block keeps an owner.
@@ -276,14 +273,12 @@ void VolatileAgent::OnRelocate(HiddenFile& file, uint64_t logical,
 }
 
 void VolatileAgent::OnClaim(HiddenFile& file, uint64_t physical) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   DetachFromDummyFile(physical);
   owners_[physical] = OwnerInfo{file.agent_tag, BlockKind::kData,
                                 file.num_data_blocks() - 1};
 }
 
 void VolatileAgent::OnClaimTree(HiddenFile& file, uint64_t physical) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   DetachFromDummyFile(physical);
   // The caller records the slot in file.indirect_locs; the index here is
   // fixed up by Flush before it matters.
@@ -291,14 +286,14 @@ void VolatileAgent::OnClaimTree(HiddenFile& file, uint64_t physical) {
 }
 
 Result<Bytes> VolatileAgent::Read(FileId id, uint64_t offset, size_t n) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(OpenFile * of, Lookup(id));
   return ReadBytes(*core_, of->file, offset, n);
 }
 
 Status VolatileAgent::Write(FileId id, uint64_t offset, const uint8_t* data,
                             size_t n) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(OpenFile * of, Lookup(id));
   if (of->file.is_dummy) {
     return Status::InvalidArgument("cannot write user data to a dummy file");
@@ -307,7 +302,7 @@ Status VolatileAgent::Write(FileId id, uint64_t offset, const uint8_t* data,
 }
 
 Status VolatileAgent::Truncate(FileId id, uint64_t new_size) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(OpenFile * of, Lookup(id));
   std::vector<uint64_t> released;
   STEGHIDE_RETURN_IF_ERROR(
@@ -320,7 +315,7 @@ Status VolatileAgent::Truncate(FileId id, uint64_t new_size) {
 }
 
 Status VolatileAgent::Flush(FileId id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(OpenFile * of, Lookup(id));
   HiddenFile& f = of->file;
 
@@ -362,7 +357,7 @@ Status VolatileAgent::Flush(FileId id) {
 }
 
 Status VolatileAgent::DeleteFile(FileId id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   STEGHIDE_ASSIGN_OR_RETURN(OpenFile * of, Lookup(id));
   HiddenFile& f = of->file;
   const UserId user = of->user;
@@ -411,7 +406,7 @@ Status VolatileAgent::DeleteFile(FileId id) {
 }
 
 Status VolatileAgent::Logout(const UserId& user) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   const auto it = user_files_.find(user);
   if (it == user_files_.end()) return Status::NotFound("unknown user");
 
@@ -432,25 +427,22 @@ Status VolatileAgent::Logout(const UserId& user) {
 }
 
 Result<FileAccessKey> VolatileAgent::GetFak(FileId id) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   STEGHIDE_ASSIGN_OR_RETURN(const OpenFile* of, Lookup(id));
   return of->file.fak;
 }
 
 Result<const HiddenFile*> VolatileAgent::InspectFile(FileId id) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   STEGHIDE_ASSIGN_OR_RETURN(const OpenFile* of, Lookup(id));
   return &of->file;
 }
 
 Result<uint64_t> VolatileAgent::FileSize(FileId id) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   STEGHIDE_ASSIGN_OR_RETURN(const OpenFile* of, Lookup(id));
   return of->file.file_size;
 }
 
 Status VolatileAgent::IdleDummyUpdates(uint64_t count) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
   for (uint64_t i = 0; i < count; ++i) {
     STEGHIDE_RETURN_IF_ERROR(engine_.DummyUpdate());
   }

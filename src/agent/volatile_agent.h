@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "agent/update_engine.h"
 #include "stegfs/stegfs_core.h"
+#include "storage/thread_check.h"
 #include "util/result.h"
 
 namespace steghide::agent {
@@ -36,17 +36,14 @@ namespace steghide::agent {
 /// logout, which keeps on-disk headers consistent. Crash-atomicity of
 /// flushes is out of scope, as in the paper.
 ///
-/// Thread safety: one internal recursive mutex serializes every public
-/// operation — session disclosure/creation, file I/O (which runs the
-/// update engine and its BlockRegistry callbacks under the same lock
-/// hold), and introspection. Per-user session state therefore stays
-/// consistent under real std::thread users; throughput-level concurrency
-/// comes from the RequestDispatcher aggregating requests above this
-/// lock, not from intra-agent parallelism. Pointers handed out by
-/// InspectFile() remain valid across map growth (files are
-/// heap-anchored) but are invalidated by Logout/DeleteFile of the owning
-/// session; callers must not race a logout against in-flight I/O on the
-/// same session's files (the dispatcher drains before logout).
+/// Thread safety: one owner thread at a time (storage/thread_check.h),
+/// in a served system the RequestDispatcher's I/O thread. Each public
+/// operation that issues I/O or changes state checks in debug builds
+/// that no other thread is inside; the update engine's BlockRegistry
+/// callbacks re-enter on that thread and, like the const lookups, check
+/// nothing. Pointers handed out by InspectFile() remain valid across map
+/// growth (files are heap-anchored) but are invalidated by
+/// Logout/DeleteFile of the owning session.
 class VolatileAgent : public BlockRegistry {
  public:
   using UserId = std::string;
@@ -114,37 +111,22 @@ class VolatileAgent : public BlockRegistry {
   /// StegPartitionReader), which needs the block map to fetch from the
   /// StegFS partition. The pointer is invalidated by Logout/DeleteFile.
   Result<const stegfs::HiddenFile*> InspectFile(FileId id) const;
-  uint64_t domain_size() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return domain_.size();
-  }
   /// Dummy (claimable) blocks currently in the domain.
-  uint64_t dummy_block_count() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return dummy_count_;
-  }
-  /// Snapshot of the update-engine counters (copied under the lock).
-  UpdateStats update_stats() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return engine_.stats();
-  }
+  uint64_t dummy_block_count() const { return dummy_count_; }
+  /// Snapshot of the update-engine counters.
+  UpdateStats update_stats() const { return engine_.stats(); }
   void ResetUpdateStats() {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
+    STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "VolatileAgent");
     engine_.ResetStats();
   }
   stegfs::StegFsCore& core() { return *core_; }
 
   // ---- BlockRegistry --------------------------------------------------------
   // Invoked by the update engine from within Write/Flush/IdleDummyUpdates,
-  // i.e. while mu_ is already held (it is recursive, so the re-entrant
-  // locking below is cheap and keeps direct callers safe too).
+  // on the owner thread.
 
-  uint64_t DomainSize() const override {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return domain_.size();
-  }
+  uint64_t DomainSize() const override { return domain_.size(); }
   uint64_t DomainBlock(uint64_t index) const override {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
     return domain_[index];
   }
   bool IsDummy(uint64_t physical) const override;
@@ -190,10 +172,9 @@ class VolatileAgent : public BlockRegistry {
 
   Result<stegfs::HiddenFile*> FirstDummyFileOf(const UserId& user);
 
-  /// Serializes public operations and the engine callbacks they trigger.
-  /// Recursive: compound operations (Logout → Flush, engine →
-  /// BlockRegistry) re-enter the public surface.
-  mutable std::recursive_mutex mu_;
+  /// Checks the one-owner rule. Compound operations (Logout → Flush)
+  /// re-enter the public surface on the same thread, which it allows.
+  storage::SerialCallChecker serial_check_;
   stegfs::StegFsCore* core_;
   UpdateEngine engine_;
   std::map<FileId, std::unique_ptr<OpenFile>> files_;
@@ -203,8 +184,8 @@ class VolatileAgent : public BlockRegistry {
   std::unordered_map<uint64_t, size_t> domain_index_;
   uint64_t dummy_count_ = 0;
   FileId next_id_ = 1;
-  /// DummyUpdate staging reused across calls (guarded by mu_): the block
-  /// image and the codec's transient refresh plaintext.
+  /// DummyUpdate staging reused across calls: the block image and the
+  /// codec's transient refresh plaintext.
   Bytes dummy_block_scratch_;
   Bytes refresh_scratch_;
 };

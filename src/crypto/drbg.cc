@@ -1,5 +1,6 @@
 #include "crypto/drbg.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -30,7 +31,7 @@ void HashDrbg::Ratchet() {
   block_offset_ = 0;
 }
 
-void HashDrbg::GenerateLocked(uint8_t* out, size_t n) {
+void HashDrbg::Generate(uint8_t* out, size_t n) {
   while (n > 0) {
     if (block_offset_ >= Sha256::kDigestSize) Ratchet();
     const size_t take =
@@ -42,17 +43,6 @@ void HashDrbg::GenerateLocked(uint8_t* out, size_t n) {
   }
 }
 
-uint64_t HashDrbg::NextUint64Locked() {
-  uint8_t buf[8];
-  GenerateLocked(buf, sizeof(buf));
-  return LoadBigEndian64(buf);
-}
-
-void HashDrbg::Generate(uint8_t* out, size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GenerateLocked(out, n);
-}
-
 Bytes HashDrbg::Generate(size_t n) {
   Bytes out(n);
   Generate(out.data(), n);
@@ -60,19 +50,16 @@ Bytes HashDrbg::Generate(size_t n) {
 }
 
 uint64_t HashDrbg::NextUint64() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return NextUint64Locked();
+  uint8_t buf[8];
+  Generate(buf, sizeof(buf));
+  return LoadBigEndian64(buf);
 }
 
 uint64_t HashDrbg::Uniform(uint64_t bound) {
   assert(bound > 0);
-  std::lock_guard<std::mutex> lock(mu_);
   const uint64_t threshold = -bound % bound;
   for (;;) {
-    // The rejection loop draws under one lock hold, so a bounded draw is
-    // one atomic consumption of the stream, exactly as it is
-    // single-threaded.
-    const uint64_t r = NextUint64Locked();
+    const uint64_t r = NextUint64();
     if (r >= threshold) return r % bound;
   }
 }

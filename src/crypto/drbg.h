@@ -2,7 +2,6 @@
 #define STEGHIDE_CRYPTO_DRBG_H_
 
 #include <cstdint>
-#include <mutex>
 
 #include "crypto/sha256.h"
 #include "util/bytes.h"
@@ -23,13 +22,9 @@ namespace steghide::crypto {
 /// above them draws from it, so a component's draws form one stream in
 /// the order its operations are issued — whichever thread issues them.
 ///
-/// Thread safety: every draw is internally serialized, so a generator
-/// shared between layers (StegFsCore's DRBG feeds the update engine, the
-/// session layer, and the oblivious read path) stays well-defined when
-/// agent sessions run on real threads. Each draw is atomic; the
-/// *interleaving* of draws across threads is scheduling-dependent, which
-/// is inherent to concurrent operation — deterministic tests pin the
-/// issue order instead.
+/// Thread safety: none of its own. A generator is driven by its owner's
+/// one thread (storage/thread_check.h), whose serial-call checker covers
+/// every draw.
 class HashDrbg {
  public:
   /// Seeds from arbitrary bytes. An empty seed is permitted (fixed state);
@@ -49,10 +44,7 @@ class HashDrbg {
 
  private:
   void Ratchet();
-  void GenerateLocked(uint8_t* out, size_t n);
-  uint64_t NextUint64Locked();
 
-  std::mutex mu_;
   Sha256::Digest v_;          // secret state
   Sha256::Digest block_;      // current output block
   size_t block_offset_ = 0;   // consumed bytes of block_

@@ -22,10 +22,11 @@ namespace steghide::oblivious {
 /// Double buffering (deamortized re-orders): a level may own a second,
 /// equally sized *shadow* region at `alt_base`. An incremental re-order
 /// builds the next permutation there while scans keep probing the old
-/// one at `base`; InstallOrderAt() then flips the two atomically (under
-/// the store lock). The regions ping-pong across re-orders, and both are
-/// publicly dedicated to this level, so which one a rebuild targets is a
-/// deterministic function of the re-order count — data-independent.
+/// one at `base`; InstallOrderAt() then flips the two in one step,
+/// inside one store operation. The regions ping-pong across re-orders,
+/// and both are publicly dedicated to this level, so which one a rebuild
+/// targets is a deterministic function of the re-order count —
+/// data-independent.
 /// When double buffering is off, alt_base == base and installs are
 /// in-place, exactly the blocking layout.
 struct Level {

@@ -47,8 +47,8 @@ namespace steghide::oblivious {
 class ExternalMergeSorter {
  public:
   /// Device blocks the sorter has read and written since the last
-  /// Reset(). Plain counters: the sorter is driven and read only under
-  /// its owner's lock (the oblivious store's).
+  /// Reset(). Plain counters: the sorter is driven and read only by its
+  /// owner's thread (the oblivious store's).
   struct Stats {
     uint64_t reads = 0;
     uint64_t writes = 0;

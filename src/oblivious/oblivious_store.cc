@@ -186,7 +186,6 @@ uint64_t ObliviousStore::hierarchy_blocks() const {
 }
 
 std::vector<uint64_t> ObliviousStore::LevelOccupancy() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint64_t> occ;
   occ.reserve(levels_.size());
   for (const Level& level : levels_) occ.push_back(level.live_count());
@@ -194,7 +193,6 @@ std::vector<uint64_t> ObliviousStore::LevelOccupancy() const {
 }
 
 std::vector<uint64_t> ObliviousStore::LevelBases() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<uint64_t> bases;
   bases.reserve(levels_.size());
   for (const Level& level : levels_) bases.push_back(level.base);
@@ -202,7 +200,6 @@ std::vector<uint64_t> ObliviousStore::LevelBases() const {
 }
 
 bool ObliviousStore::shadow_spindle_separated() const {
-  std::lock_guard<std::mutex> lock(mu_);
   if (io_shards_ <= 1) return false;
   // Slot s of a level lives at base + s and its shadow twin at
   // alt_base + s; under the g % K stripe they differ for *every* s
@@ -243,7 +240,7 @@ Status ObliviousStore::PlanScan(std::span<const RecordId> ids,
   plan_.Reset();
   std::vector<uint8_t>& found = found_scratch_;
   found.assign(k, 0);
-  const bool chain = ChainActiveLocked();
+  const bool chain = reorder_pending();
   for (size_t li = 0; li < levels_.size(); ++li) {
     Level& level = levels_[li];
     // A level already emptied by an earlier chain install but still being
@@ -456,7 +453,7 @@ Status ObliviousStore::WriteGroup(std::span<const RecordId> ids,
   uint64_t fresh = 0;
   group_ids_.Rebuild(0, k);
   for (size_t i = 0; i < k; ++i) {
-    if (!ContainsLocked(ids[i]) && group_ids_.Put(ids[i], 0)) ++fresh;
+    if (!Contains(ids[i]) && group_ids_.Put(ids[i], 0)) ++fresh;
   }
   if (present_index_.size() + fresh > options_.capacity_blocks) {
     return Status::NoSpace("oblivious store at capacity");
@@ -480,7 +477,7 @@ Status ObliviousStore::WriteGroup(std::span<const RecordId> ids,
   for (size_t i = 0; i < k; ++i) {
     const RecordId id = ids[i];
     const bool was_staged = staged.Get(id).has_value();
-    if (!ContainsLocked(id) && !was_staged) {
+    if (!Contains(id) && !was_staged) {
       // First-time insertion: buffer-only, no level touches (the caller's
       // fetch from the StegFS partition was the observable I/O).
       fresh_ids.push_back(id);
@@ -515,20 +512,14 @@ Status ObliviousStore::WriteGroup(std::span<const RecordId> ids,
 }
 
 Status ObliviousStore::Read(RecordId id, uint8_t* out_payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return MultiReadLocked(std::span<const RecordId>(&id, 1), out_payload);
+  return MultiRead(std::span<const RecordId>(&id, 1), out_payload);
 }
 
 Status ObliviousStore::MultiRead(std::span<const RecordId> ids,
                                  uint8_t* out_payloads) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return MultiReadLocked(ids, out_payloads);
-}
-
-Status ObliviousStore::MultiReadLocked(std::span<const RecordId> ids,
-                                       uint8_t* out_payloads) {
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
   for (const RecordId id : ids) {
-    if (!ContainsLocked(id)) return Status::NotFound("record not cached");
+    if (!Contains(id)) return Status::NotFound("record not cached");
   }
   STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
   const size_t max_k = options_.buffer_blocks;
@@ -542,18 +533,12 @@ Status ObliviousStore::MultiReadLocked(std::span<const RecordId> ids,
 }
 
 Status ObliviousStore::Write(RecordId id, const uint8_t* payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return MultiWriteLocked(std::span<const RecordId>(&id, 1), payload);
+  return MultiWrite(std::span<const RecordId>(&id, 1), payload);
 }
 
 Status ObliviousStore::MultiWrite(std::span<const RecordId> ids,
                                   const uint8_t* payloads) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return MultiWriteLocked(ids, payloads);
-}
-
-Status ObliviousStore::MultiWriteLocked(std::span<const RecordId> ids,
-                                        const uint8_t* payloads) {
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
   STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
   const size_t max_k = options_.buffer_blocks;
   for (size_t off = 0; off < ids.size(); off += max_k) {
@@ -565,18 +550,12 @@ Status ObliviousStore::MultiWriteLocked(std::span<const RecordId> ids,
 }
 
 Status ObliviousStore::Insert(RecordId id, const uint8_t* payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return MultiInsertLocked(std::span<const RecordId>(&id, 1), payload);
+  return MultiInsert(std::span<const RecordId>(&id, 1), payload);
 }
 
 Status ObliviousStore::MultiInsert(std::span<const RecordId> ids,
                                    const uint8_t* payloads) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return MultiInsertLocked(ids, payloads);
-}
-
-Status ObliviousStore::MultiInsertLocked(std::span<const RecordId> ids,
-                                         const uint8_t* payloads) {
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
   STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
   const size_t max_k = options_.buffer_blocks;
   const size_t ps = codec_.payload_size();
@@ -586,7 +565,7 @@ Status ObliviousStore::MultiInsertLocked(std::span<const RecordId> ids,
     group_ids_.Rebuild(0, n);
     for (size_t i = 0; i < n; ++i) {
       const RecordId id = ids[off + i];
-      if (!ContainsLocked(id) && group_ids_.Put(id, 0)) ++fresh;
+      if (!Contains(id) && group_ids_.Put(id, 0)) ++fresh;
     }
     if (present_index_.size() + fresh > options_.capacity_blocks) {
       return Status::NoSpace("oblivious store at capacity");
@@ -602,7 +581,7 @@ Status ObliviousStore::MultiInsertLocked(std::span<const RecordId> ids,
 }
 
 Status ObliviousStore::Remove(RecordId id) {
-  std::lock_guard<std::mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
   const auto it = present_index_.find(id);
   if (it == present_index_.end()) return Status::NotFound("record not cached");
   if (PayloadNode node = buffer_.extract(id)) KeepSpare(std::move(node));
@@ -614,7 +593,7 @@ Status ObliviousStore::Remove(RecordId id) {
   // A chain snapshot may still carry the record; the tombstone strips it
   // from every index the chain installs, so an evicted record can never
   // be resurrected by an in-flight rebuild.
-  if (ChainActiveLocked()) chain_tombstones_.insert(id);
+  if (reorder_pending()) chain_tombstones_.insert(id);
   // Any authoritative level copy turns stale: still probed as a decoy
   // target, dropped at the next re-order.
   for (Level& level : levels_) level.index.Erase(id);
@@ -629,7 +608,7 @@ Status ObliviousStore::Remove(RecordId id) {
 }
 
 Status ObliviousStore::DummyRead() {
-  std::lock_guard<std::mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
   if (present_list_.empty()) return Status::OK();
   const RecordId id = present_list_[drbg_.Uniform(present_list_.size())];
   STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
@@ -642,19 +621,19 @@ Status ObliviousStore::DummyRead() {
 }
 
 Status ObliviousStore::StepReorder(uint64_t budget_blocks, bool* more) {
-  std::lock_guard<std::mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
   if (budget_blocks == 0) budget_blocks = options_.reorder_step_blocks;
   Status status = Status::OK();
-  if (ChainActiveLocked()) {
+  if (reorder_pending()) {
     status = StepChainLocked(std::max<uint64_t>(1, budget_blocks),
                              /*stall=*/false);
   }
-  if (more != nullptr) *more = ChainActiveLocked();
+  if (more != nullptr) *more = reorder_pending();
   return status;
 }
 
 Status ObliviousStore::RegisterPresent(RecordId id) {
-  if (ContainsLocked(id)) return Status::OK();
+  if (Contains(id)) return Status::OK();
   if (present_index_.size() >= options_.capacity_blocks) {
     return Status::NoSpace("oblivious store at capacity");
   }
@@ -687,7 +666,7 @@ Status ObliviousStore::MaybeFlush() {
 }
 
 Status ObliviousStore::FlushBuffer() {
-  if (ChainActiveLocked()) {
+  if (reorder_pending()) {
     if (options_.deamortize_reorders && !options_.strict_reorder_schedule &&
         buffer_.size() < DeferLimitRecords()) {
       // Coalesce: let the running chain finish while the buffer keeps
@@ -713,7 +692,7 @@ Status ObliviousStore::FlushBuffer() {
 // ---- Re-order chain machinery --------------------------------------------
 
 Status ObliviousStore::StartFlushChainLocked() {
-  assert(!ChainActiveLocked() && flushing_.empty());
+  assert(!reorder_pending() && flushing_.empty());
   cells_.buffer_flushes.Increment();
   const uint64_t flush_size = buffer_.size();
 
@@ -876,7 +855,7 @@ Status ObliviousStore::InstallFrontJobLocked() {
         "store.install", trace_track_,
         {{"level", static_cast<int64_t>(front.target_level) + 1}});
   }
-  if (ChainActiveLocked()) {
+  if (reorder_pending()) {
     BeginFrontLocked();
   } else {
     chain_.count = 0;
@@ -888,14 +867,14 @@ Status ObliviousStore::InstallFrontJobLocked() {
 }
 
 Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
-  if (!ChainActiveLocked()) return Status::OK();
+  if (!reorder_pending()) return Status::OK();
   // A blocking drain is the re-order itself, not an incremental slice.
   if (options_.deamortize_reorders) cells_.reorder_steps.Increment();
   obs::ScopedSpan span(trace_, "store.reorder_step", trace_track_,
                        {{"stall", stall ? 1 : 0}});
   const double t0 = Clock();
   uint64_t used = 0;
-  while (ChainActiveLocked()) {
+  while (reorder_pending()) {
     ReorderJob& job = *reorder_;
     if (!job.done() && used >= budget_blocks) break;
     const size_t level = job.target_level();
@@ -930,7 +909,7 @@ Status ObliviousStore::DrainChainLocked() {
 }
 
 Status ObliviousStore::PaceChainLocked(uint64_t staged) {
-  if (!ChainActiveLocked()) return Status::OK();
+  if (!reorder_pending()) return Status::OK();
   // Self-pacing serving tax: spread the chain's remaining work evenly
   // over the stagings left before the hard flush backstop would force a
   // drain — proportionally to how many records this op just staged, so
@@ -951,7 +930,7 @@ Status ObliviousStore::PaceChainLocked(uint64_t staged) {
 }
 
 uint64_t ObliviousStore::ChainRemainingBlocksLocked() const {
-  if (!ChainActiveLocked()) return 0;
+  if (!reorder_pending()) return 0;
   // reorder_ runs the front step; the others have not begun.
   uint64_t remaining = reorder_->remaining_blocks();
   for (size_t i = chain_.front + 1; i < chain_.count; ++i) {

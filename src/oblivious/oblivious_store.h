@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -21,6 +20,7 @@
 #include "stegfs/block_codec.h"
 #include "storage/block_device.h"
 #include "storage/retry_device.h"
+#include "storage/thread_check.h"
 #include "util/result.h"
 
 namespace steghide::storage {
@@ -230,16 +230,14 @@ struct ObliviousStats {
 /// strict_reorder_schedule is set, a flush firing mid-chain defers
 /// (coalescing up to 2B records into one rebuild) instead of stalling.
 ///
-/// Thread safety: public operations serialize on one internal mutex at
-/// *scan-pass granularity* — a MultiRead/MultiWrite group (its level
-/// passes, buffer staging and deferred flush) is one critical section,
-/// never interleaved per block. Concurrent callers therefore observe the
-/// same trace shapes as a serial request stream; aggregation into large
-/// groups is the dispatcher's job, not the lock's. StepReorder takes the
-/// same lock, so rebuild increments never interleave inside a scan pass.
-/// Accessors (Contains(), LevelOccupancy()) take the same lock and
-/// return copies; stats() and io_stats() read the instrument cells
-/// without it.
+/// Thread safety: one owner thread at a time (storage/thread_check.h),
+/// in a served system the RequestDispatcher's I/O thread. Each public
+/// operation that issues I/O or changes state checks in debug builds
+/// that no other thread is inside, so a MultiRead/MultiWrite group (its
+/// level passes, buffer staging and deferred flush) and a StepReorder
+/// slice never interleave. Aggregation into large groups is the
+/// dispatcher's job. The accessors check nothing; stats() and io_stats()
+/// read the instrument cells, which any thread may do.
 class ObliviousStore {
  public:
   /// `device` is borrowed and must outlive the store. Validates the
@@ -255,15 +253,11 @@ class ObliviousStore {
 
   /// True if `id` is cached (buffer or any level). Memory-only check.
   bool Contains(RecordId id) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ContainsLocked(id);
+    return present_index_.find(id) != present_index_.end();
   }
 
   /// Number of distinct records cached.
-  uint64_t record_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return present_index_.size();
-  }
+  uint64_t record_count() const { return present_index_.size(); }
 
   /// Reads record `id` into `out_payload` (payload_size bytes). The
   /// record must be present (callers check Contains() and fetch misses
@@ -327,10 +321,7 @@ class ObliviousStore {
   Status StepReorder(uint64_t budget_blocks, bool* more = nullptr);
 
   /// True while a re-order chain has unfinished work.
-  bool reorder_pending() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return ChainActiveLocked();
-  }
+  bool reorder_pending() const { return chain_.front < chain_.count; }
 
   /// Whether re-orders actually run deamortized: false when the option
   /// was off *or* when Create() overrode it for a shallow (< 3 level)
@@ -340,17 +331,14 @@ class ObliviousStore {
 
   /// Counts level-permutation installs, one per re-order job under
   /// either schedule. Readers use it to reason about epoch consistency:
-  /// everything inside one store critical section observes one epoch.
-  uint64_t reorder_epoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return reorder_epoch_;
-  }
+  /// everything inside one store operation observes one epoch.
+  uint64_t reorder_epoch() const { return reorder_epoch_; }
 
-  /// Snapshot of the instrument cells, read without the store lock:
-  /// torn-read-free even against a concurrent scan.
+  /// Snapshot of the instrument cells: torn-read-free even when another
+  /// thread polls it against a concurrent scan.
   ObliviousStats stats() const;
-  /// Zeroes what stats() reports. It takes no lock either, so call it
-  /// between serving phases: an op in flight may write over the reset.
+  /// Zeroes what stats() reports. It checks no owner, so call it between
+  /// serving phases: an op in flight may write over the reset.
   void ResetStats();
 
   /// Scan I/O counters (one drain per sweep, blocks read, blocks per
@@ -361,7 +349,7 @@ class ObliviousStore {
   /// Wires a virtual-clock sampler (e.g. SimBlockDevice::clock_ms) so the
   /// stats can split retrieve vs sort time, Figure 12(b).
   void set_clock_fn(std::function<double()> fn) {
-    std::lock_guard<std::mutex> lock(mu_);
+    STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
     clock_fn_ = std::move(fn);
   }
 
@@ -369,10 +357,7 @@ class ObliviousStore {
 
   /// Records currently staged in the agent buffer (including a pending
   /// flush snapshot still being installed by a re-order chain).
-  uint64_t buffer_fill() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return buffer_.size() + flushing_.size();
-  }
+  uint64_t buffer_fill() const { return buffer_.size() + flushing_.size(); }
 
   /// Largest request group served by one scan pass (= buffer_blocks);
   /// longer spans are chunked internally.
@@ -407,7 +392,7 @@ class ObliviousStore {
   void ConfigureObservability();
 
   /// Instrument cells behind the stats() and io_stats() snapshots,
-  /// written under mu_ by whichever thread holds it and read without it.
+  /// written by the owner thread and read by any.
   struct Cells {
     obs::CounterCell user_reads;
     obs::CounterCell user_writes;
@@ -553,18 +538,6 @@ class ObliviousStore {
     uint64_t projected_base = 0;
   };
 
-  // Locked implementations of the public entry points; callers hold mu_.
-  Status MultiReadLocked(std::span<const RecordId> ids,
-                         uint8_t* out_payloads);
-  Status MultiWriteLocked(std::span<const RecordId> ids,
-                          const uint8_t* payloads);
-  Status MultiInsertLocked(std::span<const RecordId> ids,
-                           const uint8_t* payloads);
-
-  bool ContainsLocked(RecordId id) const {
-    return present_index_.find(id) != present_index_.end();
-  }
-
   /// Plans the touch pattern for a request group into the reusable
   /// `plan_`. `scan[i]` is true for requests that probe the levels;
   /// `decoy_only[i]` marks requests that draw decoys in every level —
@@ -619,9 +592,7 @@ class ObliviousStore {
   /// the level probes in one batched request.)
   Status ChargeIndexRebuild(const Level& level);
 
-  // ---- Re-order chain machinery (callers hold mu_) ------------------------
-
-  bool ChainActiveLocked() const { return chain_.front < chain_.count; }
+  // ---- Re-order chain machinery -------------------------------------------
 
   /// Arms reorder_ for the chain's front step.
   void BeginFrontLocked() {
@@ -698,8 +669,9 @@ class ObliviousStore {
   stegfs::BlockCodec codec_;
   /// The store's one generator: the store key, decoy slots, index
   /// nonces, and — through the re-order jobs and the merge sorter —
-  /// shuffle tags and run IVs. Every draw after Create() happens under
-  /// mu_, so the stream follows op order whichever thread issues the ops.
+  /// shuffle tags and run IVs. Every draw after Create() happens inside
+  /// one store operation, so the stream follows op order whichever
+  /// thread owns the store.
   crypto::HashDrbg drbg_;
   crypto::CbcCipher cipher_;
   size_t io_shards_ = 1;
@@ -716,12 +688,10 @@ class ObliviousStore {
   uint32_t trace_track_ = 0;
   uint32_t io_track_ = 0;
 
-  /// Serializes public operations at scan-pass granularity. Plain (not
-  /// recursive): public entry points delegate to *Locked impls and the
-  /// private machinery never re-enters the public surface.
-  mutable std::mutex mu_;
+  /// Checks the one-owner rule at each public operation.
+  storage::SerialCallChecker serial_check_;
 
-  // Per-group scratch reused across scan passes (guarded by mu_): the
+  // Per-group scratch reused across scan passes: the
   // plan, the sweep's block ids and read buffer, the decrypt staging
   // block, and the group classification vectors. Kept as members to cut
   // allocation churn on the hot path.
@@ -753,7 +723,7 @@ class ObliviousStore {
   std::unique_ptr<ReorderJob> reorder_;
   HashIndex reorder_added_;
 
-  // ---- Re-order chain state (guarded by mu_) ------------------------------
+  // ---- Re-order chain state ----------------------------------------------
 
   ReorderChain chain_;
   /// Flush snapshot being installed by the chain's flush job, which reads

@@ -60,8 +60,9 @@ namespace steghide::oblivious {
 ///   kDone      — slot order available via order(); the store performs
 ///                the install (level metadata is never touched from here).
 ///
-/// Thread safety: driven under the store lock; Begin() claims the borrowed
-/// sorter (Reset()), which must not be shared until the job is done.
+/// Thread safety: driven inside store operations, on the store's owner
+/// thread (storage/thread_check.h). Begin() claims the borrowed sorter
+/// (Reset()), which must not be shared until the job is done.
 class ReorderJob {
  public:
   struct DeviceInput {

@@ -37,14 +37,14 @@ Status StegPartitionReader::ReadRefBatch(std::span<const BlockRef> refs,
     }
   }
 
-  // Epoch consistency: a batch spans several store critical sections
+  // Epoch consistency: a batch spans several store operations
   // (Contains() per id, one MultiInsert, one MultiRead per chunk), and a
   // deamortized re-order chain may install a new level permutation
   // between them. That interleaving is safe by construction — presence
   // is install-invariant (installs move records between levels, never in
   // or out of the store), each store group plans and executes against a
-  // single epoch under the store lock, and a record read mid-chain is
-  // simply found wherever its current epoch placed it (old level, new
+  // single epoch inside one store operation, and a record read mid-chain
+  // is simply found wherever its current epoch placed it (old level, new
   // level, or the flush snapshot served as a ghost). The epoch stamp
   // below records mid-batch flips so tests can pin that reads kept
   // flowing across installs rather than being fenced out by them.

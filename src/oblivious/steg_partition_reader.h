@@ -24,16 +24,15 @@ namespace steghide::oblivious {
 /// Combined with the one-fetch-per-block rule, every observable read of
 /// the StegFS partition is uniformly distributed.
 ///
-/// Thread safety: the reader keeps per-pass scratch state and the fetched
-/// set without internal locking; it must be driven by one thread at a
-/// time. ObliviousAgent serializes all access under its I/O lock, which
-/// is also what the RequestDispatcher's single issuing thread goes
-/// through.
+/// Thread safety: one owner thread at a time (storage/thread_check.h),
+/// the owner of the ObliviousAgent that drives it; in a served system
+/// that is the RequestDispatcher's I/O thread. The reader keeps its
+/// per-pass scratch and the fetched set without checks of its own: the
+/// agent's checker covers every call.
 class StegPartitionReader {
  public:
-  /// Snapshot view assembled from the issuing thread's cells: the reader
-  /// itself is single-threaded by contract, but stats() may be polled
-  /// from bench / monitoring threads while the issuing thread serves.
+  /// Snapshot view assembled from the owner thread's cells: stats() may
+  /// be polled from bench / monitoring threads while the owner serves.
   struct Stats {
     uint64_t cache_hits = 0;   // served by the oblivious store
     uint64_t real_fetches = 0;  // first-time fetches from the partition
@@ -129,8 +128,8 @@ class StegPartitionReader {
   Cells cells_;
   obs::Registration registration_;
 
-  // Per-pass scratch reused across batches (single-threaded by contract)
-  // so the hot miss-fill/cached path stops reallocating per call.
+  // Per-pass scratch reused across batches so the hot miss-fill/cached
+  // path stops reallocating per call.
   std::vector<uint64_t> decoys_;
   std::vector<uint64_t> new_fetches_;
   std::vector<RecordId> miss_ids_;

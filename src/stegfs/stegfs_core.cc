@@ -16,7 +16,7 @@ StegFsCore::StegFsCore(storage::BlockDevice* device,
 }
 
 Status StegFsCore::Format() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   Bytes block(codec_.block_size());
   for (uint64_t b = 0; b < device_->num_blocks(); ++b) {
     if (fast_format_) {
@@ -30,7 +30,7 @@ Status StegFsCore::Format() {
 }
 
 Result<const crypto::CbcCipher*> StegFsCore::CipherFor(const Bytes& key) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   auto it = cipher_cache_.find(key);
   if (it != cipher_cache_.end()) return it->second.get();
   auto cipher = std::make_unique<crypto::CbcCipher>();
@@ -41,7 +41,7 @@ Result<const crypto::CbcCipher*> StegFsCore::CipherFor(const Bytes& key) {
 }
 
 Result<HiddenFile> StegFsCore::LoadFile(const FileAccessKey& fak) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   if (fak.header_location >= num_blocks()) {
     return Status::OutOfRange("header location beyond volume");
   }
@@ -78,7 +78,7 @@ Result<HiddenFile> StegFsCore::LoadFile(const FileAccessKey& fak) {
 }
 
 Status StegFsCore::StoreFile(HiddenFile& file) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   if (file.num_data_blocks() > MaxFileBlocks(codec_.block_size())) {
     return Status::InvalidArgument(
         "file exceeds the maximum representable size");
@@ -125,7 +125,7 @@ Status StegFsCore::ReadFileBlock(const HiddenFile& file, uint64_t logical,
 Status StegFsCore::ReadFileBlockSet(const HiddenFile& file,
                                     std::span<const uint64_t> logicals,
                                     uint8_t* out_payloads) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   if (logicals.empty()) return Status::OK();
   std::vector<uint64_t> physical;
   physical.reserve(logicals.size());
@@ -157,7 +157,7 @@ Status StegFsCore::ReadFileBlockSet(const HiddenFile& file,
 
 Status StegFsCore::ReadFileBlocks(const HiddenFile& file, uint64_t logical,
                                   uint64_t count, uint8_t* out_payloads) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   if (count == 0) return Status::OK();
   // Overflow-safe form of `logical + count > num_data_blocks`.
   if (logical >= file.num_data_blocks() ||
@@ -171,7 +171,7 @@ Status StegFsCore::ReadFileBlocks(const HiddenFile& file, uint64_t logical,
 
 Status StegFsCore::WriteDataBlockAt(const HiddenFile& file, uint64_t physical,
                                     const uint8_t* payload) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   Bytes block(codec_.block_size());
   if (file.is_dummy) {
     codec_.Randomize(drbg(), block.data());
@@ -185,23 +185,23 @@ Status StegFsCore::WriteDataBlockAt(const HiddenFile& file, uint64_t physical,
 }
 
 Status StegFsCore::ReadRaw(uint64_t physical, Bytes& out) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   return device_->ReadBlock(physical, out);
 }
 
 Status StegFsCore::ReadRawBatch(std::span<const uint64_t> physical,
                                 Bytes& out) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   return device_->ReadBlocks(physical, out);
 }
 
 Status StegFsCore::WriteRaw(uint64_t physical, const Bytes& block) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   return device_->WriteBlock(physical, block);
 }
 
 Status StegFsCore::RandomizeBlock(uint64_t physical) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
   Bytes block(codec_.block_size());
   codec_.Randomize(drbg(), block.data());
   return WriteRaw(physical, block);

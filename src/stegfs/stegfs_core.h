@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "crypto/cbc.h"
 #include "crypto/drbg.h"
@@ -11,6 +10,7 @@
 #include "stegfs/header.h"
 #include "stegfs/keys.h"
 #include "storage/block_device.h"
+#include "storage/thread_check.h"
 #include "util/random.h"
 #include "util/result.h"
 
@@ -36,17 +36,14 @@ struct StegFsOptions {
 /// typically a SimBlockDevice so that every access is charged on the
 /// virtual disk clock.
 ///
-/// Thread safety: public operations are serialized by one internal
-/// (recursive) mutex at whole-operation granularity — a header-tree load,
-/// a vectored data-block read, a raw write each run as one critical
-/// section, which also means the underlying device keeps seeing
-/// single-issuer call sequences. drbg() is the core's one generator,
-/// shared by every layer above it: its draws continue one stream in op
-/// order whichever thread issues the op, so handing the system to
-/// another thread (setup → dispatcher) changes nothing it writes.
-/// Pointers/references returned by accessors (device(), codec()) must
-/// only be used by code that already holds a higher-level serialization
-/// (the dispatcher's single I/O thread or an agent lock).
+/// Thread safety: one owner thread at a time (storage/thread_check.h);
+/// in a served system that is the RequestDispatcher's I/O thread, and
+/// the device keeps seeing single-issuer call sequences. Each public
+/// operation checks in debug builds that no other thread is inside.
+/// drbg() is the core's one generator, shared by every layer above it:
+/// its draws continue one stream in op order whichever thread owns the
+/// core, so handing the system to another thread (setup → dispatcher)
+/// changes nothing it writes.
 class StegFsCore {
  public:
   /// Does not take ownership of `device`.
@@ -129,13 +126,13 @@ class StegFsCore {
   Rng format_rng_;
   bool fast_format_;
   /// Header/indirect payload staging reused across LoadFile/StoreFile
-  /// calls (guarded by mu_ like the operations themselves).
+  /// calls.
   Bytes tree_payloads_;
   std::map<Bytes, std::unique_ptr<crypto::CbcCipher>> cipher_cache_;
-  /// Serializes public operations. Recursive because the compound
-  /// operations (LoadFile, StoreFile, ReadFileBlockSet, ...) are built
-  /// from the public raw-I/O and cipher-cache primitives.
-  mutable std::recursive_mutex mu_;
+  /// Checks the one-owner rule. Compound operations (LoadFile,
+  /// StoreFile, ReadFileBlockSet, ...) re-enter the public raw-I/O and
+  /// cipher-cache primitives on the same thread, which it allows.
+  storage::SerialCallChecker serial_check_;
 };
 
 }  // namespace steghide::stegfs

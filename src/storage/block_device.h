@@ -40,14 +40,12 @@ inline constexpr size_t kDefaultBlockSize = 4096;
 /// in debug builds via SerialCallChecker (thread_check.h) and abort with
 /// a diagnostic on concurrent entry.
 ///
-/// Layers that admit true multi-threaded callers synchronize above this
-/// contract instead:
-///
-///  * StegFsCore / ObliviousStore serialize at operation / scan-pass
-///    granularity;
-///  * agent::RequestDispatcher funnels all user I/O through one issuing
-///    thread, which is how the multi-user serving path satisfies this
-///    contract without per-block locking.
+/// The layers above keep the same rule: StegFsCore, ObliviousStore and
+/// the agents have one owner thread too, checked the same way. Real
+/// multi-threaded callers reach them only through
+/// agent::RequestDispatcher, which funnels all user I/O through its one
+/// I/O thread; that is how the multi-user serving path satisfies this
+/// contract without locking.
 class BlockDevice {
  public:
   virtual ~BlockDevice() = default;

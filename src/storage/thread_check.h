@@ -8,17 +8,20 @@
 
 namespace steghide::storage {
 
-/// Debug-mode enforcement of the single-issuer device contract
-/// (block_device.h): raw devices are not thread-safe, so calls into them
-/// must never *overlap* — though the issuing thread may legitimately
-/// change over a run (benchmarks populate a volume on the main thread,
-/// then hand the device to the dispatcher's I/O thread).
+/// Debug-mode enforcement of the one-owner-thread rule. Every component
+/// below the request dispatcher has one owner thread at a time: the raw
+/// devices (block_device.h), and the agents, StegFsCore, ObliviousStore
+/// and the reader with the generators they own. None of them locks. The
+/// owner may change over a run (a benchmark populates a volume on the
+/// main thread, then hands the system to the dispatcher's I/O thread; the
+/// thread start or join orders the hand-off), but calls must never
+/// *overlap*.
 ///
 /// The checker therefore flags concurrent entry rather than pinning one
-/// thread id forever: each guarded scope marks the device busy on entry
-/// and aborts with a diagnostic when a second thread enters while the
-/// first is still inside. Overlap from the *same* thread (recursion) is
-/// tolerated, since it cannot race.
+/// thread id forever: each guarded scope marks the component busy on
+/// entry and aborts with a diagnostic when a second thread enters while
+/// the first is still inside. Overlap from the *same* thread (recursion)
+/// is tolerated, since it cannot race.
 ///
 /// Release builds (NDEBUG) compile the checker away entirely.
 class SerialCallChecker {
@@ -36,10 +39,10 @@ class SerialCallChecker {
               expected, self, std::memory_order_acquire) &&
           expected != self) {
         std::fprintf(stderr,
-                     "steghide: concurrent %s calls violate the "
-                     "single-issuer device contract (block_device.h); "
-                     "route I/O through one thread or a synchronized "
-                     "decorator\n",
+                     "steghide: concurrent %s calls break its one-owner-"
+                     "thread rule (storage/thread_check.h); drive it from "
+                     "one thread at a time, such as a RequestDispatcher's "
+                     "I/O thread\n",
                      what);
         std::abort();
       }

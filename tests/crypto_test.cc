@@ -300,33 +300,6 @@ TEST(DrbgTest, OutputLooksBalanced) {
   EXPECT_NEAR(frac, 0.5, 0.01);
 }
 
-TEST(DrbgTest, ConcurrentDrawsAreAtomic) {
-  // Eight threads share one generator. Each draw is one atomic
-  // consumption of the stream, so together they take exactly its first
-  // 2048 values, in whatever interleaving the scheduler picks — no value
-  // is lost, repeated or torn. Under TSan this also checks the lock.
-  constexpr int kThreads = 8;
-  constexpr int kDraws = 256;
-  HashDrbg shared(uint64_t{33});
-  std::vector<std::vector<uint64_t>> drawn(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&shared, &mine = drawn[t]] {
-      for (int i = 0; i < kDraws; ++i) mine.push_back(shared.NextUint64());
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  std::vector<uint64_t> all;
-  for (const auto& d : drawn) all.insert(all.end(), d.begin(), d.end());
-  HashDrbg fresh(uint64_t{33});
-  std::vector<uint64_t> expect(kThreads * kDraws);
-  for (uint64_t& v : expect) v = fresh.NextUint64();
-  std::sort(all.begin(), all.end());
-  std::sort(expect.begin(), expect.end());
-  EXPECT_EQ(all, expect);
-}
-
 // ---- crypto traffic accounting -------------------------------------------
 
 TEST(CryptoTrafficTest, ConcurrentCodecsCountEveryBatch) {

@@ -810,24 +810,23 @@ TEST(DispatchDeamortizedTest, ReaderCountsInstallsObservedMidBatch) {
 TEST(DispatchDeamortizedTest, IdleDispatcherPumpsReorderBacklogDry) {
   // A large chain left pending must be drained by the dispatcher's idle
   // maintenance pump, not by serving taxes: park a deep rebuild in the
-  // store while the worker sleeps, wake it with a single request, and
-  // watch the backlog go dry with no further traffic.
-  System sys(993, DeamortStoreOptions());
+  // store before the dispatcher starts, wake its worker with a single
+  // request, and watch the backlog go dry with no further traffic. The
+  // I/O thread owns the store from the dispatcher's construction to
+  // Stop(), so this thread watches the chain through the registry and
+  // asks the store itself only after Stop().
+  obs::Registry registry;
+  ObliviousStoreOptions store_options = DeamortStoreOptions();
+  store_options.registry = &registry;
+  System sys(993, store_options);
   const size_t payload = sys.core.payload_size();
   const auto ids = sys.Populate(1, 3);
+  const Bytes expected = sys.ExpectedBlock(0, 0);
 
-  DispatcherOptions options;
-  options.max_batch = 4;
-  options.commit_window = std::chrono::milliseconds(1);
-  options.maintenance_budget = 8;
-  RequestDispatcher dispatcher(sys.agent.get(), options);
-  auto session = dispatcher.OpenSession();
-
-  // Build a big backlog directly at the store layer (the dispatcher's
-  // condvar is not signalled by store-internal work, so the worker stays
-  // asleep and cannot drain it yet). Pre-fill deep levels first — with
-  // everything drained — so the burst below triggers a cascade chain too
-  // large for any single serving tax slice to finish.
+  // Build a big backlog directly at the store layer. Pre-fill deep
+  // levels first — with everything drained — so the burst below triggers
+  // a cascade chain too large for any single serving tax slice to
+  // finish.
   auto& store = sys.agent->store();
   uint64_t next_id = 1 << 20;
   {
@@ -851,26 +850,36 @@ TEST(DispatchDeamortizedTest, IdleDispatcherPumpsReorderBacklogDry) {
     pending = store.reorder_pending();
   }
   ASSERT_TRUE(pending) << "no re-order chain ever went pending";
+  const auto chain_steps = [&registry] {
+    return registry.Snapshot().at("store.chain_pending_steps");
+  };
+  ASSERT_GT(chain_steps(), 0.0);
 
-  // One request wakes the worker; after committing it the idle loop
-  // pumps the chain dry.
+  // The worker starts asleep: the dispatcher's condvar is not signalled
+  // by store-internal work. One request wakes it; after committing it
+  // the idle loop pumps the chain dry.
+  DispatcherOptions options;
+  options.max_batch = 4;
+  options.commit_window = std::chrono::milliseconds(1);
+  options.maintenance_budget = 8;
+  RequestDispatcher dispatcher(sys.agent.get(), options);
+  auto session = dispatcher.OpenSession();
   ASSERT_TRUE(session->Read(ids[0], 0, payload).ok());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (store.reorder_pending() &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (chain_steps() > 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_FALSE(store.reorder_pending())
-      << "idle pump failed to drain the chain";
+  EXPECT_EQ(chain_steps(), 0.0) << "idle pump failed to drain the chain";
   EXPECT_GT(dispatcher.stats().maintenance_pumps, 0u);
 
   // Served content is intact after the idle-time installs.
   auto back = session->Read(ids[0], 0, payload);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, sys.ExpectedBlock(0, 0));
+  EXPECT_EQ(*back, expected);
   session.reset();
   dispatcher.Stop();
+  EXPECT_FALSE(store.reorder_pending());
 }
 
 }  // namespace

@@ -324,14 +324,16 @@ oblivious::ObliviousStoreOptions DeamortizedOptions() {
 
 /// Agent system whose oblivious cache sits on a killable fault device.
 struct FaultySystem {
-  explicit FaultySystem(uint64_t seed)
+  /// `registry`, when given, receives the store's and reader's metrics.
+  explicit FaultySystem(uint64_t seed, obs::Registry* registry = nullptr)
       : steg_mem(4096, 4096),
         cache_mem(768, 4096),
         cache_fault(&cache_mem, {}),
         core(&steg_mem, stegfs::StegFsOptions{seed, true}) {
     EXPECT_TRUE(core.Format().ok());
-    auto created =
-        ObliviousAgent::Create(&core, &cache_fault, DeamortizedOptions());
+    oblivious::ObliviousStoreOptions options = DeamortizedOptions();
+    options.registry = registry;
+    auto created = ObliviousAgent::Create(&core, &cache_fault, options);
     EXPECT_TRUE(created.ok()) << created.status().ToString();
     agent = std::move(created).value();
     EXPECT_TRUE(agent->CreateDummyFile("u", 600).ok());
@@ -538,10 +540,17 @@ TEST(FaultyCascadeTest, DispatcherPumpRetriesInsteadOfWedging) {
   // submission ever came to signal it in the idle-system case, and the
   // chain never drained. The fixed worker retries with bounded backoff,
   // counts the failures, escalates past the retry limit, and finishes
-  // the chain as soon as the device recovers.
-  FaultySystem sys(2025);
+  // the chain as soon as the device recovers. The I/O thread owns the
+  // system from the dispatcher's construction to Stop(), so the backlog
+  // is built first and this thread then watches only the dispatcher's
+  // stats and the store's chain gauge.
+  obs::Registry registry;
+  FaultySystem sys(2025, &registry);
   sys.Populate(6, 4);
   sys.BuildReorderBacklog();
+  const auto chain_steps = [&registry] {
+    return registry.Snapshot().at("store.chain_pending_steps");
+  };
 
   sys.cache_fault.Kill();
   DispatcherOptions options;
@@ -560,18 +569,18 @@ TEST(FaultyCascadeTest, DispatcherPumpRetriesInsteadOfWedging) {
   EXPECT_GT(mid.maintenance_pump_errors, 0u);
   EXPECT_GE(mid.maintenance_pump_retries, 4u);
   EXPECT_GE(mid.maintenance_escalations, 1u);
-  EXPECT_TRUE(sys.agent->store().reorder_pending());
+  EXPECT_GT(chain_steps(), 0.0);
 
   // Recovery: the next retry succeeds and the idle pump drains the
   // chain without any request traffic.
   sys.cache_fault.Revive();
-  while (sys.agent->store().reorder_pending() &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (chain_steps() > 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_FALSE(sys.agent->store().reorder_pending());
+  EXPECT_EQ(chain_steps(), 0.0);
 
   dispatcher.Stop();
+  EXPECT_FALSE(sys.agent->store().reorder_pending());
   const DispatcherStats stats = dispatcher.stats();
   EXPECT_GT(stats.maintenance_pumps, 0u);
 }

@@ -93,7 +93,7 @@ TEST_F(VolatileAgentTest, PersistsAcrossLogoutAndRestart) {
   // Simulate an agent restart: a fresh volatile agent knows nothing until
   // the user disclosed his FAK again.
   agent_ = std::make_unique<VolatileAgent>(&core_);
-  EXPECT_EQ(agent_->domain_size(), 0u);
+  EXPECT_EQ(agent_->DomainSize(), 0u);
   auto reopened = agent_->DiscloseHiddenFile("alice", *fak);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   const auto back = agent_->Read(*reopened, 0, data.size());
@@ -169,10 +169,10 @@ TEST_F(VolatileAgentTest, DeleteFileAbsorbsEverything) {
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(agent_->Write(*id, 0, Bytes(5 * core_.payload_size(), 1)).ok());
   const auto fak = agent_->GetFak(*id);
-  const uint64_t domain_before = agent_->domain_size();
+  const uint64_t domain_before = agent_->DomainSize();
   ASSERT_TRUE(agent_->DeleteFile(*id).ok());
   // Every block stays disclosed (absorbed by the dummy file).
-  EXPECT_EQ(agent_->domain_size(), domain_before);
+  EXPECT_EQ(agent_->DomainSize(), domain_before);
   // The header was scrubbed: re-disclosure fails.
   EXPECT_FALSE(agent_->DiscloseHiddenFile("alice", *fak).ok());
 }
