@@ -438,7 +438,7 @@ Status ObliviousStore::ReadGroup(std::span<const RecordId> ids,
     }
   }
   STEGHIDE_RETURN_IF_ERROR(MaybeFlush());
-  return PaceChainLocked(k);
+  return PaceChain(k);
 }
 
 Status ObliviousStore::WriteGroup(std::span<const RecordId> ids,
@@ -508,7 +508,7 @@ Status ObliviousStore::WriteGroup(std::span<const RecordId> ids,
   }
   for (size_t i = 0; i < k; ++i) BufferStage(ids[i], payloads + i * ps);
   STEGHIDE_RETURN_IF_ERROR(MaybeFlush());
-  return PaceChainLocked(k);
+  return PaceChain(k);
 }
 
 Status ObliviousStore::Read(RecordId id, uint8_t* out_payload) {
@@ -521,7 +521,7 @@ Status ObliviousStore::MultiRead(std::span<const RecordId> ids,
   for (const RecordId id : ids) {
     if (!Contains(id)) return Status::NotFound("record not cached");
   }
-  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
+  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChain());
   const size_t max_k = options_.buffer_blocks;
   for (size_t off = 0; off < ids.size(); off += max_k) {
     const size_t n = std::min(max_k, ids.size() - off);
@@ -539,7 +539,7 @@ Status ObliviousStore::Write(RecordId id, const uint8_t* payload) {
 Status ObliviousStore::MultiWrite(std::span<const RecordId> ids,
                                   const uint8_t* payloads) {
   STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
-  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
+  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChain());
   const size_t max_k = options_.buffer_blocks;
   for (size_t off = 0; off < ids.size(); off += max_k) {
     const size_t n = std::min(max_k, ids.size() - off);
@@ -556,7 +556,7 @@ Status ObliviousStore::Insert(RecordId id, const uint8_t* payload) {
 Status ObliviousStore::MultiInsert(std::span<const RecordId> ids,
                                    const uint8_t* payloads) {
   STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
-  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
+  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChain());
   const size_t max_k = options_.buffer_blocks;
   const size_t ps = codec_.payload_size();
   for (size_t off = 0; off < ids.size(); off += max_k) {
@@ -575,7 +575,7 @@ Status ObliviousStore::MultiInsert(std::span<const RecordId> ids,
       BufferStage(ids[off + i], payloads + (off + i) * ps);
     }
     STEGHIDE_RETURN_IF_ERROR(MaybeFlush());
-    STEGHIDE_RETURN_IF_ERROR(PaceChainLocked(n));
+    STEGHIDE_RETURN_IF_ERROR(PaceChain(n));
   }
   return Status::OK();
 }
@@ -611,7 +611,7 @@ Status ObliviousStore::DummyRead() {
   STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "ObliviousStore");
   if (present_list_.empty()) return Status::OK();
   const RecordId id = present_list_[drbg_.Uniform(present_list_.size())];
-  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChainLocked());
+  STEGHIDE_RETURN_IF_ERROR(FinishBlockingChain());
   dummy_payload_.resize(codec_.payload_size());
   STEGHIDE_RETURN_IF_ERROR(ReadGroup(std::span<const RecordId>(&id, 1),
                                      dummy_payload_.data(), /*dummy=*/true));
@@ -625,8 +625,8 @@ Status ObliviousStore::StepReorder(uint64_t budget_blocks, bool* more) {
   if (budget_blocks == 0) budget_blocks = options_.reorder_step_blocks;
   Status status = Status::OK();
   if (reorder_pending()) {
-    status = StepChainLocked(std::max<uint64_t>(1, budget_blocks),
-                             /*stall=*/false);
+    status = StepChain(std::max<uint64_t>(1, budget_blocks),
+                       /*stall=*/false);
   }
   if (more != nullptr) *more = reorder_pending();
   return status;
@@ -679,19 +679,19 @@ Status ObliviousStore::FlushBuffer() {
     // Hard backstop (or strict schedule): finish the remaining chain
     // work synchronously. With pacing and idle pumping this remainder is
     // small — it is what max_stall_ms measures.
-    STEGHIDE_RETURN_IF_ERROR(DrainChainLocked());
+    STEGHIDE_RETURN_IF_ERROR(DrainChain());
   }
   obs::ScopedSpan span(trace_, "store.flush", trace_track_,
                        {{"records", static_cast<int64_t>(buffer_.size())}});
-  STEGHIDE_RETURN_IF_ERROR(StartFlushChainLocked());
+  STEGHIDE_RETURN_IF_ERROR(StartFlushChain());
   // The blocking schedule runs the whole cascade inside this serving op —
   // the stall the deamortized schedule exists to break up.
-  return options_.deamortize_reorders ? Status::OK() : DrainChainLocked();
+  return options_.deamortize_reorders ? Status::OK() : DrainChain();
 }
 
 // ---- Re-order chain machinery --------------------------------------------
 
-Status ObliviousStore::StartFlushChainLocked() {
+Status ObliviousStore::StartFlushChain() {
   assert(!reorder_pending() && flushing_.empty());
   cells_.buffer_flushes.Increment();
   const uint64_t flush_size = buffer_.size();
@@ -799,8 +799,8 @@ Status ObliviousStore::StartFlushChainLocked() {
   // Move the nodes, not the table: buffer_ keeps its buckets, whose
   // layout orders every later flush set.
   flushing_.merge(buffer_);
-  BeginFrontLocked();
-  UpdateChainGaugesLocked();
+  BeginFront();
+  UpdateChainGauges();
   if (trace_ != nullptr) {
     trace_->Instant("store.chain_start", trace_track_,
                     {{"records", static_cast<int64_t>(flush_size)},
@@ -821,7 +821,7 @@ void ObliviousStore::KeepSpare(PayloadNode node) {
   }
 }
 
-void ObliviousStore::RetireFlushSetLocked() {
+void ObliviousStore::RetireFlushSet() {
   while (!flushing_.empty()) {
     KeepSpare(flushing_.extract(flushing_.begin()));
   }
@@ -829,7 +829,7 @@ void ObliviousStore::RetireFlushSetLocked() {
   removed_flushing_.clear();
 }
 
-Status ObliviousStore::InstallFrontJobLocked() {
+Status ObliviousStore::InstallFrontJob() {
   // The install proper is all-memory and infallible: flip, tombstones,
   // source clears, snapshot retirement, step advance. Only then runs the
   // fallible index-rebuild charge — so an I/O error there leaves the
@@ -847,7 +847,7 @@ Status ObliviousStore::InstallFrontJobLocked() {
   for (size_t li = front.clear_begin; li < front.clear_end; ++li) {
     levels_[li].Clear(drbg_.NextUint64());
   }
-  if (front.is_flush) RetireFlushSetLocked();
+  if (front.is_flush) RetireFlushSet();
   cells_.reorders.Increment();
   ++reorder_epoch_;
   if (trace_ != nullptr) {
@@ -856,7 +856,7 @@ Status ObliviousStore::InstallFrontJobLocked() {
         {{"level", static_cast<int64_t>(front.target_level) + 1}});
   }
   if (reorder_pending()) {
-    BeginFrontLocked();
+    BeginFront();
   } else {
     chain_.count = 0;
     chain_.front = 0;
@@ -866,7 +866,7 @@ Status ObliviousStore::InstallFrontJobLocked() {
   return ChargeIndexRebuild(target);
 }
 
-Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
+Status ObliviousStore::StepChain(uint64_t budget_blocks, bool stall) {
   if (!reorder_pending()) return Status::OK();
   // A blocking drain is the re-order itself, not an incremental slice.
   if (options_.deamortize_reorders) cells_.reorder_steps.Increment();
@@ -891,7 +891,7 @@ Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
     chain_.front_writes_seen = job.writes();
     // A finished job installs in the same slice, so the install and its
     // index-rebuild charge count toward its level's re-order time.
-    if (status.ok() && job.done()) status = InstallFrontJobLocked();
+    if (status.ok() && job.done()) status = InstallFrontJob();
     cells_.reorder_ms[level].Add(Clock() - jt0);
     STEGHIDE_RETURN_IF_ERROR(status);
   }
@@ -899,16 +899,15 @@ Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
   const double dt = Clock() - t0;
   cells_.sort_ms.Add(dt);
   if (stall) cells_.stall.Record(dt);
-  UpdateChainGaugesLocked();
+  UpdateChainGauges();
   return Status::OK();
 }
 
-Status ObliviousStore::DrainChainLocked() {
-  return StepChainLocked(std::numeric_limits<uint64_t>::max(),
-                         /*stall=*/true);
+Status ObliviousStore::DrainChain() {
+  return StepChain(std::numeric_limits<uint64_t>::max(), /*stall=*/true);
 }
 
-Status ObliviousStore::PaceChainLocked(uint64_t staged) {
+Status ObliviousStore::PaceChain(uint64_t staged) {
   if (!reorder_pending()) return Status::OK();
   // Self-pacing serving tax: spread the chain's remaining work evenly
   // over the stagings left before the hard flush backstop would force a
@@ -916,7 +915,7 @@ Status ObliviousStore::PaceChainLocked(uint64_t staged) {
   // a B-request group pays B stagings' worth, not one op's. Idle pumping
   // (StepReorder) shrinks the remainder, and with it this tax — toward
   // zero when the dispatcher has real idle gaps.
-  const uint64_t remaining = ChainRemainingBlocksLocked();
+  const uint64_t remaining = ChainRemainingBlocks();
   const uint64_t backstop = options_.strict_reorder_schedule
                                 ? options_.buffer_blocks
                                 : DeferLimitRecords();
@@ -926,10 +925,10 @@ Status ObliviousStore::PaceChainLocked(uint64_t staged) {
       (remaining * std::max<uint64_t>(1, staged) + room - 1) / room;
   const uint64_t budget =
       std::max<uint64_t>(options_.reorder_step_blocks, share);
-  return StepChainLocked(budget, /*stall=*/true);
+  return StepChain(budget, /*stall=*/true);
 }
 
-uint64_t ObliviousStore::ChainRemainingBlocksLocked() const {
+uint64_t ObliviousStore::ChainRemainingBlocks() const {
   if (!reorder_pending()) return 0;
   // reorder_ runs the front step; the others have not begun.
   uint64_t remaining = reorder_->remaining_blocks();
@@ -939,11 +938,11 @@ uint64_t ObliviousStore::ChainRemainingBlocksLocked() const {
   return remaining;
 }
 
-void ObliviousStore::UpdateChainGaugesLocked() {
+void ObliviousStore::UpdateChainGauges() {
   cells_.chain_pending_steps.Set(
       static_cast<double>(chain_.count - chain_.front));
   cells_.chain_remaining_blocks.Set(
-      static_cast<double>(ChainRemainingBlocksLocked()));
+      static_cast<double>(ChainRemainingBlocks()));
 }
 
 }  // namespace steghide::oblivious

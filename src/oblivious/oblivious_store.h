@@ -583,8 +583,8 @@ class ObliviousStore {
   /// earlier op. Its jobs rebuild levels in place, so no scan may probe
   /// the hierarchy before the chain is installed. Called on entry to
   /// every serving op; a no-op otherwise.
-  Status FinishBlockingChainLocked() {
-    return options_.deamortize_reorders ? Status::OK() : DrainChainLocked();
+  Status FinishBlockingChain() {
+    return options_.deamortize_reorders ? Status::OK() : DrainChain();
   }
 
   /// charge_index_io: sequential index rewrite after re-ordering `level`.
@@ -595,18 +595,18 @@ class ObliviousStore {
   // ---- Re-order chain machinery -------------------------------------------
 
   /// Arms reorder_ for the chain's front step.
-  void BeginFrontLocked() {
+  void BeginFront() {
     const ChainStep& step = chain_.steps[chain_.front];
     reorder_->Begin(step.target_level, step.dst_base, &step.inputs);
   }
 
   /// Device-I/O estimate for the rest of the chain (pacing and gauges).
-  uint64_t ChainRemainingBlocksLocked() const;
+  uint64_t ChainRemainingBlocks() const;
 
   /// Retires the installed flush snapshot: its nodes, and those Remove()
   /// took out of it while the flush job could still read them, become
   /// spare nodes for later stagings.
-  void RetireFlushSetLocked();
+  void RetireFlushSet();
   /// Pools `node` for BufferStage, or frees it when the pool is full.
   void KeepSpare(PayloadNode node);
 
@@ -631,31 +631,31 @@ class ObliviousStore {
   /// moving buffer_'s records into flushing_. The plan is the paper's
   /// dump(i) recursion, deepest re-order first, over live counts frozen
   /// at the trigger.
-  Status StartFlushChainLocked();
+  Status StartFlushChain();
 
   /// Advances the chain by roughly `budget_blocks` I/Os, installing
   /// finished jobs. `stall` marks the time serving-attributable (tax or
   /// drain backstop) for the stall counters.
-  Status StepChainLocked(uint64_t budget_blocks, bool stall);
+  Status StepChain(uint64_t budget_blocks, bool stall);
 
   /// Runs the chain to completion (blocking schedule, hard backstop,
   /// strict schedule).
-  Status DrainChainLocked();
+  Status DrainChain();
 
   /// Serving tax: self-paced chain advance spreading the remaining work
   /// over the stagings left before the hard backstop, proportional to
   /// the `staged` records the finishing op contributed.
-  Status PaceChainLocked(uint64_t staged);
+  Status PaceChain(uint64_t staged);
 
   /// Installs the finished front job: flips the level to the region the
   /// job built (in place under the blocking schedule), applies
   /// tombstones, clears the dumped source, arms the next step (or retires
   /// chain state at the end) and charges the index rebuild.
-  Status InstallFrontJobLocked();
+  Status InstallFrontJob();
 
   /// Refreshes the chain-progress gauges (pending steps, remaining
   /// device I/Os) at chain transitions.
-  void UpdateChainGaugesLocked();
+  void UpdateChainGauges();
 
   /// With io_retry set, the retry decorator over the caller's device;
   /// null otherwise.
