@@ -66,9 +66,7 @@ size_t ReplicatedBlockDevice::lagging_count() const {
   return n;
 }
 
-void ReplicatedBlockDevice::Quarantine(size_t r) { QuarantineLocked(r); }
-
-void ReplicatedBlockDevice::QuarantineLocked(size_t r) {
+void ReplicatedBlockDevice::Quarantine(size_t r) {
   if (replica_state(r) == ReplicaState::kQuarantined) return;
   SetState(r, ReplicaState::kQuarantined);
   cells_.quarantines.Increment();
@@ -123,21 +121,23 @@ void ReplicatedBlockDevice::NoteReadFailure(size_t r) {
   // Transient hiccups stay in rotation; a replica that keeps failing
   // gets benched so serving stops paying its failover latency.
   if (++consecutive_read_errors_[r] >= options_.quarantine_after) {
-    QuarantineLocked(r);
+    Quarantine(r);
   }
 }
 
 void ReplicatedBlockDevice::NoteWriteFailure(size_t r) {
+  cells_.missed_writes.Increment();
   // A strict mirror benches a replica the moment it misses a write; a
   // quorum mirror lets it lag, still serving the blocks it holds
   // current, until quarantine_after consecutive misses.
   if (!options_.quorum ||
       ++consecutive_write_errors_[r] >= options_.quarantine_after) {
-    QuarantineLocked(r);
+    Quarantine(r);
     return;
   }
   if (replica_state(r) == ReplicaState::kHealthy) {
     SetState(r, ReplicaState::kLagging);
+    cells_.lag_episodes.Increment();
   }
 }
 
@@ -392,7 +392,7 @@ Status ReplicatedBlockDevice::RepairStep(uint64_t budget_blocks, bool* more) {
       if (replica_state(r) != ReplicaState::kRepairing) continue;
       const Status status = replicas_[r]->WriteBlock(b, repair_buf_.data());
       if (!status.ok()) {
-        QuarantineLocked(r);
+        Quarantine(r);
       } else {
         missed_[r].erase(b);
       }
@@ -413,7 +413,7 @@ Status ReplicatedBlockDevice::RepairStep(uint64_t budget_blocks, bool* more) {
       }
       const Status status = replicas_[r]->Flush();
       if (!status.ok()) {
-        QuarantineLocked(r);
+        Quarantine(r);
         continue;
       }
       SetState(r, ReplicaState::kHealthy);

@@ -64,6 +64,11 @@ struct ReplicationStats {
   uint64_t quorum_stale_reads = 0;
   /// Writes and flushes that could not collect write_quorum acks.
   uint64_t write_quorum_failures = 0;
+  /// Healthy -> lagging transitions of a quorum mirror's replicas.
+  uint64_t lag_episodes = 0;
+  /// Writes (after their immediate retry), read-repair writes and
+  /// flushes that a replica failed; each one demotes or quarantines it.
+  uint64_t missed_writes = 0;
   size_t healthy_replicas = 0;
   size_t lagging_replicas = 0;
   /// Failover latency distribution (virtual ms), all quantiles from the
@@ -178,6 +183,8 @@ class ReplicatedBlockDevice : public BlockDevice {
     obs::CounterCell quorum_widened;
     obs::CounterCell quorum_stale_reads;
     obs::CounterCell write_quorum_failures;
+    obs::CounterCell lag_episodes;
+    obs::CounterCell missed_writes;
     obs::GaugeCell healthy_replicas;
     obs::GaugeCell lagging_replicas;
     obs::HistogramCell failover_ms;
@@ -198,10 +205,12 @@ class ReplicatedBlockDevice : public BlockDevice {
        &ReplicationStats::quorum_stale_reads},
       {"write_quorum_failures", &Cells::write_quorum_failures,
        &ReplicationStats::write_quorum_failures},
+      {"lag_episodes", &Cells::lag_episodes, &ReplicationStats::lag_episodes},
+      {"missed_writes", &Cells::missed_writes,
+       &ReplicationStats::missed_writes},
   };
 
   void SetState(size_t r, ReplicaState state);
-  void QuarantineLocked(size_t r);
   /// Serving (healthy and lagging) replicas in rotation order starting
   /// at the rr counter; a lagging replica's missed blocks gate what it
   /// serves. Returns false when the set is empty.

@@ -481,7 +481,8 @@ void AddHistogramNames(std::vector<std::string>* names,
 }
 
 // The full name set of the system below, as exported before the
-// counters moved to per-component descriptor tables.
+// counters moved to per-component descriptor tables, plus the mirror's
+// two lag counters.
 std::vector<std::string> ExpectedExportNames() {
   std::vector<std::string> names;
   AddNames(&names, "crypto",
@@ -515,8 +516,8 @@ std::vector<std::string> ExpectedExportNames() {
              {"reads", "writes", "failovers", "quarantines",
               "repairs_completed", "repair_blocks", "read_repairs",
               "quorum_widened", "quorum_stale_reads",
-              "write_quorum_failures", "healthy_replicas",
-              "lagging_replicas"});
+              "write_quorum_failures", "lag_episodes", "missed_writes",
+              "healthy_replicas", "lagging_replicas"});
     AddHistogramNames(&names, shard + ".failover_ms");
     for (const std::string& replica : {shard + ".r0", shard + ".r1"}) {
       AddNames(&names, replica,

@@ -444,6 +444,45 @@ TEST(QuorumReplicationTest, StaleFallbackOnlyWhenNoCurrentReplicaRemains) {
   EXPECT_EQ(fx.rep->stats().quorum_stale_reads, 1u);
 }
 
+TEST(QuorumReplicationTest, LagEpisodesAndMissedWritesAreCounted) {
+  // Replica 1's writes fail at fixed op indices (one op per block write,
+  // retries included): op 2 once, which the immediate retry absorbs;
+  // ops 5-6, a write and its retry; ops 9-12, two writes in a row.
+  FaultPlan plan;
+  for (const auto& [start, fires] :
+       {std::pair<uint64_t, uint64_t>{2, 1}, {5, 2}, {9, 4}}) {
+    plan.faults.push_back(FaultSpec{.kind = FaultSpec::Kind::kTransientError,
+                                    .ops = FaultSpec::OpFilter::kWrite,
+                                    .start_after = start,
+                                    .max_fires = fires});
+  }
+  // Block written per step: block 4 misses, then is rewritten, which
+  // ends the first lag episode; 6 and 7 miss back to back, one episode.
+  const uint64_t blocks[] = {0, 1, 2, 3, 4, 5, 4, 6, 7, 6, 7};
+  struct Expect {
+    bool quorum;
+    uint64_t missed_writes, lag_episodes, quarantines;
+  };
+  // A strict mirror quarantines at the first miss and writes no more to
+  // the replica; only a quorum mirror lets it lag and come back.
+  for (const Expect& expect : {Expect{true, 3, 2, 0}, Expect{false, 1, 0, 1}}) {
+    SCOPED_TRACE(expect.quorum ? "quorum" : "strict");
+    ReplicationOptions options = QuorumOptions(1, 1, /*quarantine_after=*/3);
+    options.quorum = expect.quorum;
+    MirrorFixture fx(2, 8, options, 512, {FaultPlan{}, plan});
+    for (size_t i = 0; i < std::size(blocks); ++i) {
+      const Bytes image = GoldenBlock(41, i, 512);
+      ASSERT_TRUE(fx.rep->WriteBlock(blocks[i], image.data()).ok()) << i;
+    }
+    const ReplicationStats stats = fx.rep->stats();
+    EXPECT_EQ(stats.missed_writes, expect.missed_writes);
+    EXPECT_EQ(stats.lag_episodes, expect.lag_episodes);
+    EXPECT_EQ(stats.quarantines, expect.quarantines);
+    EXPECT_EQ(stats.write_quorum_failures, 0u);
+    EXPECT_EQ(stats.lagging_replicas, 0u);
+  }
+}
+
 // ---- Seeded model-based fuzz --------------------------------------------
 //
 // Random vectored writes and reads, flushes, kills, revives and repair
