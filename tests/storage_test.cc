@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <future>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../perfbench/timing_device.h"
@@ -11,6 +13,7 @@
 #include "storage/file_block_device.h"
 #include "storage/mem_block_device.h"
 #include "storage/sim_device.h"
+#include "storage/thread_check.h"
 #include "testing/device_factory.h"
 #include "testing/golden.h"
 #include "testing/rng.h"
@@ -300,6 +303,64 @@ TEST(TimingBlockDeviceTest, CountsCallsAndBlocksAndForwardsBytes) {
   EXPECT_EQ(Bytes(out.begin() + 1024, out.begin() + 1536), block);
   EXPECT_EQ(Bytes(out.begin() + 512, out.begin() + 1024), Bytes(512, 0));
   EXPECT_TRUE(steghide::testing::BlockEquals(mem, 6, block));
+}
+
+// ---- SerialCallChecker ----------------------------------------------------
+//
+// The checker compiles away under NDEBUG, so these cases skip in the
+// default RelWithDebInfo build and run in Debug builds (CI's sanitize
+// job). The abort case is a threadsafe-style death test: the child
+// process re-runs the test from the start instead of forking a process
+// that already has threads.
+
+TEST(SerialCallCheckerTest, SameThreadNestingAndSequentialHandOffPass) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "SerialCallChecker compiles away under NDEBUG";
+#endif
+  SerialCallChecker checker;
+  const auto enter = [&checker] {
+    STEGHIDE_SERIAL_CALL_GUARD(checker, "TestComponent");
+  };
+  {
+    // A compound operation re-entering its own public surface.
+    STEGHIDE_SERIAL_CALL_GUARD(checker, "TestComponent");
+    enter();
+  }
+  // Ownership handed across a thread start and join, as from a set-up
+  // thread to a dispatcher's I/O thread and back after Stop().
+  std::thread first([&] {
+    STEGHIDE_SERIAL_CALL_GUARD(checker, "TestComponent");
+    enter();
+  });
+  first.join();
+  std::thread second(enter);
+  second.join();
+  enter();
+}
+
+TEST(SerialCallCheckerDeathTest, SecondThreadEnteringAHeldGuardAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "SerialCallChecker compiles away under NDEBUG";
+#endif
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        SerialCallChecker checker;
+        std::promise<void> entered;
+        std::promise<void> release;
+        std::thread holder([&] {
+          STEGHIDE_SERIAL_CALL_GUARD(checker, "TestComponent");
+          entered.set_value();
+          release.get_future().wait();
+        });
+        entered.get_future().wait();
+        {
+          STEGHIDE_SERIAL_CALL_GUARD(checker, "TestComponent");
+        }
+        release.set_value();
+        holder.join();
+      },
+      "concurrent TestComponent calls break its one-owner-thread rule");
 }
 
 // TraceBlockDevice and Snapshot have dedicated suites now:

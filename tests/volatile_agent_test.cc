@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
+#include <thread>
+
 #include "agent/volatile_agent.h"
 #include "storage/mem_block_device.h"
 
@@ -258,6 +262,67 @@ TEST_F(VolatileAgentTest, GrowthAcrossIndirectBoundary) {
       agent_->Read(*re, (blocks - 3) * payload, 3 * payload);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, Bytes(3 * payload, 0x77));
+}
+
+// ---- One owner thread ------------------------------------------------------
+
+/// MemBlockDevice whose next read, once armed, parks until released.
+class LatchedReadDevice : public storage::MemBlockDevice {
+ public:
+  using MemBlockDevice::MemBlockDevice;
+  using MemBlockDevice::ReadBlocks;
+
+  void ArmNextRead() { armed_ = true; }
+  void WaitUntilParked() { parked_.get_future().wait(); }
+  void Release() { release_.set_value(); }
+
+  Status ReadBlocks(std::span<const uint64_t> ids, uint8_t* out) override {
+    if (armed_.exchange(false)) {
+      parked_.set_value();
+      release_.get_future().wait();
+    }
+    return MemBlockDevice::ReadBlocks(ids, out);
+  }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::promise<void> parked_;
+  std::promise<void> release_;
+};
+
+/// Parks one thread inside the device read of a VolatileAgent::Read and
+/// calls VolatileAgent::Write from another.
+void WriteDuringAParkedRead() {
+  LatchedReadDevice dev(1024, 4096);
+  stegfs::StegFsCore core(&dev, StegFsOptions{23, true});
+  ASSERT_TRUE(core.Format().ok());
+  VolatileAgent agent(&core);
+  ASSERT_TRUE(agent.CreateDummyFile("alice", 64).ok());
+  auto id = agent.CreateHiddenFile("alice");
+  ASSERT_TRUE(id.ok());
+  const Bytes data(2 * core.payload_size(), 0x5c);
+  ASSERT_TRUE(agent.Write(*id, 0, data).ok());
+
+  dev.ArmNextRead();
+  std::thread reader([&] { (void)agent.Read(*id, 0, data.size()); });
+  dev.WaitUntilParked();
+  (void)agent.Write(*id, 0, data);
+  dev.Release();
+  reader.join();
+}
+
+// The checker compiles away under NDEBUG, so this case skips in the
+// default RelWithDebInfo build and runs in Debug builds (CI's sanitize
+// job). Threadsafe style: the child re-runs the test from the start
+// instead of forking a process that already has threads.
+TEST(VolatileAgentDeathTest, SecondThreadWriteDuringAReadAborts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "SerialCallChecker compiles away under NDEBUG";
+#endif
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(WriteDuringAParkedRead(),
+               "concurrent VolatileAgent calls break its one-owner-thread "
+               "rule");
 }
 
 }  // namespace
