@@ -14,9 +14,9 @@ namespace {
 // keeping the VAES/interleaved kernels saturated.
 constexpr size_t kChainChunk = 64;
 
-// Process-wide, so two threads can add at once (a session call sealing a
-// header while the I/O thread opens records): the only cells that take
-// the exact shared add.
+// Process-wide, so two threads can add at once: independent systems
+// (two volumes, each driven by its own owner thread) share these cells.
+// The only cells that take the exact shared add.
 struct CryptoCells {
   obs::CounterCell bytes;
   obs::CounterCell blocks;
