@@ -691,10 +691,10 @@ class ObliviousStore {
   /// Checks the one-owner rule at each public operation.
   storage::SerialCallChecker serial_check_;
 
-  // Per-group scratch reused across scan passes: the
-  // plan, the sweep's block ids and read buffer, the decrypt staging
-  // block, and the group classification vectors. Kept as members to cut
-  // allocation churn on the hot path.
+  // Per-group scratch reused across scan passes: the plan, the sweep's
+  // block ids and read buffer, the decrypt staging block, and the group
+  // classification vectors. Kept as members to cut allocation churn on
+  // the hot path.
   ScanPlan plan_;
   std::vector<uint64_t> sweep_ids_;
   Bytes sweep_buf_;
