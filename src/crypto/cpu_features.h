@@ -36,8 +36,8 @@ const char* CryptoImplName(CryptoImpl impl);
 
 /// Test/bench override: forces the policy for the lifetime of the object
 /// and restores the previous one on destruction. Only affects objects that
-/// key/reset *after* construction (Aes::SetKey and Sha256 latch the policy
-/// per object). Not thread-safe against concurrent overrides; tests
+/// key/reset *after* construction (Aes::SetKey, Sha256 and HashDrbg latch
+/// the policy per object). Not thread-safe against concurrent overrides; tests
 /// install it on the main thread before spawning workers.
 class ScopedCryptoImpl {
  public:

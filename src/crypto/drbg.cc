@@ -1,16 +1,37 @@
 #include "crypto/drbg.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
+#include "crypto/cpu_features.h"
+
 namespace steghide::crypto {
 
-HashDrbg::HashDrbg(const Bytes& seed) {
+namespace {
+
+constexpr size_t kCounterOffset = Sha256::kDigestSize;
+constexpr size_t kMessageSize = kCounterOffset + 8;
+
+void StoreDigest(const std::array<uint32_t, 8>& state, uint8_t* out) {
+  for (int i = 0; i < 8; ++i) StoreBigEndian32(out + 4 * i, state[i]);
+}
+
+}  // namespace
+
+HashDrbg::HashDrbg(const Bytes& seed) : accel_(Sha256Accelerated()) {
   Sha256 h;
   h.Update("steghide-drbg-init");
   h.Update(seed);
-  v_ = h.Finish();
+  const Sha256::Digest v = h.Finish();
+  // V ‖ BE64(i) then SHA-256's padding: the 0x80 marker, zeros, and the
+  // message length in bits in the last 8 bytes.
+  for (uint8_t* message : messages_) {
+    std::memcpy(message, v.data(), v.size());
+    message[kMessageSize] = 0x80;
+    StoreBigEndian64(message + Sha256::kBlockSize - 8, kMessageSize * 8);
+  }
   block_offset_ = Sha256::kDigestSize;  // force generation on first use
 }
 
@@ -20,26 +41,48 @@ HashDrbg::HashDrbg(uint64_t seed) : HashDrbg([&] {
       return b;
     }()) {}
 
-void HashDrbg::Ratchet() {
+void HashDrbg::NextBlock(uint8_t* out) {
   // block_i = H(V || i), the counter-mode output stage of Hash_DRBG.
-  uint8_t ctr[8];
-  StoreBigEndian64(ctr, counter_++);
-  Sha256 h;
-  h.Update(v_.data(), v_.size());
-  h.Update(ctr, sizeof(ctr));
-  block_ = h.Finish();
-  block_offset_ = 0;
+  StoreBigEndian64(messages_[0] + kCounterOffset, counter_++);
+  std::array<uint32_t, 8> state = Sha256::kInitialState;
+  Sha256::Compress(state.data(), messages_[0], 1, accel_);
+  StoreDigest(state, out);
+}
+
+void HashDrbg::NextTwoBlocks(uint8_t* out) {
+  StoreBigEndian64(messages_[0] + kCounterOffset, counter_++);
+  StoreBigEndian64(messages_[1] + kCounterOffset, counter_++);
+  std::array<uint32_t, 8> a = Sha256::kInitialState;
+  std::array<uint32_t, 8> b = Sha256::kInitialState;
+  Sha256::CompressTwo(a.data(), messages_[0], b.data(), messages_[1],
+                      accel_);
+  StoreDigest(a, out);
+  StoreDigest(b, out + Sha256::kDigestSize);
 }
 
 void HashDrbg::Generate(uint8_t* out, size_t n) {
-  while (n > 0) {
-    if (block_offset_ >= Sha256::kDigestSize) Ratchet();
-    const size_t take =
-        std::min(n, Sha256::kDigestSize - block_offset_);
-    std::memcpy(out, block_.data() + block_offset_, take);
-    block_offset_ += take;
-    out += take;
-    n -= take;
+  // Finish the current block, write whole blocks straight into `out`,
+  // and keep only a partial tail in block_.
+  const size_t head = std::min(n, Sha256::kDigestSize - block_offset_);
+  if (head > 0) {
+    std::memcpy(out, block_.data() + block_offset_, head);
+    block_offset_ += head;
+    out += head;
+    n -= head;
+  }
+  for (; n >= 2 * Sha256::kDigestSize; n -= 2 * Sha256::kDigestSize) {
+    NextTwoBlocks(out);
+    out += 2 * Sha256::kDigestSize;
+  }
+  if (n >= Sha256::kDigestSize) {
+    NextBlock(out);
+    out += Sha256::kDigestSize;
+    n -= Sha256::kDigestSize;
+  }
+  if (n > 0) {
+    NextBlock(block_.data());
+    std::memcpy(out, block_.data(), n);
+    block_offset_ = n;
   }
 }
 

@@ -11,7 +11,11 @@ namespace steghide::crypto {
 /// Deterministic pseudo-random generator built from SHA-256, mirroring the
 /// paper's construction (Section 6.1: "the pseudo-random number generator
 /// is constructed from SHA256"). Structure follows the Hash_DRBG outline of
-/// NIST SP 800-90A: a secret state V is hashed with a counter to produce
+/// NIST SP 800-90A: a secret state V = SHA-256("steghide-drbg-init" ‖
+/// seed) is hashed with a counter, and output block i is
+/// SHA-256(V ‖ BE64(i)). That 40-byte message pads to exactly one
+/// 64-byte block, so each output block costs one compression, and
+/// Generate computes whole blocks two at a time, straight into its
 /// output.
 ///
 /// Security-relevant randomness in the reproduction — IVs, target-block
@@ -21,6 +25,9 @@ namespace steghide::crypto {
 /// StegFsCore and ObliviousStore each own one generator, and every layer
 /// above them draws from it, so a component's draws form one stream in
 /// the order its operations are issued — whichever thread issues them.
+///
+/// The generator latches the SHA-256 implementation (hardware or scalar)
+/// at construction, as Sha256 does at Reset(); both give the same stream.
 ///
 /// Thread safety: none of its own. A generator is driven by its owner's
 /// one thread (storage/thread_check.h), whose serial-call checker covers
@@ -43,12 +50,20 @@ class HashDrbg {
   uint64_t Uniform(uint64_t bound);
 
  private:
-  void Ratchet();
+  /// Writes output block `counter_` to `out` (kDigestSize bytes) and
+  /// advances the counter.
+  void NextBlock(uint8_t* out);
+  /// Writes output blocks `counter_` and `counter_ + 1` to `out`
+  /// (2 * kDigestSize bytes) and advances the counter by two.
+  void NextTwoBlocks(uint8_t* out);
 
-  Sha256::Digest v_;          // secret state
-  Sha256::Digest block_;      // current output block
+  /// Two copies of V ‖ BE64(counter) with its SHA-256 padding: one
+  /// message block each, whose only changing bytes are the counter's.
+  uint8_t messages_[2][Sha256::kBlockSize] = {};
+  Sha256::Digest block_{};    // current output block, for partial draws
   size_t block_offset_ = 0;   // consumed bytes of block_
   uint64_t counter_ = 0;
+  bool accel_ = false;
 };
 
 }  // namespace steghide::crypto

@@ -34,25 +34,8 @@ namespace hwsha = shaarm;
 namespace hwsha = shani;
 #endif
 
-}  // namespace
-
-Sha256::Sha256() { Reset(); }
-
-void Sha256::Reset() {
-  h_[0] = 0x6a09e667;
-  h_[1] = 0xbb67ae85;
-  h_[2] = 0x3c6ef372;
-  h_[3] = 0xa54ff53a;
-  h_[4] = 0x510e527f;
-  h_[5] = 0x9b05688c;
-  h_[6] = 0x1f83d9ab;
-  h_[7] = 0x5be0cd19;
-  buffer_len_ = 0;
-  total_len_ = 0;
-  accel_ = Sha256Accelerated();
-}
-
-void Sha256::CompressScalar(const uint8_t block[kBlockSize]) {
+// The scalar round function over one block.
+void CompressScalar(uint32_t state[8], const uint8_t block[64]) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) w[i] = LoadBigEndian32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
@@ -63,8 +46,8 @@ void Sha256::CompressScalar(const uint8_t block[kBlockSize]) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
@@ -83,22 +66,47 @@ void Sha256::CompressScalar(const uint8_t block[kBlockSize]) {
     a = t1 + t2;
   }
 
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
 
-void Sha256::CompressBlocks(const uint8_t* blocks, size_t nblocks) {
-  if (accel_) {
-    hwsha::Compress(h_, blocks, nblocks);
+}  // namespace
+
+Sha256::Sha256() { Reset(); }
+
+void Sha256::Reset() {
+  std::memcpy(h_, kInitialState.data(), sizeof(h_));
+  buffer_len_ = 0;
+  total_len_ = 0;
+  accel_ = Sha256Accelerated();
+}
+
+void Sha256::Compress(uint32_t state[8], const uint8_t* blocks,
+                      size_t nblocks, bool accel) {
+  if (accel) {
+    hwsha::Compress(state, blocks, nblocks);
     return;
   }
-  for (size_t i = 0; i < nblocks; ++i) CompressScalar(blocks + i * kBlockSize);
+  for (size_t i = 0; i < nblocks; ++i) {
+    CompressScalar(state, blocks + i * kBlockSize);
+  }
+}
+
+void Sha256::CompressTwo(uint32_t state_a[8], const uint8_t* block_a,
+                         uint32_t state_b[8], const uint8_t* block_b,
+                         bool accel) {
+  if (accel) {
+    hwsha::CompressTwo(state_a, block_a, state_b, block_b);
+    return;
+  }
+  CompressScalar(state_a, block_a);
+  CompressScalar(state_b, block_b);
 }
 
 void Sha256::Update(const uint8_t* data, size_t n) {
@@ -110,7 +118,7 @@ void Sha256::Update(const uint8_t* data, size_t n) {
     data += take;
     n -= take;
     if (buffer_len_ == kBlockSize) {
-      CompressBlocks(buffer_, 1);
+      Compress(h_, buffer_, 1, accel_);
       buffer_len_ = 0;
     }
   }
@@ -118,7 +126,7 @@ void Sha256::Update(const uint8_t* data, size_t n) {
     // Feed the whole run of full blocks to one kernel invocation; the
     // hardware path keeps the state in registers across blocks.
     const size_t full = n / kBlockSize;
-    CompressBlocks(data, full);
+    Compress(h_, data, full, accel_);
     data += full * kBlockSize;
     n -= full * kBlockSize;
   }
@@ -129,16 +137,19 @@ void Sha256::Update(const uint8_t* data, size_t n) {
 }
 
 Sha256::Digest Sha256::Finish() {
+  // Update leaves fewer than 64 bytes buffered, so the 0x80 marker fits;
+  // when the 8-byte length no longer does, the padding spills into a
+  // second block.
   const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad = 0x80;
-  Update(&pad, 1);
-  const uint8_t zero = 0x00;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
-  StoreBigEndian64(len_bytes, bit_len);
-  // Bypass total_len_ bookkeeping: append length directly.
-  std::memcpy(buffer_ + 56, len_bytes, 8);
-  CompressBlocks(buffer_, 1);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    Compress(h_, buffer_, 1, accel_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  StoreBigEndian64(buffer_ + kBlockSize - 8, bit_len);
+  Compress(h_, buffer_, 1, accel_);
   buffer_len_ = 0;
 
   Digest out;

@@ -42,13 +42,28 @@ class Sha256 {
     return Hash(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
 
- private:
-  /// Runs the compression function over `nblocks` consecutive 64-byte
-  /// blocks — a single SHA-NI/ARMv8 kernel call on the accelerated path,
-  /// the scalar round function per block otherwise.
-  void CompressBlocks(const uint8_t* blocks, size_t nblocks);
-  void CompressScalar(const uint8_t block[kBlockSize]);
+  /// The initial hash value H(0) of FIPS 180-2.
+  static constexpr std::array<uint32_t, 8> kInitialState = {
+      0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
+  /// Runs the compression function over `nblocks` consecutive 64-byte
+  /// blocks on a caller-held `state` (the eight working words in FIPS
+  /// 180-2 order): one SHA-NI/ARMv8 kernel call when `accel`, the scalar
+  /// round function per block otherwise. `accel` must be a value
+  /// Sha256Accelerated() returned. For callers that pad their own
+  /// message, such as HashDrbg, whose every output is one block.
+  static void Compress(uint32_t state[8], const uint8_t* blocks,
+                       size_t nblocks, bool accel);
+
+  /// Two independent one-block compressions, `block_a` into `state_a`
+  /// and `block_b` into `state_b`. The SHA-NI kernel interleaves their
+  /// rounds, so the pair costs less than two Compress calls.
+  static void CompressTwo(uint32_t state_a[8], const uint8_t* block_a,
+                          uint32_t state_b[8], const uint8_t* block_b,
+                          bool accel);
+
+ private:
   uint32_t h_[8];
   uint8_t buffer_[kBlockSize];
   size_t buffer_len_ = 0;

@@ -300,6 +300,80 @@ TEST(DrbgTest, OutputLooksBalanced) {
   EXPECT_NEAR(frac, 0.5, 0.01);
 }
 
+/// The generator's stream rebuilt from the public Sha256 API:
+/// V = SHA-256("steghide-drbg-init" ‖ BE64(seed)) and output block i =
+/// SHA-256(V ‖ BE64(i)), read front to back.
+class ReferenceDrbgStream {
+ public:
+  explicit ReferenceDrbgStream(uint64_t seed) {
+    uint8_t seed_bytes[8];
+    StoreBigEndian64(seed_bytes, seed);
+    Sha256 h;
+    h.Update("steghide-drbg-init");
+    h.Update(seed_bytes, sizeof(seed_bytes));
+    v_ = h.Finish();
+  }
+
+  Bytes Take(size_t n) {
+    Bytes out;
+    while (out.size() < n) {
+      if (offset_ == block_.size()) {
+        uint8_t ctr[8];
+        StoreBigEndian64(ctr, counter_++);
+        Sha256 h;
+        h.Update(v_.data(), v_.size());
+        h.Update(ctr, sizeof(ctr));
+        block_ = h.Finish();
+        offset_ = 0;
+      }
+      const size_t take = std::min(n - out.size(), block_.size() - offset_);
+      out.insert(out.end(), block_.begin() + offset_,
+                 block_.begin() + offset_ + take);
+      offset_ += take;
+    }
+    return out;
+  }
+
+  uint64_t Uniform(uint64_t bound) {
+    const uint64_t threshold = -bound % bound;
+    for (;;) {
+      const uint64_t r = LoadBigEndian64(Take(8).data());
+      if (r >= threshold) return r % bound;
+    }
+  }
+
+ private:
+  Sha256::Digest v_{};
+  Sha256::Digest block_{};
+  size_t offset_ = Sha256::kDigestSize;
+  uint64_t counter_ = 0;
+};
+
+TEST(DrbgTest, OutputStageIsHashOfStateAndCounter) {
+  for (const CryptoImpl impl : {CryptoImpl::kScalar, CryptoImpl::kAccel}) {
+    SCOPED_TRACE(CryptoImplName(impl));
+    ScopedCryptoImpl force(impl);
+    HashDrbg drbg(uint64_t{42});
+    ReferenceDrbgStream ref(42);
+    // Call sizes that start, end and straddle 32-byte output blocks from
+    // every offset the sequence reaches, with 8-byte draws between.
+    for (int round = 0; round < 3; ++round) {
+      for (const size_t n : {1u, 7u, 8u, 16u, 31u, 32u, 33u, 64u, 100u,
+                             4096u, 4101u}) {
+        ASSERT_EQ(drbg.Generate(n), ref.Take(n)) << "size " << n;
+        ASSERT_EQ(drbg.NextUint64(), LoadBigEndian64(ref.Take(8).data()));
+        ASSERT_EQ(drbg.Uniform(1000 + n), ref.Uniform(1000 + n));
+      }
+    }
+
+    // The first MiB at seed 42, as every earlier version produced it.
+    HashDrbg pinned(uint64_t{42});
+    const Bytes mib = pinned.Generate(1 << 20);
+    EXPECT_EQ(DigestHex(Sha256::Hash(mib)),
+              "0eeebe057c0b3ef0cddb7bda3d30d3f1664516bd31db21157e70c0b4b204d7cc");
+  }
+}
+
 // ---- crypto traffic accounting -------------------------------------------
 
 TEST(CryptoTrafficTest, ConcurrentCodecsCountEveryBatch) {
