@@ -1,8 +1,6 @@
 #ifndef STEGHIDE_STORAGE_MEM_BLOCK_DEVICE_H_
 #define STEGHIDE_STORAGE_MEM_BLOCK_DEVICE_H_
 
-#include <vector>
-
 #include "storage/block_device.h"
 #include "storage/thread_check.h"
 
@@ -13,11 +11,23 @@ namespace steghide::storage {
 /// paper requires (abandoned blocks are "initially filled with random
 /// data").
 ///
+/// The volume is one anonymous private mapping (zero pages from the
+/// kernel, so nothing zeroes it twice), advised for transparent huge
+/// pages and pre-faulted with MADV_POPULATE_WRITE at construction — or,
+/// where the kernel refuses that, by touching one byte per page — so the
+/// page faults fall in set-up rather than in the first pass of serving.
+/// The destructor unmaps it.
+///
 /// Follows the single-issuer threading contract of block_device.h; debug
 /// builds abort on overlapping calls from different threads.
 class MemBlockDevice : public BlockDevice {
  public:
+  /// Throws std::bad_alloc when the volume cannot be mapped.
   MemBlockDevice(uint64_t num_blocks, size_t block_size = kDefaultBlockSize);
+  ~MemBlockDevice() override;
+
+  MemBlockDevice(const MemBlockDevice&) = delete;
+  MemBlockDevice& operator=(const MemBlockDevice&) = delete;
 
   using BlockDevice::ReadBlocks;
 
@@ -34,7 +44,8 @@ class MemBlockDevice : public BlockDevice {
  private:
   uint64_t num_blocks_;
   size_t block_size_;
-  std::vector<uint8_t> data_;
+  size_t size_;             // num_blocks_ * block_size_
+  uint8_t* data_ = nullptr;  // null for a zero-block device
   SerialCallChecker serial_check_;
 };
 

@@ -61,6 +61,39 @@ TEST(MemBlockDeviceTest, BytesOverloadValidatesSize) {
   EXPECT_EQ(out.size(), 64u);
 }
 
+TEST(MemBlockDeviceTest, LargeVolumeIsZeroAndRoundTrips) {
+  // Three whole 2 MiB huge pages' worth of blocks plus a partial tail.
+  constexpr size_t kBlock = 4096;
+  constexpr uint64_t kBlocks = 3 * (2u << 20) / kBlock + 37;
+  MemBlockDevice dev(kBlocks, kBlock);
+  ASSERT_EQ(dev.num_blocks(), kBlocks);
+  const uint64_t ids[] = {0, kBlocks / 2, kBlocks - 1};
+  Bytes out(kBlock, 0xff);
+  for (const uint64_t id : ids) {
+    ASSERT_TRUE(dev.ReadBlock(id, out.data()).ok());
+    EXPECT_EQ(out, Bytes(kBlock, 0)) << "block " << id;
+  }
+  for (const uint64_t id : ids) {
+    const Bytes data(kBlock, static_cast<uint8_t>(id % 251 + 1));
+    ASSERT_TRUE(dev.WriteBlock(id, data.data()).ok());
+    ASSERT_TRUE(dev.ReadBlock(id, out.data()).ok());
+    EXPECT_EQ(out, data) << "block " << id;
+    EXPECT_EQ(Bytes(dev.BlockData(id), dev.BlockData(id) + kBlock), data)
+        << "block " << id;
+  }
+  EXPECT_EQ(dev.ReadBlock(kBlocks, out.data()).code(),
+            StatusCode::kOutOfRange);
+
+  MemBlockDevice empty(0, kBlock);
+  EXPECT_EQ(empty.num_blocks(), 0u);
+  for (const uint64_t id : {uint64_t{0}, uint64_t{1}, ~uint64_t{0}}) {
+    EXPECT_EQ(empty.ReadBlock(id, out.data()).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(empty.WriteBlock(id, out.data()).code(),
+              StatusCode::kOutOfRange);
+  }
+}
+
 // ---- FileBlockDevice ----------------------------------------------------
 
 class FileBlockDeviceTest : public steghide::testing::TempDirTest {
