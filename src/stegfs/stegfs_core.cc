@@ -11,13 +11,14 @@ StegFsCore::StegFsCore(storage::BlockDevice* device,
       codec_(device->block_size()),
       drbg_(options.drbg_seed),
       format_rng_(options.drbg_seed ^ 0x666f726d61745f5fULL),
-      fast_format_(options.fast_format) {
+      fast_format_(options.fast_format),
+      block_scratch_(device->block_size()) {
   assert(device->block_size() >= kMinBlockSize);
 }
 
 Status StegFsCore::Format() {
   STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
-  Bytes block(codec_.block_size());
+  Bytes& block = block_scratch_;
   for (uint64_t b = 0; b < device_->num_blocks(); ++b) {
     if (fast_format_) {
       format_rng_.Fill(block.data(), block.size());
@@ -172,7 +173,7 @@ Status StegFsCore::ReadFileBlocks(const HiddenFile& file, uint64_t logical,
 Status StegFsCore::WriteDataBlockAt(const HiddenFile& file, uint64_t physical,
                                     const uint8_t* payload) {
   STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
-  Bytes block(codec_.block_size());
+  Bytes& block = block_scratch_;
   if (file.is_dummy) {
     codec_.Randomize(drbg(), block.data());
   } else {
@@ -202,9 +203,8 @@ Status StegFsCore::WriteRaw(uint64_t physical, const Bytes& block) {
 
 Status StegFsCore::RandomizeBlock(uint64_t physical) {
   STEGHIDE_SERIAL_CALL_GUARD(serial_check_, "StegFsCore");
-  Bytes block(codec_.block_size());
-  codec_.Randomize(drbg(), block.data());
-  return WriteRaw(physical, block);
+  codec_.Randomize(drbg(), block_scratch_.data());
+  return WriteRaw(physical, block_scratch_);
 }
 
 }  // namespace steghide::stegfs

@@ -128,6 +128,9 @@ class StegFsCore {
   /// Header/indirect payload staging reused across LoadFile/StoreFile
   /// calls.
   Bytes tree_payloads_;
+  /// One block image, reused by Format, WriteDataBlockAt and
+  /// RandomizeBlock; each fills it whole before writing it.
+  Bytes block_scratch_;
   std::map<Bytes, std::unique_ptr<crypto::CbcCipher>> cipher_cache_;
   /// Checks the one-owner rule. Compound operations (LoadFile,
   /// StoreFile, ReadFileBlockSet, ...) re-enter the public raw-I/O and
