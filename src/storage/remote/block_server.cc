@@ -23,7 +23,9 @@ Status BlockServer::ServeOne(Transport* transport) {
   STEGHIDE_RETURN_IF_ERROR(transport->Recv(hdr, kFrameHeaderSize, 0.0));
   FrameHeader h;
   STEGHIDE_RETURN_IF_ERROR(DecodeFrameHeader(hdr, &h));
-  payload_.resize(h.payload_len);
+  // The staging buffers only grow: a frame uses their first bytes, which
+  // Recv or ReadBlocks overwrite, so nothing is zeroed per frame.
+  if (payload_.size() < h.payload_len) payload_.resize(h.payload_len);
   if (h.payload_len != 0) {
     STEGHIDE_RETURN_IF_ERROR(
         transport->Recv(payload_.data(), h.payload_len, 0.0));
@@ -32,7 +34,7 @@ Status BlockServer::ServeOne(Transport* transport) {
   cells_.bytes_in.Add(kFrameHeaderSize + h.payload_len);
 
   const size_t bs = backing_->block_size();
-  const std::span<const uint8_t> payload(payload_.data(), payload_.size());
+  const std::span<const uint8_t> payload(payload_.data(), h.payload_len);
   std::vector<uint8_t> reply;
   switch (h.type) {
     case FrameType::kHello:
@@ -42,13 +44,14 @@ Status BlockServer::ServeOne(Transport* transport) {
     case FrameType::kRead: {
       STEGHIDE_RETURN_IF_ERROR(
           ParseIds(payload, bs, /*with_data=*/false, &ids_, nullptr));
-      data_.resize(ids_.size() * bs);
+      const size_t data_len = ids_.size() * bs;
+      if (data_.size() < data_len) data_.resize(data_len);
       // Backing-device errors travel in-band: the connection stays up,
       // the client's Status comes out of the reply.
       Status op = backing_->ReadBlocks(std::span<const uint64_t>(ids_),
                                        data_.data());
       reply = BuildReply(h.request_id, op, op.ok() ? data_.data() : nullptr,
-                         op.ok() ? data_.size() : 0);
+                         op.ok() ? data_len : 0);
       break;
     }
     case FrameType::kWrite: {

@@ -53,7 +53,9 @@ class BlockServer {
   Status ServeOne(Transport* transport);
 
   BlockDevice* backing_;
-  std::vector<uint8_t> payload_;  // request staging, reused across frames
+  // Staging reused across frames. Both only grow; a frame uses their
+  // first bytes, as many as it carries or reads.
+  std::vector<uint8_t> payload_;  // request staging
   std::vector<uint8_t> data_;     // read-reply staging
   std::vector<uint64_t> ids_;
 

@@ -63,7 +63,11 @@ Status RemoteBlockDevice::Exchange(const std::vector<uint8_t>& frame,
   STEGHIDE_RETURN_IF_ERROR(transport_->Recv(hdr, kFrameHeaderSize, deadline));
   FrameHeader h;
   STEGHIDE_RETURN_IF_ERROR(DecodeFrameHeader(hdr, &h));
-  reply_payload_.resize(h.payload_len);
+  // Grow-only: the reply uses the first payload_len bytes, which Recv
+  // overwrites, so a large reply after small ones zeroes nothing.
+  if (reply_payload_.size() < h.payload_len) {
+    reply_payload_.resize(h.payload_len);
+  }
   if (h.payload_len != 0) {
     STEGHIDE_RETURN_IF_ERROR(
         transport_->Recv(reply_payload_.data(), h.payload_len, deadline));
@@ -75,7 +79,7 @@ Status RemoteBlockDevice::Exchange(const std::vector<uint8_t>& frame,
     return Status::Corruption("remote: reply request_id mismatch");
   }
   const std::span<const uint8_t> payload(reply_payload_.data(),
-                                         reply_payload_.size());
+                                         h.payload_len);
   if (h.type == FrameType::kHelloReply) {
     uint64_t nb = 0;
     uint32_t bs = 0;

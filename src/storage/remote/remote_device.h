@@ -123,7 +123,7 @@ class RemoteBlockDevice : public BlockDevice {
   bool geometry_known_ = false;
   bool connected_once_ = false;
   uint64_t next_request_id_ = 1;
-  std::vector<uint8_t> reply_payload_;  // reused across RPCs
+  std::vector<uint8_t> reply_payload_;  // grow-only, reused across RPCs
   std::function<void(double)> backoff_fn_;
   obs::TraceLog* trace_ = nullptr;
   uint32_t track_ = 0;
