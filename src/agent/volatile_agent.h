@@ -177,7 +177,8 @@ class VolatileAgent : public BlockRegistry {
   storage::SerialCallChecker serial_check_;
   stegfs::StegFsCore* core_;
   UpdateEngine engine_;
-  std::map<FileId, std::unique_ptr<OpenFile>> files_;
+  /// Only ever searched by id, never walked in order.
+  std::unordered_map<FileId, std::unique_ptr<OpenFile>> files_;
   std::map<UserId, std::vector<FileId>> user_files_;
   std::unordered_map<uint64_t, OwnerInfo> owners_;
   std::vector<uint64_t> domain_;
