@@ -1,5 +1,6 @@
 // Bytes-per-cycle microbench for the crypto hot paths: AES-CBC block
-// sealing/opening through the BlockCodec batch API and SHA-256, each run
+// sealing/opening through the BlockCodec batch API, SHA-256 and the
+// HashDrbg output stage (4 KiB draws, as dummy blocks take), each run
 // once with the hardware kernels forced off (impl:scalar) and once with
 // the dispatcher's resolved path (impl:accel — identical to scalar on
 // CPUs without AES-NI/SHA-NI, in which case accel_speedup hovers at 1).
@@ -134,6 +135,30 @@ void RunSha256(benchmark::State& state, bool accel) {
   state.SetBytesProcessed(static_cast<int64_t>(bytes));
 }
 
+void RunDrbgGenerate(benchmark::State& state, bool accel) {
+  crypto::ScopedCryptoImpl force(accel ? crypto::CryptoImpl::kAccel
+                                       : crypto::CryptoImpl::kScalar);
+  crypto::HashDrbg drbg(uint64_t{2028});
+  Bytes out(kBlockSize);
+
+  uint64_t cycles = 0;
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    const uint64_t c0 = Cycles();
+    for (size_t i = 0; i < kBatchBlocks; ++i) {
+      drbg.Generate(out.data(), out.size());
+      benchmark::DoNotOptimize(out.data());
+    }
+    cycles += Cycles() - c0;
+    benchmark::ClobberMemory();
+    bytes += kBatchBlocks * kBlockSize;
+  }
+
+  Record(state, "DrbgGenerate", accel,
+         cycles > 0 ? static_cast<double>(bytes) / cycles : 0.0);
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+
 }  // namespace
 }  // namespace steghide::bench
 
@@ -155,6 +180,9 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         (std::string("Crypto/Sha256/impl:") + impl).c_str(),
         [accel](benchmark::State& s) { RunSha256(s, accel); });
+    benchmark::RegisterBenchmark(
+        (std::string("Crypto/DrbgGenerate/impl:") + impl).c_str(),
+        [accel](benchmark::State& s) { RunDrbgGenerate(s, accel); });
   }
   return RunBenchmarks(argc, argv);
 }
