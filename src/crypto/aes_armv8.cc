@@ -195,22 +195,11 @@ void Compress(uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
   vst1q_u32(&state[4], state1);
 }
 
-// No interleaved ARMv8 kernel: two one-block calls.
-void CompressTwo(uint32_t state_a[8], const uint8_t* block_a,
-                 uint32_t state_b[8], const uint8_t* block_b) {
-  Compress(state_a, block_a, 1);
-  Compress(state_b, block_b, 1);
-}
-
 #else  // !STEGHIDE_HAVE_ARMV8_CRYPTO
 
 bool Compiled() { return false; }
 
 void Compress(uint32_t[8], const uint8_t*, size_t) { std::abort(); }
-
-void CompressTwo(uint32_t[8], const uint8_t*, uint32_t[8], const uint8_t*) {
-  std::abort();
-}
 
 #endif  // STEGHIDE_HAVE_ARMV8_CRYPTO
 

@@ -33,9 +33,6 @@ bool Compiled();
 
 void Compress(uint32_t state[8], const uint8_t* blocks, size_t nblocks);
 
-void CompressTwo(uint32_t state_a[8], const uint8_t* block_a,
-                 uint32_t state_b[8], const uint8_t* block_b);
-
 }  // namespace steghide::crypto::shaarm
 
 #endif  // STEGHIDE_CRYPTO_AES_ARMV8_H_

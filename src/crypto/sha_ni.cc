@@ -1,7 +1,6 @@
 #include "crypto/sha_ni.h"
 
 #include <cstdlib>
-#include <utility>
 
 #if defined(__x86_64__) && defined(__SHA__)
 #define STEGHIDE_HAVE_SHANI 1
@@ -29,124 +28,71 @@ alignas(16) constexpr uint32_t kK[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-// One compression in flight. Register layout follows Intel's reference
-// flow: the eight working words live as ABEF/CDGH pairs so SHA256RNDS2
-// can consume them directly.
-struct Lane {
-  __m128i state0;  // ABEF
-  __m128i state1;  // CDGH
-  __m128i abef_save;
-  __m128i cdgh_save;
-  // m[j] holds message dwords W[4t .. 4t+3] as a ring buffer.
-  __m128i m[4];
-};
-
-[[gnu::always_inline]] inline void LoadState(Lane& l,
-                                             const uint32_t state[8]) {
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  __m128i state1 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);                // CDAB
-  state1 = _mm_shuffle_epi32(state1, 0x1B);          // EFGH
-  l.state0 = _mm_alignr_epi8(tmp, state1, 8);        // ABEF
-  l.state1 = _mm_blend_epi16(state1, tmp, 0xF0);     // CDGH
-}
-
-[[gnu::always_inline]] inline void StoreState(const Lane& l,
-                                              uint32_t state[8]) {
-  const __m128i tmp = _mm_shuffle_epi32(l.state0, 0x1B);  // FEBA
-  __m128i state1 = _mm_shuffle_epi32(l.state1, 0xB1);     // DCHG
-  const __m128i state0 = _mm_blend_epi16(tmp, state1, 0xF0);  // DCBA
-  state1 = _mm_alignr_epi8(state1, tmp, 8);                    // HGFE
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
-}
-
-[[gnu::always_inline]] inline void BeginBlock(Lane& l,
-                                              const uint8_t* block) {
-  const __m128i mask =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-  l.abef_save = l.state0;
-  l.cdgh_save = l.state1;
-  for (int j = 0; j < 4; ++j) {
-    l.m[j] = _mm_shuffle_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * j)),
-        mask);
-  }
-}
-
-// Rounds 4i .. 4i+3. A compile-time `i` keeps the ring buffer in
-// registers.
-template <int i>
-[[gnu::always_inline]] inline void FourRounds(Lane& l) {
-  if constexpr (i >= 4) {
-    // W[t] = W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]), four at a
-    // time: MSG1 folds the s0 terms, ALIGNR supplies W[t-7..t-4],
-    // MSG2 folds the (serially dependent) s1 terms.
-    const __m128i m1 = l.m[(i + 1) & 3];
-    const __m128i m2 = l.m[(i + 2) & 3];
-    const __m128i m3 = l.m[(i + 3) & 3];
-    l.m[i & 3] = _mm_sha256msg2_epu32(
-        _mm_add_epi32(_mm_sha256msg1_epu32(l.m[i & 3], m1),
-                      _mm_alignr_epi8(m3, m2, 4)),
-        m3);
-  }
-  __m128i wk = _mm_add_epi32(
-      l.m[i & 3],
-      _mm_load_si128(reinterpret_cast<const __m128i*>(&kK[4 * i])));
-  l.state1 = _mm_sha256rnds2_epu32(l.state1, l.state0, wk);
-  wk = _mm_shuffle_epi32(wk, 0x0E);
-  l.state0 = _mm_sha256rnds2_epu32(l.state0, l.state1, wk);
-}
-
-[[gnu::always_inline]] inline void EndBlock(Lane& l) {
-  l.state0 = _mm_add_epi32(l.state0, l.abef_save);
-  l.state1 = _mm_add_epi32(l.state1, l.cdgh_save);
-}
-
-template <int... i>
-[[gnu::always_inline]] inline void AllRounds(
-    Lane& l, std::integer_sequence<int, i...>) {
-  (FourRounds<i>(l), ...);
-}
-
-// Issues each four-round group of `a` next to the same group of `b`:
-// the two chains are independent, so one's SHA256RNDS2 latency hides
-// behind the other's.
-template <int... i>
-[[gnu::always_inline]] inline void AllRoundsTwo(
-    Lane& a, Lane& b, std::integer_sequence<int, i...>) {
-  ((FourRounds<i>(a), FourRounds<i>(b)), ...);
-}
-
 }  // namespace
 
 bool Compiled() { return true; }
 
 void Compress(uint32_t state[8], const uint8_t* blocks, size_t nblocks) {
-  Lane l;
-  LoadState(l, state);
-  for (; nblocks > 0; --nblocks, blocks += 64) {
-    BeginBlock(l, blocks);
-    AllRounds(l, std::make_integer_sequence<int, 16>());
-    EndBlock(l);
-  }
-  StoreState(l, state);
-}
+  // Register layout follows Intel's reference flow: the eight working
+  // words live as ABEF/CDGH pairs so SHA256RNDS2 can consume them
+  // directly.
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i state1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i mask =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
 
-void CompressTwo(uint32_t state_a[8], const uint8_t* block_a,
-                 uint32_t state_b[8], const uint8_t* block_b) {
-  Lane a;
-  Lane b;
-  LoadState(a, state_a);
-  LoadState(b, state_b);
-  BeginBlock(a, block_a);
-  BeginBlock(b, block_b);
-  AllRoundsTwo(a, b, std::make_integer_sequence<int, 16>());
-  EndBlock(a);
-  EndBlock(b);
-  StoreState(a, state_a);
-  StoreState(b, state_b);
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);                  // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);            // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);    // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);         // CDGH
+
+  while (nblocks-- > 0) {
+    const __m128i abef_save = state0;
+    const __m128i cdgh_save = state1;
+
+    // m[j] holds message dwords W[4t .. 4t+3] as a ring buffer.
+    __m128i m[4];
+    for (int j = 0; j < 4; ++j) {
+      m[j] = _mm_shuffle_epi8(
+          _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(blocks + 16 * j)),
+          mask);
+    }
+
+    for (int i = 0; i < 16; ++i) {
+      if (i >= 4) {
+        // W[t] = W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]), four at a
+        // time: MSG1 folds the s0 terms, ALIGNR supplies W[t-7..t-4],
+        // MSG2 folds the (serially dependent) s1 terms.
+        const __m128i m1 = m[(i + 1) & 3];
+        const __m128i m2 = m[(i + 2) & 3];
+        const __m128i m3 = m[(i + 3) & 3];
+        m[i & 3] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(m[i & 3], m1),
+                          _mm_alignr_epi8(m3, m2, 4)),
+            m3);
+      }
+      __m128i wk = _mm_add_epi32(
+          m[i & 3],
+          _mm_load_si128(reinterpret_cast<const __m128i*>(&kK[4 * i])));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, wk);
+    }
+
+    state0 = _mm_add_epi32(state0, abef_save);
+    state1 = _mm_add_epi32(state1, cdgh_save);
+    blocks += 64;
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);               // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);            // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);         // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);            // HGFE
+
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
 }
 
 #else  // !STEGHIDE_HAVE_SHANI
@@ -154,10 +100,6 @@ void CompressTwo(uint32_t state_a[8], const uint8_t* block_a,
 bool Compiled() { return false; }
 
 void Compress(uint32_t[8], const uint8_t*, size_t) { std::abort(); }
-
-void CompressTwo(uint32_t[8], const uint8_t*, uint32_t[8], const uint8_t*) {
-  std::abort();
-}
 
 #endif  // STEGHIDE_HAVE_SHANI
 

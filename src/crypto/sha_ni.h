@@ -15,12 +15,6 @@ bool Compiled();
 /// CpuCryptoSupport().sha256 is true.
 void Compress(uint32_t state[8], const uint8_t* blocks, size_t nblocks);
 
-/// Two independent one-block compressions — `block_a` into `state_a`,
-/// `block_b` into `state_b` — with their rounds interleaved. Same
-/// precondition as Compress.
-void CompressTwo(uint32_t state_a[8], const uint8_t* block_a,
-                 uint32_t state_b[8], const uint8_t* block_b);
-
 }  // namespace steghide::crypto::shani
 
 #endif  // STEGHIDE_CRYPTO_SHA_NI_H_

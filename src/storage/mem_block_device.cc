@@ -17,14 +17,15 @@ MemBlockDevice::MemBlockDevice(uint64_t num_blocks, size_t block_size)
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
   data_ = static_cast<uint8_t*>(p);
-  // Both advices are best effort: without huge pages the volume takes
-  // 4 KiB pages, and without populate each page is faulted in here.
+#ifdef MADV_HUGEPAGE
+  // Best effort: where the kernel declines, the volume takes 4 KiB pages.
   madvise(p, size_, MADV_HUGEPAGE);
-  if (madvise(p, size_, MADV_POPULATE_WRITE) != 0) {
-    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-    volatile uint8_t* bytes = data_;
-    for (size_t off = 0; off < size_; off += page) bytes[off] = 0;
-  }
+#endif
+  // Fault every page in now, one write per base page, so the faults fall
+  // in set-up and not in serving.
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  volatile uint8_t* bytes = data_;
+  for (size_t off = 0; off < size_; off += page) bytes[off] = 0;
 }
 
 MemBlockDevice::~MemBlockDevice() {

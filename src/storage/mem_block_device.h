@@ -13,10 +13,9 @@ namespace steghide::storage {
 ///
 /// The volume is one anonymous private mapping (zero pages from the
 /// kernel, so nothing zeroes it twice), advised for transparent huge
-/// pages and pre-faulted with MADV_POPULATE_WRITE at construction — or,
-/// where the kernel refuses that, by touching one byte per page — so the
-/// page faults fall in set-up rather than in the first pass of serving.
-/// The destructor unmaps it.
+/// pages and pre-faulted at construction by a write to one byte per
+/// page, so the page faults fall in set-up rather than in the first pass
+/// of serving. The destructor unmaps it.
 ///
 /// Follows the single-issuer threading contract of block_device.h; debug
 /// builds abort on overlapping calls from different threads.
