@@ -14,10 +14,6 @@ namespace {
 constexpr size_t kCounterOffset = Sha256::kDigestSize;
 constexpr size_t kMessageSize = kCounterOffset + 8;
 
-void StoreDigest(const std::array<uint32_t, 8>& state, uint8_t* out) {
-  for (int i = 0; i < 8; ++i) StoreBigEndian32(out + 4 * i, state[i]);
-}
-
 }  // namespace
 
 HashDrbg::HashDrbg(const Bytes& seed) : accel_(Sha256Accelerated()) {
@@ -27,11 +23,9 @@ HashDrbg::HashDrbg(const Bytes& seed) : accel_(Sha256Accelerated()) {
   const Sha256::Digest v = h.Finish();
   // V ‖ BE64(i) then SHA-256's padding: the 0x80 marker, zeros, and the
   // message length in bits in the last 8 bytes.
-  for (uint8_t* message : messages_) {
-    std::memcpy(message, v.data(), v.size());
-    message[kMessageSize] = 0x80;
-    StoreBigEndian64(message + Sha256::kBlockSize - 8, kMessageSize * 8);
-  }
+  std::memcpy(message_, v.data(), v.size());
+  message_[kMessageSize] = 0x80;
+  StoreBigEndian64(message_ + Sha256::kBlockSize - 8, kMessageSize * 8);
   block_offset_ = Sha256::kDigestSize;  // force generation on first use
 }
 
@@ -43,21 +37,10 @@ HashDrbg::HashDrbg(uint64_t seed) : HashDrbg([&] {
 
 void HashDrbg::NextBlock(uint8_t* out) {
   // block_i = H(V || i), the counter-mode output stage of Hash_DRBG.
-  StoreBigEndian64(messages_[0] + kCounterOffset, counter_++);
+  StoreBigEndian64(message_ + kCounterOffset, counter_++);
   std::array<uint32_t, 8> state = Sha256::kInitialState;
-  Sha256::Compress(state.data(), messages_[0], 1, accel_);
-  StoreDigest(state, out);
-}
-
-void HashDrbg::NextTwoBlocks(uint8_t* out) {
-  StoreBigEndian64(messages_[0] + kCounterOffset, counter_++);
-  StoreBigEndian64(messages_[1] + kCounterOffset, counter_++);
-  std::array<uint32_t, 8> a = Sha256::kInitialState;
-  std::array<uint32_t, 8> b = Sha256::kInitialState;
-  Sha256::CompressTwo(a.data(), messages_[0], b.data(), messages_[1],
-                      accel_);
-  StoreDigest(a, out);
-  StoreDigest(b, out + Sha256::kDigestSize);
+  Sha256::Compress(state.data(), message_, 1, accel_);
+  for (int i = 0; i < 8; ++i) StoreBigEndian32(out + 4 * i, state[i]);
 }
 
 void HashDrbg::Generate(uint8_t* out, size_t n) {
@@ -70,14 +53,9 @@ void HashDrbg::Generate(uint8_t* out, size_t n) {
     out += head;
     n -= head;
   }
-  for (; n >= 2 * Sha256::kDigestSize; n -= 2 * Sha256::kDigestSize) {
-    NextTwoBlocks(out);
-    out += 2 * Sha256::kDigestSize;
-  }
-  if (n >= Sha256::kDigestSize) {
+  for (; n >= Sha256::kDigestSize; n -= Sha256::kDigestSize) {
     NextBlock(out);
     out += Sha256::kDigestSize;
-    n -= Sha256::kDigestSize;
   }
   if (n > 0) {
     NextBlock(block_.data());

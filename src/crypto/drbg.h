@@ -14,9 +14,8 @@ namespace steghide::crypto {
 /// NIST SP 800-90A: a secret state V = SHA-256("steghide-drbg-init" ‖
 /// seed) is hashed with a counter, and output block i is
 /// SHA-256(V ‖ BE64(i)). That 40-byte message pads to exactly one
-/// 64-byte block, so each output block costs one compression, and
-/// Generate computes whole blocks two at a time, straight into its
-/// output.
+/// 64-byte block, so each output block costs one compression, which
+/// Generate writes straight into its output.
 ///
 /// Security-relevant randomness in the reproduction — IVs, target-block
 /// selection in the update engine, dummy-read choices, shuffle tags — is
@@ -53,13 +52,10 @@ class HashDrbg {
   /// Writes output block `counter_` to `out` (kDigestSize bytes) and
   /// advances the counter.
   void NextBlock(uint8_t* out);
-  /// Writes output blocks `counter_` and `counter_ + 1` to `out`
-  /// (2 * kDigestSize bytes) and advances the counter by two.
-  void NextTwoBlocks(uint8_t* out);
 
-  /// Two copies of V ‖ BE64(counter) with its SHA-256 padding: one
-  /// message block each, whose only changing bytes are the counter's.
-  uint8_t messages_[2][Sha256::kBlockSize] = {};
+  /// V ‖ BE64(counter) with its SHA-256 padding: one message block, whose
+  /// only changing bytes are the counter's.
+  uint8_t message_[Sha256::kBlockSize] = {};
   Sha256::Digest block_{};    // current output block, for partial draws
   size_t block_offset_ = 0;   // consumed bytes of block_
   uint64_t counter_ = 0;

@@ -98,17 +98,6 @@ void Sha256::Compress(uint32_t state[8], const uint8_t* blocks,
   }
 }
 
-void Sha256::CompressTwo(uint32_t state_a[8], const uint8_t* block_a,
-                         uint32_t state_b[8], const uint8_t* block_b,
-                         bool accel) {
-  if (accel) {
-    hwsha::CompressTwo(state_a, block_a, state_b, block_b);
-    return;
-  }
-  CompressScalar(state_a, block_a);
-  CompressScalar(state_b, block_b);
-}
-
 void Sha256::Update(const uint8_t* data, size_t n) {
   total_len_ += n;
   if (buffer_len_ > 0) {

@@ -56,13 +56,6 @@ class Sha256 {
   static void Compress(uint32_t state[8], const uint8_t* blocks,
                        size_t nblocks, bool accel);
 
-  /// Two independent one-block compressions, `block_a` into `state_a`
-  /// and `block_b` into `state_b`. The SHA-NI kernel interleaves their
-  /// rounds, so the pair costs less than two Compress calls.
-  static void CompressTwo(uint32_t state_a[8], const uint8_t* block_a,
-                          uint32_t state_b[8], const uint8_t* block_b,
-                          bool accel);
-
  private:
   uint32_t h_[8];
   uint8_t buffer_[kBlockSize];
