@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "../perfbench/timing_device.h"
@@ -29,27 +30,49 @@ using steghide::testing::TracedMemDevice;
 
 // ---- MemBlockDevice ---------------------------------------------------
 
+// A small device, and a 4 KiB-block one of three whole 2 MiB huge pages
+// plus a partial tail.
+constexpr std::pair<uint64_t, size_t> kMemGeometries[] = {
+    {8, 512}, {3 * (2u << 20) / 4096 + 37, 4096}};
+
 TEST(MemBlockDeviceTest, RoundTrip) {
-  MemBlockDevice dev(8, 512);
-  Bytes data(512, 0xab);
-  ASSERT_TRUE(dev.WriteBlock(3, data.data()).ok());
-  Bytes out(512);
-  ASSERT_TRUE(dev.ReadBlock(3, out.data()).ok());
-  EXPECT_EQ(out, data);
+  for (const auto& [blocks, size] : kMemGeometries) {
+    MemBlockDevice dev(blocks, size);
+    for (const uint64_t id : {uint64_t{0}, blocks / 2, blocks - 1}) {
+      const Bytes data(size, static_cast<uint8_t>(0xab + id));
+      ASSERT_TRUE(dev.WriteBlock(id, data.data()).ok());
+      Bytes out(size);
+      ASSERT_TRUE(dev.ReadBlock(id, out.data()).ok());
+      EXPECT_EQ(out, data) << blocks << " blocks, block " << id;
+      EXPECT_EQ(Bytes(dev.BlockData(id), dev.BlockData(id) + size), data);
+    }
+  }
 }
 
 TEST(MemBlockDeviceTest, ZeroInitialised) {
-  MemBlockDevice dev(2, 64);
-  Bytes out(64, 0xff);
-  ASSERT_TRUE(dev.ReadBlock(1, out.data()).ok());
-  EXPECT_EQ(out, Bytes(64, 0));
+  for (const auto& [blocks, size] : kMemGeometries) {
+    MemBlockDevice dev(blocks, size);
+    for (const uint64_t id : {uint64_t{0}, blocks / 2, blocks - 1}) {
+      Bytes out(size, 0xff);
+      ASSERT_TRUE(dev.ReadBlock(id, out.data()).ok());
+      EXPECT_EQ(out, Bytes(size, 0)) << blocks << " blocks, block " << id;
+    }
+  }
 }
 
 TEST(MemBlockDeviceTest, BoundsChecked) {
-  MemBlockDevice dev(4, 64);
-  Bytes buf(64);
-  EXPECT_EQ(dev.ReadBlock(4, buf.data()).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(dev.WriteBlock(100, buf.data()).code(), StatusCode::kOutOfRange);
+  // The last case is a zero-block device, which rejects every id.
+  for (const auto& [blocks, size] :
+       {kMemGeometries[0], kMemGeometries[1], {0, 4096}}) {
+    MemBlockDevice dev(blocks, size);
+    Bytes buf(size);
+    for (const uint64_t id : {blocks, blocks + 96, ~uint64_t{0}}) {
+      EXPECT_EQ(dev.ReadBlock(id, buf.data()).code(), StatusCode::kOutOfRange)
+          << blocks << " blocks, block " << id;
+      EXPECT_EQ(dev.WriteBlock(id, buf.data()).code(),
+                StatusCode::kOutOfRange);
+    }
+  }
 }
 
 TEST(MemBlockDeviceTest, BytesOverloadValidatesSize) {
@@ -59,39 +82,6 @@ TEST(MemBlockDeviceTest, BytesOverloadValidatesSize) {
   Bytes out;
   ASSERT_TRUE(dev.ReadBlock(0, out).ok());
   EXPECT_EQ(out.size(), 64u);
-}
-
-TEST(MemBlockDeviceTest, LargeVolumeIsZeroAndRoundTrips) {
-  // Three whole 2 MiB huge pages' worth of blocks plus a partial tail.
-  constexpr size_t kBlock = 4096;
-  constexpr uint64_t kBlocks = 3 * (2u << 20) / kBlock + 37;
-  MemBlockDevice dev(kBlocks, kBlock);
-  ASSERT_EQ(dev.num_blocks(), kBlocks);
-  const uint64_t ids[] = {0, kBlocks / 2, kBlocks - 1};
-  Bytes out(kBlock, 0xff);
-  for (const uint64_t id : ids) {
-    ASSERT_TRUE(dev.ReadBlock(id, out.data()).ok());
-    EXPECT_EQ(out, Bytes(kBlock, 0)) << "block " << id;
-  }
-  for (const uint64_t id : ids) {
-    const Bytes data(kBlock, static_cast<uint8_t>(id % 251 + 1));
-    ASSERT_TRUE(dev.WriteBlock(id, data.data()).ok());
-    ASSERT_TRUE(dev.ReadBlock(id, out.data()).ok());
-    EXPECT_EQ(out, data) << "block " << id;
-    EXPECT_EQ(Bytes(dev.BlockData(id), dev.BlockData(id) + kBlock), data)
-        << "block " << id;
-  }
-  EXPECT_EQ(dev.ReadBlock(kBlocks, out.data()).code(),
-            StatusCode::kOutOfRange);
-
-  MemBlockDevice empty(0, kBlock);
-  EXPECT_EQ(empty.num_blocks(), 0u);
-  for (const uint64_t id : {uint64_t{0}, uint64_t{1}, ~uint64_t{0}}) {
-    EXPECT_EQ(empty.ReadBlock(id, out.data()).code(),
-              StatusCode::kOutOfRange);
-    EXPECT_EQ(empty.WriteBlock(id, out.data()).code(),
-              StatusCode::kOutOfRange);
-  }
 }
 
 // ---- FileBlockDevice ----------------------------------------------------
